@@ -1,9 +1,11 @@
 """Pluggable denoisers that refine noisy paired boxes into candidates.
 
-A denoiser maps a batch of noisy paired boxes (signal space) plus a
-timestep and frame context to one candidate per row: a cleaned paired box,
-per-frame class scores and an association score. Three implementations
-ship here:
+A denoiser's one method, ``denoise_batch``, maps a batch of noisy paired
+boxes (signal space) plus a timestep and frame context to a
+``DenoisedBatch`` holding one row per input row: a cleaned paired box,
+per-frame class scores and an association score. The refinement loop
+turns the final batch into pixel-space ``Candidate`` objects. Three
+implementations ship here:
 
 * ``OracleDenoiser`` snaps rows toward ground truth with configurable
   fidelity, standing in for a trained head in tests and simulations.
@@ -16,12 +18,12 @@ concurrently once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import BBox, PairedBox, iou3d_matrix, iou_matrix
+from .geometry import BBox, PairedBox, iou3d_matrix, iou_matrix, overlap
 
 __all__ = [
     "FrameContext",
@@ -33,9 +35,6 @@ __all__ = [
     "OracleConfig",
     "DetectionSnapDenoiser",
     "IdentityDenoiser",
-    "StfWeights",
-    "stf_fuse",
-    "association_score_head",
     "signal_to_pixel",
     "pixel_to_signal",
 ]
@@ -96,11 +95,11 @@ class ProposalOrigin:
 class Candidate:
     """A denoised paired box with its scores.
 
-    ``pair`` is in pixel space when the candidate leaves the refinement
-    loop; inside the loop (raw ``denoise`` output) it is in signal space.
-    ``index`` is the original proposal slot the candidate came from and
-    ``origin`` that slot's ``ProposalOrigin``: prior-derived rows continue
-    existing tracks, padded rows discover new objects.
+    ``pair`` is in pixel space; the refinement loop builds candidates from
+    its final ``DenoisedBatch``. ``index`` is the original proposal slot the
+    candidate came from and ``origin`` that slot's ``ProposalOrigin``:
+    prior-derived rows continue existing tracks, padded rows discover new
+    objects.
     """
 
     pair: PairedBox
@@ -120,24 +119,12 @@ class DenoisedBatch:
     cls_cur: np.ndarray    # (n,)
     assoc: np.ndarray      # (n,)
 
-    def to_candidates(self) -> list[Candidate]:
-        return [
-            Candidate(
-                pair=PairedBox.from_flat(self.pairs[i]),
-                cls_prev=float(self.cls_prev[i]),
-                cls_cur=float(self.cls_cur[i]),
-                assoc=float(self.assoc[i]),
-                index=i,
-            )
-            for i in range(self.pairs.shape[0])
-        ]
-
 
 @runtime_checkable
 class Denoiser(Protocol):
-    """Interface contract: one candidate per input row, order preserved."""
+    """Interface contract: one output row per input row, order preserved."""
 
-    def denoise(self, z: np.ndarray, s: int, ctx: FrameContext) -> list[Candidate]:
+    def denoise_batch(self, z: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
         """Refine signal-space rows ``z`` (n, 8) at timestep ``s``."""
         ...
 
@@ -150,9 +137,6 @@ class IdentityDenoiser:
         n = z.shape[0]
         ones = np.ones(n)
         return DenoisedBatch(z.copy(), ones.copy(), ones.copy(), ones.copy())
-
-    def denoise(self, z: np.ndarray, s: int, ctx: FrameContext) -> list[Candidate]:
-        return self.denoise_batch(z, s, ctx).to_candidates()
 
 
 @dataclass(frozen=True)
@@ -288,7 +272,7 @@ class OracleDenoiser:
         # Fit of the emitted pair against its own target drives the scores;
         # a small input-fit bonus ranks well-placed proposals above noise
         # rows that merely get pulled onto the same target.
-        fit_out = _rowwise_iou3d(out_pix, target_pix)
+        fit_out = overlap(out_pix, target_pix)
         fit_in = overlaps[np.arange(n), snap]
         assoc = (
             f
@@ -349,20 +333,6 @@ class OracleDenoiser:
             inside_any |= inside.any(axis=1)
         return (best < self.config.far_floor) & ~inside_any
 
-    def denoise(self, z: np.ndarray, s: int, ctx: FrameContext) -> list[Candidate]:
-        return self.denoise_batch(z, s, ctx).to_candidates()
-
-
-def _rowwise_iou3d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Paired-box IoU between aligned rows of two (n, 8) arrays."""
-    n = a.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, 256):
-        sl = slice(start, min(start + 256, n))
-        block = iou3d_matrix(a[sl], b[sl])
-        out[sl] = np.diagonal(block)
-    return out
-
 
 class DetectionSnapDenoiser:
     """Snaps each row member onto the best-overlapping external detection.
@@ -410,121 +380,10 @@ class DetectionSnapDenoiser:
             cls_cur = confs
 
         if (have_prev or ctx.conditional) and have_cur:
-            consistency = _rowwise_iou(out_pix[:, :4], out_pix[:, 4:])
+            consistency = overlap(out_pix[:, :4], out_pix[:, 4:])
             assoc = 0.5 * (consistency + np.minimum(cls_prev, cls_cur))
         else:
             assoc = np.zeros(n)
 
         out = pixel_to_signal(out_pix, ctx.image_size, self.scale)
         return DenoisedBatch(out, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
-
-    def denoise(self, z: np.ndarray, s: int, ctx: FrameContext) -> list[Candidate]:
-        return self.denoise_batch(z, s, ctx).to_candidates()
-
-
-def _rowwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, 256):
-        sl = slice(start, min(start + 256, n))
-        out[sl] = np.diagonal(iou_matrix(a[sl], b[sl]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Deterministic-weight reference of the spatial-temporal fusion block and the
-# association score head. Only shape and information-flow contracts are
-# claimed; the weights are seeded, bias-free stand-ins for a trained model.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StfWeights:
-    """Shared projection weights for both frame slots of the fusion block.
-
-    ``w_project`` maps a query to a pair of batched projections P1 (d x h)
-    and P2 (h x 1); ``w_out`` maps the flattened fused feature (2R) back to
-    a d-dimensional query; ``w_assoc``/``b_assoc`` form the score head on
-    the concatenated fused queries.
-    """
-
-    feature_dim: int
-    roi_cells: int
-    inner_dim: int
-    w_project: np.ndarray   # (d, d*h + h)
-    w_out: np.ndarray       # (2R, d)
-    w_assoc: np.ndarray     # (2d,)
-    b_assoc: float = 0.0
-
-    @classmethod
-    def seeded(cls, feature_dim: int = 16, roi_cells: int = 49,
-               inner_dim: int = 8, seed: int = 0) -> "StfWeights":
-        rng = np.random.default_rng(seed)
-
-        def xavier(shape):
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            return rng.uniform(-limit, limit, size=shape)
-
-        d, h, r = feature_dim, inner_dim, roi_cells
-        return cls(
-            feature_dim=d,
-            roi_cells=r,
-            inner_dim=h,
-            w_project=xavier((d, d * h + h)),
-            w_out=xavier((2 * r, d)),
-            w_assoc=xavier((2 * d, 1))[:, 0],
-        )
-
-
-def stf_fuse(
-    f_roi_prev: np.ndarray,
-    f_roi_cur: np.ndarray,
-    q_prev: np.ndarray,
-    q_cur: np.ndarray,
-    weights: StfWeights,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange temporal information between the two frame slots.
-
-    For each slot i with partner j: project the slot's query into batched
-    matrices P1, P2, multiply them through the concatenated RoI features of
-    both frames, and map the result back to a query. Output shape matches
-    the input queries (n, d).
-    """
-    f_roi_prev = np.asarray(f_roi_prev, dtype=np.float64)
-    f_roi_cur = np.asarray(f_roi_cur, dtype=np.float64)
-    q_prev = np.asarray(q_prev, dtype=np.float64)
-    q_cur = np.asarray(q_cur, dtype=np.float64)
-
-    n, r, d = f_roi_prev.shape
-    if f_roi_cur.shape != (n, r, d) or q_prev.shape != (n, d) or q_cur.shape != (n, d):
-        raise ValueError("inconsistent feature/query shapes")
-    if r != weights.roi_cells or d != weights.feature_dim:
-        raise ValueError("shapes do not match the fusion weights")
-
-    def one_slot(q, f_own, f_other):
-        h = weights.inner_dim
-        proj = q @ weights.w_project                      # (n, d*h + h)
-        p1 = proj[:, : d * h].reshape(n, d, h)
-        p2 = proj[:, d * h:].reshape(n, h, 1)
-        concat = np.concatenate([f_own, f_other], axis=1)  # (n, 2R, d)
-        feat = concat @ p1                                 # (n, 2R, h)
-        feat = (feat @ p2)[..., 0]                         # (n, 2R)
-        return feat @ weights.w_out                        # (n, d)
-
-    return (
-        one_slot(q_prev, f_roi_prev, f_roi_cur),
-        one_slot(q_cur, f_roi_cur, f_roi_prev),
-    )
-
-
-def association_score_head(
-    fused_prev: np.ndarray, fused_cur: np.ndarray, weights: StfWeights
-) -> np.ndarray:
-    """Squash a linear map of the concatenated fused queries into [0, 1]."""
-    fused_prev = np.asarray(fused_prev, dtype=np.float64)
-    fused_cur = np.asarray(fused_cur, dtype=np.float64)
-    if fused_prev.shape != fused_cur.shape or fused_prev.shape[1] != weights.feature_dim:
-        raise ValueError("inconsistent fused feature shapes")
-    logits = np.concatenate([fused_prev, fused_cur], axis=1) @ weights.w_assoc
-    logits = logits + weights.b_assoc
-    return 1.0 / (1.0 + np.exp(-logits))

@@ -1,8 +1,8 @@
-"""Noise schedules, forward noising and the proposal/refinement machinery.
+"""Noise schedule and the inference-time proposal/refinement machinery.
 
-The forward process follows the printed source convention
-``z_t = sqrt(abar_t) * z0 + (1 - abar_t) * eps``; a switch selects the
-standard variance-preserving coefficient ``sqrt(1 - abar_t)`` instead.
+Inference only refines: proposals are built from priors plus padding,
+corrupted toward noise by a motion-dependent amount, and denoised by a
+one-step or multi-step DDIM ladder over the cosine schedule.
 
 Box coordinates travel through three spaces: pixels, unit (normalized by
 image size into [0, 1]) and signal ([-scale, scale], scale 2.0 by
@@ -22,7 +22,7 @@ import numpy as np
 from .denoiser import (
     DEFAULT_SIGNAL_SCALE,
     Candidate,
-    DenoisedBatch,
+    Denoiser,
     FrameContext,
     ProposalOrigin,
     signal_to_pixel,
@@ -32,12 +32,9 @@ from .geometry import BBox, PairedBox
 __all__ = [
     "NoiseSchedule",
     "cosine_schedule",
-    "forward_noise",
-    "single_step_noise",
     "PaddingStrategy",
     "PerturbationSchedule",
     "ProposalSet",
-    "pad_training_pairs",
     "build_inference_proposals",
     "perturbation_timestep",
     "corrupt_proposals",
@@ -80,36 +77,6 @@ def cosine_schedule(timesteps: int = 1000, offset: float = 0.008) -> NoiseSchedu
     return NoiseSchedule(timesteps=timesteps, alpha_bar=alpha_bar, beta=beta)
 
 
-def forward_noise(
-    z0: np.ndarray,
-    t: int,
-    noise: np.ndarray,
-    sched: NoiseSchedule,
-    variance_preserving: bool = False,
-) -> np.ndarray:
-    """Jump straight from clean samples to timestep ``t``.
-
-    By default the noise coefficient is ``1 - alpha_bar`` exactly as
-    printed in the source; ``variance_preserving`` selects the standard
-    ``sqrt(1 - alpha_bar)`` form.
-    """
-    if not 0 <= t <= sched.timesteps:
-        raise ValueError(f"timestep {t} outside [0, {sched.timesteps}]")
-    abar = sched.alpha_bar[t]
-    coef = math.sqrt(1.0 - abar) if variance_preserving else (1.0 - abar)
-    return math.sqrt(abar) * np.asarray(z0) + coef * np.asarray(noise)
-
-
-def single_step_noise(
-    z: np.ndarray, t: int, sched: NoiseSchedule, noise: np.ndarray
-) -> np.ndarray:
-    """One Markov step from timestep t-1 to t."""
-    if not 1 <= t <= sched.timesteps:
-        raise ValueError(f"timestep {t} outside [1, {sched.timesteps}]")
-    b = sched.beta[t]
-    return math.sqrt(1.0 - b) * np.asarray(z) + math.sqrt(b) * np.asarray(noise)
-
-
 class PaddingStrategy(Enum):
     """How extra rows are produced when filling a batch to a fixed size."""
 
@@ -135,42 +102,16 @@ def _full_image_row() -> np.ndarray:
 def _sample_pad_rows(
     n: int, strategy: PaddingStrategy, rng: np.random.Generator
 ) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 8))
     if strategy is PaddingStrategy.CAT_GAUSSIAN:
         return rng.normal(GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD, size=(n, 8))
     if strategy is PaddingStrategy.CAT_POISSON:
         return rng.poisson(POISSON_PAD_LAM, size=(n, 8)) / (2.0 * POISSON_PAD_LAM)
     if strategy is PaddingStrategy.CAT_UNIFORM:
         return rng.uniform(0.0, 1.0, size=(n, 8))
-    if strategy is PaddingStrategy.CAT_FULL:
+    if strategy in (PaddingStrategy.CAT_FULL, PaddingStrategy.REPEAT):
+        # REPEAT lands here only with no prior left to repeat.
         return np.tile(_full_image_row(), (n, 1))
     raise ValueError(f"{strategy} does not sample rows")
-
-
-def pad_training_pairs(
-    gt_pairs: np.ndarray,
-    n_train: int,
-    strategy: PaddingStrategy,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fill ground-truth pair rows (unit space, shape (n, 8)) up to ``n_train``.
-
-    Originals come first and are preserved verbatim. Repeat cycles the
-    originals (a full-image row stands in when there are none); the
-    concatenation strategies sample fresh rows from their distribution.
-    """
-    gt_pairs = np.asarray(gt_pairs, dtype=np.float64).reshape(-1, 8)
-    n_gt = gt_pairs.shape[0]
-    if n_gt > n_train:
-        raise ValueError(f"{n_gt} ground-truth pairs exceed the batch size {n_train}")
-    extra = n_train - n_gt
-    if strategy is PaddingStrategy.REPEAT:
-        base = gt_pairs if n_gt else _full_image_row().reshape(1, 8)
-        pad = base[np.arange(extra) % base.shape[0]]
-    else:
-        pad = _sample_pad_rows(extra, strategy, rng)
-    return np.concatenate([gt_pairs, pad], axis=0)
 
 
 class PerturbationSchedule(Enum):
@@ -205,14 +146,12 @@ class ProposalSet:
     """A fixed-size batch of paired-box proposals in signal space.
 
     ``origin`` marks each row as prior-derived or padded; prior rows always
-    occupy the leading slots. ``prior_fallback`` records that priors were
-    requested but none existed, so every row is padded.
+    occupy the leading slots. With no priors every row is padded.
     """
 
     pairs: np.ndarray        # (n_test, 8), signal space
     timestep: int
     origin: np.ndarray       # (n_test,), ProposalOrigin values
-    prior_fallback: bool = False
 
     @property
     def n_prior_slots(self) -> int:
@@ -233,43 +172,30 @@ def build_inference_proposals(
 
     ``round_half_up(proportion * n_test)`` leading rows duplicate the prior
     boxes into both pair slots, distributed round-robin; the remainder is
-    padded per strategy. With no priors available the whole batch is padded
-    and flagged.
+    padded per strategy. With no priors available the whole batch is padded.
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     if not 0.0 <= proportion <= 1.0:
         raise ValueError("proportion must lie in [0, 1]")
 
-    n_prior = round_half_up(proportion * n_test)
-    fallback = n_prior > 0 and len(priors) == 0
-    if fallback or len(priors) == 0:
-        n_prior = 0
+    n_prior = round_half_up(proportion * n_test) if len(priors) else 0
+    # Repeating priors keeps cycling them through the padded slots.
+    n_tiled = n_test if strategy is PaddingStrategy.REPEAT and n_prior else n_prior
 
     rows = np.zeros((n_test, 8))
-    if n_prior:
+    if n_tiled:
         w, h = image_size
         arr = np.stack([b.as_array() for b in priors]) / [w, h, w, h]
-        picks = arr[np.arange(n_prior) % arr.shape[0]]
-        rows[:n_prior] = np.concatenate([picks, picks], axis=1)
-    if n_test - n_prior:
-        if strategy is PaddingStrategy.REPEAT and n_prior:
-            # Repeating priors keeps cycling them through the padded slots.
-            w, h = image_size
-            arr = np.stack([b.as_array() for b in priors]) / [w, h, w, h]
-            picks = arr[np.arange(n_prior, n_test) % arr.shape[0]]
-            rows[n_prior:] = np.concatenate([picks, picks], axis=1)
-        elif strategy is PaddingStrategy.REPEAT:
-            rows[n_prior:] = _full_image_row()
-        else:
-            rows[n_prior:] = _sample_pad_rows(n_test - n_prior, strategy, rng)
+        picks = arr[np.arange(n_tiled) % arr.shape[0]]
+        rows[:n_tiled] = np.concatenate([picks, picks], axis=1)
+    if n_test - n_tiled:
+        rows[n_tiled:] = _sample_pad_rows(n_test - n_tiled, strategy, rng)
 
     origin = np.full(n_test, ProposalOrigin.PADDED, dtype=np.int8)
     origin[:n_prior] = ProposalOrigin.PRIOR
     signal = (rows * 2.0 - 1.0) * scale
-    return ProposalSet(
-        pairs=signal, timestep=timestep, origin=origin, prior_fallback=fallback
-    )
+    return ProposalSet(pairs=signal, timestep=timestep, origin=origin)
 
 
 def corrupt_proposals(
@@ -289,26 +215,10 @@ def corrupt_proposals(
     return replace(proposals, pairs=mixed)
 
 
-def _as_batch(result, n_rows: int) -> DenoisedBatch:
-    if isinstance(result, DenoisedBatch):
-        batch = result
-    else:
-        pairs = np.stack([c.pair.flatten() for c in result])
-        batch = DenoisedBatch(
-            pairs=pairs,
-            cls_prev=np.asarray([c.cls_prev for c in result], dtype=np.float64),
-            cls_cur=np.asarray([c.cls_cur for c in result], dtype=np.float64),
-            assoc=np.asarray([c.assoc for c in result], dtype=np.float64),
-        )
-    if batch.pairs.shape[0] != n_rows:
-        raise ValueError("denoiser changed the row count")
-    return batch
-
-
 def ddim_refine(
     proposals: ProposalSet,
     steps: int,
-    denoiser,
+    denoiser: Denoiser,
     ctx: FrameContext,
     sched: NoiseSchedule,
     scale: float = DEFAULT_SIGNAL_SCALE,
@@ -327,13 +237,12 @@ def ddim_refine(
     n = proposals.pairs.shape[0]
     ladder = np.rint(np.linspace(proposals.timestep, 0, steps + 1)).astype(int)
     z = proposals.pairs.copy()
-    batch: DenoisedBatch | None = None
 
     for stage in range(steps):
         s_cur = int(ladder[stage])
-        fn = getattr(denoiser, "denoise_batch", None)
-        raw = fn(z, s_cur, ctx) if fn is not None else denoiser.denoise(z, s_cur, ctx)
-        batch = _as_batch(raw, n)
+        batch = denoiser.denoise_batch(z, s_cur, ctx)
+        if batch.pairs.shape[0] != n:
+            raise ValueError("denoiser changed the row count")
         z0_hat = np.clip(batch.pairs, -scale, scale)
         if stage == steps - 1:
             break
@@ -346,7 +255,6 @@ def ddim_refine(
             eps = (z - math.sqrt(a_cur) * z0_hat) / math.sqrt(1.0 - a_cur)
         z = math.sqrt(a_next) * z0_hat + math.sqrt(1.0 - a_next) * eps
 
-    assert batch is not None
     pixel = signal_to_pixel(np.clip(batch.pairs, -scale, scale), ctx.image_size, scale)
     return [
         Candidate(

@@ -27,6 +27,7 @@ __all__ = [
     "nms3d",
     "iou_matrix",
     "iou3d_matrix",
+    "overlap",
 ]
 
 
@@ -195,41 +196,39 @@ def nms3d(pairs: Sequence[PairedBox], scores: Sequence[float], threshold: float)
 # proposal batches.
 
 
-def _corners(boxes: np.ndarray) -> np.ndarray:
-    half = boxes[:, 2:4] * 0.5
-    return np.concatenate([boxes[:, :2] - half, boxes[:, :2] + half], axis=1)
+def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU between broadcast-aligned rows of center-form arrays.
 
-
-def _pairwise_inter_union(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ca, cb = _corners(a), _corners(b)
-    lt = np.maximum(ca[:, None, :2], cb[None, :, :2])
-    rb = np.minimum(ca[:, None, 2:], cb[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
+    Each row is split into 4-wide boxes; intersection and union are summed
+    over those members before dividing, so 4-wide rows give plain IoU and
+    8-wide rows paired-box IoU. Shapes (n, w) and (n, w) give (n,), and
+    (n, 1, w) against (1, m, w) gives the (n, m) matrix. 0 where the union
+    is empty.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a.reshape(a.shape[:-1] + (a.shape[-1] // 4, 4))
+    b = b.reshape(b.shape[:-1] + (b.shape[-1] // 4, 4))
+    half_a, half_b = a[..., 2:] * 0.5, b[..., 2:] * 0.5
+    lo_a, hi_a = a[..., :2] - half_a, a[..., :2] + half_a
+    lo_b, hi_b = b[..., :2] - half_b, b[..., :2] + half_b
+    wh = np.clip(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0, None)
     inter = wh[..., 0] * wh[..., 1]
-    area_a = np.clip(ca[:, 2] - ca[:, 0], 0, None) * np.clip(ca[:, 3] - ca[:, 1], 0, None)
-    area_b = np.clip(cb[:, 2] - cb[:, 0], 0, None) * np.clip(cb[:, 3] - cb[:, 1], 0, None)
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter, union
+    side_a = np.clip(hi_a - lo_a, 0, None)
+    side_b = np.clip(hi_b - lo_b, 0, None)
+    union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
+    inter = inter.sum(axis=-1)
+    union = union.sum(axis=-1)
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between center-form box arrays of shape (n, 4) and (m, 4)."""
-    inter, union = _pairwise_inter_union(
-        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    )
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return overlap(np.asarray(a)[:, None, :], np.asarray(b)[None, :, :])
 
 
 def iou3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise paired-box IoU between flattened-pair arrays (n, 8) and (m, 8)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    inter_p, union_p = _pairwise_inter_union(a[:, :4], b[:, :4])
-    inter_c, union_c = _pairwise_inter_union(a[:, 4:], b[:, 4:])
-    inter = inter_p + inter_c
-    union = union_p + union_c
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return overlap(np.asarray(a)[:, None, :], np.asarray(b)[None, :, :])

@@ -149,9 +149,12 @@ def _build_parser() -> _Parser:
 def _parse_image_size(raw: str) -> tuple[int, int]:
     try:
         w, h = raw.lower().split("x")
-        return int(w), int(h)
+        size = int(w), int(h)
     except ValueError as exc:
         raise UsageError(f"bad --image-size {raw!r}, expected WxH") from exc
+    if min(size) <= 0:
+        raise UsageError(f"bad --image-size {raw!r}, width and height must be > 0")
+    return size
 
 
 def _resolve_image_size(args) -> tuple[int, int]:

@@ -170,7 +170,9 @@ def parse_seqinfo(path: str | Path) -> tuple[tuple[int, int], int]:
     cp = configparser.ConfigParser()
     cp.read(path)
     sec = cp["Sequence"]
-    return (
-        (int(sec["imWidth"]), int(sec["imHeight"])),
-        int(sec["seqLength"]),
-    )
+    size = (int(sec["imWidth"]), int(sec["imHeight"]))
+    if min(size) <= 0:
+        raise MotFormatError(
+            f"{path}: imWidth and imHeight must be > 0, got {size[0]}x{size[1]}"
+        )
+    return size, int(sec["seqLength"])

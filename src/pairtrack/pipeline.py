@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .denoiser import Candidate, FrameContext, ProposalOrigin
+from .denoiser import Candidate, Denoiser, FrameContext, ProposalOrigin
 from .diffusion import (
     NoiseSchedule,
     PaddingStrategy,
@@ -33,7 +33,7 @@ from .diffusion import (
     perturbation_timestep,
 )
 from .geometry import BBox, nms2d, nms3d
-from .simulator import SceneGroundTruth, perturb_detections
+from .simulator import SceneGroundTruth, mean_motion, perturb_detections
 from .tracker import Tracker, TrackerConfig, TrackingResult
 
 __all__ = [
@@ -109,7 +109,7 @@ def run_pair(
     ctx: FrameContext,
     priors: Sequence[BBox],
     cfg: PipelineConfig,
-    denoiser,
+    denoiser: Denoiser,
     sched: NoiseSchedule,
     rng: np.random.Generator,
     motion_x: float,
@@ -139,39 +139,24 @@ def run_pair(
     return kept, sum(c.origin == ProposalOrigin.PRIOR for c in kept)
 
 
-
 def _tracked_motion(
     result: TrackingResult, frame_prev: int, default: float
 ) -> float:
-    """Mean displacement of ids tracked across the previous two frames,
-    normalized by box diagonal; the default covers missing history."""
+    """``mean_motion`` of ids tracked across the previous two frames; the
+    default covers missing history."""
     a = {r.track_id: r.box for r in result.frames.get(frame_prev - 1, [])}
     b = {r.track_id: r.box for r in result.frames.get(frame_prev, [])}
-    shared = set(a) & set(b)
-    if not shared:
-        return default
-    ratios = []
-    for i in shared:
-        diag = math.hypot(b[i].w, b[i].h)
-        if diag <= 0:
-            continue
-        ratios.append(
-            math.hypot(b[i].cx - a[i].cx, b[i].cy - a[i].cy) / diag
-        )
-    if not ratios:
-        return default
-    return float(min(max(np.mean(ratios), 0.0), 1.0))
+    return mean_motion(a, b, default)
 
 
 def run_sequence(
     cfg: PipelineConfig,
-    denoiser,
+    denoiser: Denoiser,
     scene: SceneGroundTruth | None = None,
     detections: DetectionStream | None = None,
     image_size: tuple[int, int] | None = None,
     seed: int = 0,
     prior_perturbation: float = 0.0,
-    frame_overrides: Callable[[int], PipelineConfig | None] | None = None,
 ) -> TrackingResult:
     """Track a whole sequence, feeding each frame's output boxes forward.
 
@@ -202,10 +187,6 @@ def run_sequence(
     result = TrackingResult()
 
     for frame in range(2, n_frames + 1):
-        frame_cfg = cfg
-        if frame_overrides is not None:
-            frame_cfg = frame_overrides(frame) or cfg
-
         if detections is not None:
             priors = [b for b, _ in detections.get(frame - 1, [])]
         else:
@@ -224,10 +205,8 @@ def run_sequence(
             det_prev=detections.get(frame - 1) if detections is not None else None,
             det_cur=detections.get(frame) if detections is not None else None,
         )
-        motion_x = _tracked_motion(result, frame - 1, frame_cfg.default_motion)
-        cands, _ = run_pair(
-            ctx, priors, frame_cfg, denoiser, sched, rng, motion_x
-        )
+        motion_x = _tracked_motion(result, frame - 1, cfg.default_motion)
+        cands, _ = run_pair(ctx, priors, cfg, denoiser, sched, rng, motion_x)
         for f, row in tracker.step(frame, cands):
             result.add(f, row)
     return result

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diffusion import GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD
 from .geometry import BBox
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "SceneGroundTruth",
     "generate",
     "perturb_detections",
+    "mean_motion",
     "average_motion",
 ]
 
@@ -286,27 +288,34 @@ def perturb_detections(
             out[frame] = []
             continue
         arr = np.stack([b.as_array() for b in boxes]) / norm
-        noise = rng.normal(0.5, 1.0 / 6.0, size=arr.shape)
+        noise = rng.normal(GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD, size=arr.shape)
         mixed = ((1.0 - alpha) * arr + alpha * noise) * norm
         out[frame] = [BBox(*row) for row in mixed]
     return out
 
 
-def average_motion(gt: SceneGroundTruth, frame: int) -> float:
-    """Mean center displacement of co-visible identities between frames
-    (frame - 1, frame), normalized by box diagonal and clamped to [0, 1]."""
-    prev = dict(gt.visible(frame - 1))
-    cur = dict(gt.visible(frame))
-    shared = sorted(set(prev) & set(cur))
-    if not shared:
-        return 0.0
+def mean_motion(
+    prev: dict[int, BBox], cur: dict[int, BBox], default: float
+) -> float:
+    """Mean center displacement of the identities present in both maps,
+    normalized by the current box diagonal and clamped to [0, 1].
+
+    Identities are visited in sorted order; ``default`` is returned when no
+    identity with a non-empty box is shared.
+    """
     ratios = []
-    for i in shared:
+    for i in sorted(set(prev) & set(cur)):
         a, b = prev[i], cur[i]
         diag = math.hypot(b.w, b.h)
         if diag <= 0:
             continue
         ratios.append(math.hypot(b.cx - a.cx, b.cy - a.cy) / diag)
     if not ratios:
-        return 0.0
+        return default
     return float(min(max(np.mean(ratios), 0.0), 1.0))
+
+
+def average_motion(gt: SceneGroundTruth, frame: int) -> float:
+    """Ground-truth ``mean_motion`` of co-visible identities between frames
+    (frame - 1, frame); 0 when none is shared."""
+    return mean_motion(dict(gt.visible(frame - 1)), dict(gt.visible(frame)), 0.0)

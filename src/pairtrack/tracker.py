@@ -234,10 +234,15 @@ class TrackingResult:
         return keys[0], keys[-1]
 
 
-def _route(
+def split_candidates(
     cands: Sequence[Candidate], cfg: TrackerConfig
 ) -> tuple[list[Candidate], list[Candidate]]:
-    """Confident candidates split by origin: (prior-derived, padded)."""
+    """Route confident candidates by origin: (association rows, discoveries).
+
+    Prior-derived rows are association rows, whose previous and current
+    members form the aligned (D_pre, D_cur) lists; padded rows are
+    new-object discoveries, whatever their slot index.
+    """
     assoc: list[Candidate] = []
     new: list[Candidate] = []
     for cand in cands:
@@ -248,20 +253,6 @@ def _route(
         else:
             new.append(cand)
     return assoc, new
-
-
-def split_candidates(
-    cands: Sequence[Candidate], cfg: TrackerConfig
-) -> tuple[list[BBox], list[tuple[BBox, float]], list[Candidate]]:
-    """Route gated candidates into association lists and discoveries.
-
-    Prior-derived rows form the aligned (D_pre, D_cur) association lists;
-    padded rows are new-object discoveries, whatever their slot index.
-    """
-    assoc, d_new = _route(cands, cfg)
-    d_pre = [c.pair.prev for c in assoc]
-    d_cur = [(c.pair.cur, c.assoc) for c in assoc]
-    return d_pre, d_cur, d_new
 
 
 def associate(
@@ -349,7 +340,7 @@ class Tracker:
             raise ValueError(f"frame {frame} not after {self.last_frame}")
         self.last_frame = frame
 
-        assoc, d_new = _route(cands, cfg)
+        assoc, d_new = split_candidates(cands, cfg)
 
         # Association of activated tracks against the previous-frame boxes.
         matches, un_tracks, un_rows = associate(

@@ -1,4 +1,4 @@
-"""Oracle, detection-snap and fusion-reference denoiser tests."""
+"""Identity, oracle and detection-snap denoiser tests."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ from pairtrack.denoiser import (
     FrameContext,
     IdentityDenoiser,
     OracleDenoiser,
-    StfWeights,
-    association_score_head,
     pixel_to_signal,
     signal_to_pixel,
-    stf_fuse,
 )
 from pairtrack.geometry import BBox, PairedBox, iou3d
 
@@ -25,9 +22,9 @@ def pairs_to_signal(rows_pix):
     return pixel_to_signal(np.asarray(rows_pix, dtype=float), IMAGE)
 
 
-def cand_pixels(c):
-    """Raw denoise() output is in signal space; map back to pixels."""
-    return signal_to_pixel(c.pair.flatten(), IMAGE)
+def row_pixels(out, i):
+    """Denoiser output rows are in signal space; map row i back to pixels."""
+    return signal_to_pixel(out.pairs[i], IMAGE)
 
 
 class TestSignalMapping:
@@ -49,16 +46,16 @@ class TestIdentityDenoiser:
     def test_echoes_input(self):
         z = np.linspace(-1, 1, 24).reshape(3, 8)
         ctx = FrameContext(1, 2, IMAGE)
-        out = IdentityDenoiser().denoise(z, 10, ctx)
-        got = np.stack([c.pair.flatten() for c in out])
-        assert np.allclose(got, z)
-        assert all(c.assoc == 1.0 for c in out)
+        out = IdentityDenoiser().denoise_batch(z, 10, ctx)
+        assert np.allclose(out.pairs, z)
+        assert np.all(out.assoc == 1.0)
 
     @pytest.mark.parametrize("n", [1, 500, 1000])
     def test_row_count_preserved(self, n):
         z = np.zeros((n, 8))
         ctx = FrameContext(1, 2, IMAGE)
-        assert len(IdentityDenoiser().denoise(z, 0, ctx)) == n
+        out = IdentityDenoiser().denoise_batch(z, 0, ctx)
+        assert out.pairs.shape == (n, 8) and out.assoc.shape == (n,)
 
 
 class TestOracleDenoiser:
@@ -77,18 +74,18 @@ class TestOracleDenoiser:
                 [610, 390, 70, 70, 580, 410, 90, 90],
             ]
         )
-        out = OracleDenoiser(1.0).denoise(z, 100, ctx)
-        assert np.allclose(cand_pixels(out[0]), [200, 200, 60, 100, 210, 205, 60, 100])
-        assert np.allclose(cand_pixels(out[1]), [600, 400, 80, 80, 590, 400, 80, 80])
-        assert out[0].assoc >= 0.95  # near-unit score, modulated by input fit
-        assert out[0].cls_prev == pytest.approx(1.0)
+        out = OracleDenoiser(1.0).denoise_batch(z, 100, ctx)
+        assert np.allclose(row_pixels(out, 0), [200, 200, 60, 100, 210, 205, 60, 100])
+        assert np.allclose(row_pixels(out, 1), [600, 400, 80, 80, 590, 400, 80, 80])
+        assert out.assoc[0] >= 0.95  # near-unit score, modulated by input fit
+        assert out.cls_prev[0] == pytest.approx(1.0)
 
     def test_fidelity_zero_echoes_with_low_scores(self):
         ctx = self.ctx()
         z = pairs_to_signal([[205, 195, 50, 90, 215, 210, 70, 110]])
-        out = OracleDenoiser(0.0).denoise(z, 100, ctx)
-        assert np.allclose(cand_pixels(out[0]), [205, 195, 50, 90, 215, 210, 70, 110])
-        assert out[0].assoc < 0.25
+        out = OracleDenoiser(0.0).denoise_batch(z, 100, ctx)
+        assert np.allclose(row_pixels(out, 0), [205, 195, 50, 90, 215, 210, 70, 110])
+        assert out.assoc[0] < 0.25
 
     def test_each_snaps_to_nearest(self):
         # Brute-force nearest-target check on a small batch.
@@ -103,61 +100,60 @@ class TestOracleDenoiser:
             PairedBox(BBox(200, 200, 60, 100), BBox(210, 205, 60, 100)),
             PairedBox(BBox(600, 400, 80, 80), BBox(590, 400, 80, 80)),
         ]
-        out = OracleDenoiser(1.0).denoise(pairs_to_signal(rows), 100, ctx)
-        for row, cand in zip(rows, out):
+        out = OracleDenoiser(1.0).denoise_batch(pairs_to_signal(rows), 100, ctx)
+        for i, row in enumerate(rows):
             row_pair = PairedBox.from_flat(row)
             overlaps = [iou3d(row_pair, t) for t in targets]
             if max(overlaps) > 0:
                 expected = targets[int(np.argmax(overlaps))]
-                assert np.allclose(cand_pixels(cand), expected.flatten())
+                assert np.allclose(row_pixels(out, i), expected.flatten())
 
     def test_missing_in_one_frame_penalized(self):
         gt_prev = [(1, BBox(200, 200, 60, 100))]
         gt_cur = []  # identity 1 vanished in the current frame
         ctx = FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
         z = pairs_to_signal([[200, 200, 60, 100, 200, 200, 60, 100]])
-        out = OracleDenoiser(1.0).denoise(z, 50, ctx)
-        assert out[0].assoc < 0.25
-        assert out[0].cls_cur < 0.25
+        out = OracleDenoiser(1.0).denoise_batch(z, 50, ctx)
+        assert out.assoc[0] < 0.25
+        assert out.cls_cur[0] < 0.25
 
     def test_empty_gt_all_below_gate(self):
         ctx = FrameContext(1, 2, IMAGE, gt_prev=[], gt_cur=[])
         z = pairs_to_signal(np.full((5, 8), 300.0))
-        out = OracleDenoiser(1.0).denoise(z, 50, ctx)
-        assert all(c.assoc < 0.25 for c in out)
+        out = OracleDenoiser(1.0).denoise_batch(z, 50, ctx)
+        assert np.all(out.assoc < 0.25)
 
     def test_low_fidelity_far_rows_below_gate(self):
         # With weak fidelity an output row stuck far from every target is
         # marked off-target.
         ctx = self.ctx()
         z = pairs_to_signal([[950, 50, 10, 10, 950, 60, 10, 10]])
-        out = OracleDenoiser(0.1).denoise(z, 50, ctx)
-        assert out[0].assoc < 0.25
+        out = OracleDenoiser(0.1).denoise_batch(z, 50, ctx)
+        assert out.assoc[0] < 0.25
 
     def test_detection_mode_prev_equals_cur(self):
         gt = [(1, BBox(300, 300, 60, 60))]
         ctx = FrameContext(5, 5, IMAGE, gt_prev=gt, gt_cur=gt)
         z = pairs_to_signal([[280, 280, 50, 50, 320, 320, 70, 70]])
-        out = OracleDenoiser(1.0).denoise(z, 0, ctx)
-        pix = cand_pixels(out[0])
+        out = OracleDenoiser(1.0).denoise_batch(z, 0, ctx)
+        pix = row_pixels(out, 0)
         assert np.allclose(pix[:4], pix[4:])
 
     def test_conditional_mode_keeps_prev_member(self):
         ctx = self.ctx(conditional=True)
         z = pairs_to_signal([[205, 195, 50, 90, 215, 210, 70, 110]])
-        out = OracleDenoiser(1.0).denoise(z, 100, ctx)
-        pix = cand_pixels(out[0])
+        out = OracleDenoiser(1.0).denoise_batch(z, 100, ctx)
+        pix = row_pixels(out, 0)
         assert np.allclose(pix[:4], [205, 195, 50, 90])  # condition untouched
         assert np.allclose(pix[4:], [210, 205, 60, 100])  # snapped
 
     def test_deterministic(self):
         ctx = self.ctx()
         z = pairs_to_signal(np.random.default_rng(1).uniform(100, 700, (10, 8)))
-        a = OracleDenoiser(0.8).denoise(z, 30, ctx)
-        b = OracleDenoiser(0.8).denoise(z, 30, ctx)
-        for x, y in zip(a, b):
-            assert np.allclose(x.pair.flatten(), y.pair.flatten())
-            assert x.assoc == y.assoc
+        a = OracleDenoiser(0.8).denoise_batch(z, 30, ctx)
+        b = OracleDenoiser(0.8).denoise_batch(z, 30, ctx)
+        assert np.allclose(a.pairs, b.pairs)
+        assert np.array_equal(a.assoc, b.assoc)
 
     def test_fidelity_range_checked(self):
         with pytest.raises(ValueError):
@@ -172,20 +168,20 @@ class TestDetectionSnapDenoiser:
             det_cur=[(BBox(320, 300, 60, 60), 0.8)],
         )
         z = pairs_to_signal(np.tile([500.0, 500, 80, 80, 500, 500, 80, 80], (3, 1)))
-        out = DetectionSnapDenoiser().denoise(z, 0, ctx)
-        for c in out:
-            pix = cand_pixels(c)
+        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        for i in range(3):
+            pix = row_pixels(out, i)
             assert np.allclose(pix[:4], [300, 300, 60, 60])
             assert np.allclose(pix[4:], [320, 300, 60, 60])
-            assert c.cls_prev == pytest.approx(0.9)
-            assert c.cls_cur == pytest.approx(0.8)
+            assert out.cls_prev[i] == pytest.approx(0.9)
+            assert out.cls_cur[i] == pytest.approx(0.8)
 
     def test_stationary_full_confidence(self):
         b = BBox(300, 300, 60, 60)
         ctx = FrameContext(1, 2, IMAGE, det_prev=[(b, 1.0)], det_cur=[(b, 1.0)])
         z = pairs_to_signal([[300, 300, 60, 60, 300, 300, 60, 60]])
-        out = DetectionSnapDenoiser().denoise(z, 0, ctx)
-        assert out[0].assoc == pytest.approx(1.0)
+        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        assert out.assoc[0] == pytest.approx(1.0)
 
     def test_crossing_objects_resolved_by_overlap(self):
         # A at x=200 moving right, B at x=600 moving left; proposals near
@@ -198,76 +194,14 @@ class TestDetectionSnapDenoiser:
             det_cur=[(a_cur, 0.9), (b_cur, 0.9)],
         )
         z = pairs_to_signal([[210, 300, 60, 60, 230, 300, 60, 60]])
-        out = DetectionSnapDenoiser().denoise(z, 0, ctx)
-        pix = cand_pixels(out[0])
+        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        pix = row_pixels(out, 0)
         assert np.allclose(pix[:4], a_prev.as_array())
         assert np.allclose(pix[4:], a_cur.as_array())
 
     def test_no_detections_zero_scores(self):
         ctx = FrameContext(1, 2, IMAGE, det_prev=[], det_cur=[])
         z = pairs_to_signal([[100, 100, 50, 50, 100, 100, 50, 50]])
-        out = DetectionSnapDenoiser().denoise(z, 0, ctx)
-        assert out[0].assoc == 0.0
-        assert np.allclose(cand_pixels(out[0]), [100, 100, 50, 50, 100, 100, 50, 50])
-
-
-class TestStfReference:
-    def make(self, n=4, r=49, d=16):
-        rng = np.random.default_rng(9)
-        return (
-            rng.standard_normal((n, r, d)),
-            rng.standard_normal((n, r, d)),
-            rng.standard_normal((n, d)),
-            rng.standard_normal((n, d)),
-            StfWeights.seeded(feature_dim=d, roi_cells=r, seed=0),
-        )
-
-    def test_shape_contract(self):
-        fp, fc, qp, qc, w = self.make()
-        op, oc = stf_fuse(fp, fc, qp, qc, w)
-        assert op.shape == (4, 16) and oc.shape == (4, 16)
-
-    def test_zero_inputs_zero_outputs(self):
-        _, _, _, _, w = self.make()
-        z3 = np.zeros((4, 49, 16))
-        z2 = np.zeros((4, 16))
-        op, oc = stf_fuse(z3, z3, z2, z2, w)
-        assert np.allclose(op, 0) and np.allclose(oc, 0)
-
-    def test_swap_symmetry(self):
-        fp, fc, qp, qc, w = self.make()
-        op, oc = stf_fuse(fp, fc, qp, qc, w)
-        sp, sc = stf_fuse(fc, fp, qc, qp, w)
-        assert np.allclose(sp, oc) and np.allclose(sc, op)
-
-    def test_cross_frame_sensitivity(self):
-        fp, fc, qp, qc, w = self.make()
-        base, _ = stf_fuse(fp, fc, qp, qc, w)
-        fc2 = fc.copy()
-        fc2[0, 0, 0] += 1.0
-        bumped, _ = stf_fuse(fp, fc2, qp, qc, w)
-        assert not np.allclose(base[0], bumped[0])
-
-    def test_shape_mismatch_rejected(self):
-        fp, fc, qp, qc, w = self.make()
-        with pytest.raises(ValueError):
-            stf_fuse(fp[:, :10], fc, qp, qc, w)
-
-    def test_score_head_range_and_zero(self):
-        _, _, _, _, w = self.make()
-        zeros = np.zeros((6, 16))
-        scores = association_score_head(zeros, zeros, w)
-        assert np.allclose(scores, 0.5)
-        rng = np.random.default_rng(2)
-        rand = association_score_head(
-            rng.standard_normal((50, 16)), rng.standard_normal((50, 16)), w
-        )
-        assert np.all((rand >= 0) & (rand <= 1))
-
-    def test_score_head_rowwise(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((10, 16)), rng.standard_normal((10, 16))
-        w = StfWeights.seeded(seed=1)
-        scores = association_score_head(a, b, w)
-        perm = rng.permutation(10)
-        assert np.allclose(association_score_head(a[perm], b[perm], w), scores[perm])
+        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        assert out.assoc[0] == 0.0
+        assert np.allclose(row_pixels(out, 0), [100, 100, 50, 50, 100, 100, 50, 50])

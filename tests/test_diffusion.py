@@ -1,4 +1,4 @@
-"""Schedule, noising, proposal and refinement tests."""
+"""Schedule, proposal, corruption and refinement tests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pairtrack.denoiser import (
-    Candidate,
     DenoisedBatch,
     FrameContext,
     IdentityDenoiser,
@@ -23,13 +22,10 @@ from pairtrack.diffusion import (
     corrupt_proposals,
     cosine_schedule,
     ddim_refine,
-    forward_noise,
-    pad_training_pairs,
     perturbation_timestep,
     round_half_up,
-    single_step_noise,
 )
-from pairtrack.geometry import BBox, PairedBox
+from pairtrack.geometry import BBox
 
 IMAGE = (1000, 1000)
 
@@ -59,133 +55,6 @@ class TestCosineSchedule:
             cosine_schedule(0)
 
 
-class TestForwardNoise:
-    def setup_method(self):
-        self.sched = cosine_schedule(1000)
-
-    def test_zero_noise_scales_signal(self):
-        z0 = np.ones((4, 8))
-        out = forward_noise(z0, 300, np.zeros((4, 8)), self.sched)
-        assert np.allclose(out, math.sqrt(self.sched.alpha_bar[300]))
-
-    def test_t0_identity(self):
-        z0 = np.arange(8.0).reshape(1, 8)
-        out = forward_noise(z0, 0, np.zeros((1, 8)), self.sched)
-        assert np.allclose(out, z0, atol=1e-9)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            forward_noise(np.zeros((1, 8)), 1001, np.zeros((1, 8)), self.sched)
-        with pytest.raises(ValueError):
-            forward_noise(np.zeros((1, 8)), -1, np.zeros((1, 8)), self.sched)
-
-    @pytest.mark.parametrize("t", [100, 500, 900])
-    def test_moments(self, t):
-        # mean sqrt(abar)*z0, std (1 - abar), sampled at 1e5 draws.
-        rng = np.random.default_rng(42 + t)
-        z0 = np.full(100_000, 0.7)
-        noise = rng.standard_normal(100_000)
-        out = forward_noise(z0, t, noise, self.sched)
-        abar = self.sched.alpha_bar[t]
-        mean_expected = math.sqrt(abar) * 0.7
-        # 1% of the dominant magnitude: the mean estimator's error is set by
-        # the (1 - abar) noise scale, which dwarfs the mean at large t.
-        mean_tol = 0.01 * max(abs(mean_expected), 1.0 - abar)
-        assert out.mean() == pytest.approx(mean_expected, abs=mean_tol)
-        assert out.std() == pytest.approx(1.0 - abar, rel=0.01)
-
-    def test_affine_coefficients(self):
-        # Basis probes recover exactly the printed coefficients.
-        t = 400
-        abar = self.sched.alpha_bar[t]
-        e_sig = forward_noise(np.ones(1), t, np.zeros(1), self.sched)[0]
-        e_noise = forward_noise(np.zeros(1), t, np.ones(1), self.sched)[0]
-        assert e_sig == pytest.approx(math.sqrt(abar), abs=1e-12)
-        assert e_noise == pytest.approx(1.0 - abar, abs=1e-12)
-        e_noise_vp = forward_noise(
-            np.zeros(1), t, np.ones(1), self.sched, variance_preserving=True
-        )[0]
-        assert e_noise_vp == pytest.approx(math.sqrt(1.0 - abar), abs=1e-12)
-
-
-class TestSingleStepNoise:
-    def setup_method(self):
-        self.sched = cosine_schedule(1000)
-
-    def test_zero_noise_scaling(self):
-        z = np.ones(5)
-        out = single_step_noise(z, 10, self.sched, np.zeros(5))
-        assert np.allclose(out, math.sqrt(1.0 - self.sched.beta[10]))
-
-    def test_small_beta_near_identity(self):
-        z = np.ones(3)
-        out = single_step_noise(z, 1, self.sched, np.zeros(3))
-        assert np.allclose(out, z, atol=1e-4)
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            single_step_noise(np.zeros(1), 0, self.sched, np.zeros(1))
-
-    def test_composition_matches_marginal(self):
-        # Chaining Markov steps 1..t reproduces the variance-preserving
-        # closed form's moments (the printed (1-abar) form deviates).
-        rng = np.random.default_rng(0)
-        t = 60
-        sched = cosine_schedule(1000)
-        n = 20_000
-        z = np.full(n, 0.5)
-        for step in range(1, t + 1):
-            z = single_step_noise(z, step, sched, rng.standard_normal(n))
-        abar = sched.alpha_bar[t]
-        assert z.mean() == pytest.approx(math.sqrt(abar) * 0.5, abs=0.01)
-        assert z.std() == pytest.approx(math.sqrt(1.0 - abar), rel=0.05)
-
-
-class TestPadTrainingPairs:
-    def test_repeat_cycles(self):
-        rng = np.random.default_rng(0)
-        gt = np.tile(np.arange(10)[:, None], (1, 8)) / 10.0
-        out = pad_training_pairs(gt, 500, PaddingStrategy.REPEAT, rng)
-        assert out.shape == (500, 8)
-        assert np.allclose(out[:10], gt)
-        for i in range(500):
-            assert np.allclose(out[i], gt[i % 10])
-
-    def test_empty_gt_gaussian(self):
-        rng = np.random.default_rng(1)
-        out = pad_training_pairs(np.zeros((0, 8)), 500, PaddingStrategy.CAT_GAUSSIAN, rng)
-        assert out.shape == (500, 8)
-
-    def test_gaussian_moments(self):
-        rng = np.random.default_rng(2)
-        out = pad_training_pairs(
-            np.zeros((0, 8)), 100_000, PaddingStrategy.CAT_GAUSSIAN, rng
-        )
-        flat = out.ravel()
-        assert flat.mean() == pytest.approx(0.5, rel=0.02)
-        assert flat.std() == pytest.approx(1.0 / 6.0, rel=0.02)
-
-    def test_too_many_gt_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            pad_training_pairs(np.zeros((11, 8)), 10, PaddingStrategy.REPEAT, rng)
-
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            PaddingStrategy.CAT_POISSON,
-            PaddingStrategy.CAT_UNIFORM,
-            PaddingStrategy.CAT_FULL,
-        ],
-    )
-    def test_other_strategies_fill(self, strategy):
-        rng = np.random.default_rng(3)
-        gt = np.full((4, 8), 0.5)
-        out = pad_training_pairs(gt, 64, strategy, rng)
-        assert out.shape == (64, 8)
-        assert np.allclose(out[:4], gt)
-
-
 class TestBuildProposals:
     def priors(self, n):
         return [BBox(100 + 50 * i, 200, 40, 80) for i in range(n)]
@@ -205,7 +74,6 @@ class TestBuildProposals:
             self.priors(10), 500, 0.0, PaddingStrategy.CAT_GAUSSIAN, rng, IMAGE
         )
         assert p.n_prior_slots == 0
-        assert not p.prior_fallback
 
     def test_round_robin_balance(self):
         rng = np.random.default_rng(0)
@@ -236,9 +104,38 @@ class TestBuildProposals:
         p = build_inference_proposals(
             [], 100, 0.5, PaddingStrategy.CAT_GAUSSIAN, rng, IMAGE
         )
-        assert p.prior_fallback
         assert p.n_prior_slots == 0
         assert p.pairs.shape == (100, 8)
+
+    def test_repeat_padding_cycles_priors(self):
+        # REPEAT keeps cycling the priors through the padded slots; with no
+        # prior slot to repeat it pads with full-image rows.
+        w, h = IMAGE
+        units = [b.as_array() / [w, h, w, h] for b in self.priors(3)]
+        p = build_inference_proposals(
+            self.priors(3), 10, 0.5, PaddingStrategy.REPEAT,
+            np.random.default_rng(0), IMAGE,
+        )
+        for i in range(10):
+            unit = units[i % 3]
+            assert np.allclose(p.pairs[i], (np.concatenate([unit, unit]) * 2 - 1) * 2.0)
+        assert list(p.origin) == [ProposalOrigin.PRIOR] * 5 + [ProposalOrigin.PADDED] * 5
+        p = build_inference_proposals(
+            self.priors(3), 10, 0.0, PaddingStrategy.REPEAT,
+            np.random.default_rng(0), IMAGE,
+        )
+        full = (np.array([0.5, 0.5, 1.0, 1.0] * 2) * 2 - 1) * 2.0
+        assert np.allclose(p.pairs, full)
+
+    def test_gaussian_padding_moments(self):
+        # Padded rows follow the unit-space Gaussian of mean 0.5, sigma 1/6.
+        p = build_inference_proposals(
+            [], 20_000, 0.0, PaddingStrategy.CAT_GAUSSIAN,
+            np.random.default_rng(2), IMAGE,
+        )
+        unit = (p.pairs.ravel() / 2.0 + 1.0) / 2.0
+        assert unit.mean() == pytest.approx(0.5, rel=0.02)
+        assert unit.std() == pytest.approx(1.0 / 6.0, rel=0.02)
 
     def test_counts_exact_over_grid(self):
         rng = np.random.default_rng(0)
@@ -326,13 +223,13 @@ class _ConstantDenoiser:
     def __init__(self, pairs):
         self.pairs = pairs
 
-    def denoise(self, z, s, ctx):
+    def denoise_batch(self, z, s, ctx):
         return DenoisedBatch(
             pairs=self.pairs.copy(),
             cls_prev=np.ones(len(self.pairs)),
             cls_cur=np.ones(len(self.pairs)),
             assoc=np.ones(len(self.pairs)),
-        ).to_candidates()
+        )
 
 
 class TestDdimRefine:
@@ -396,16 +293,10 @@ class TestDdimRefine:
         with pytest.raises(ValueError):
             ddim_refine(self.proposals(), 0, IdentityDenoiser(), self.ctx, self.sched)
 
-    def test_candidate_list_denoiser_supported(self):
-        # A denoiser returning plain candidate lists must work too.
-        class ListDenoiser:
-            def denoise(self, z, s, ctx):
-                return [
-                    Candidate(pair=PairedBox.from_flat(z[i]), cls_prev=1.0,
-                              cls_cur=1.0, assoc=1.0, index=i)
-                    for i in range(z.shape[0])
-                ]
-
+    def test_row_count_change_rejected(self):
+        # A denoiser that drops a row breaks the one-output-per-proposal
+        # contract and must not pass silently.
         p = self.proposals(n=5)
-        out = ddim_refine(p, 3, ListDenoiser(), self.ctx, self.sched)
-        assert len(out) == 5
+        den = _ConstantDenoiser(np.zeros((4, 8)))
+        with pytest.raises(ValueError, match="row count"):
+            ddim_refine(p, 1, den, self.ctx, self.sched)

@@ -24,6 +24,7 @@ from pairtrack.geometry import (
     iou_matrix,
     nms2d,
     nms3d,
+    overlap,
 )
 
 CELL = 0.125
@@ -311,6 +312,43 @@ class TestMatrices:
         for i in range(10):
             for j in range(10):
                 assert mat[i, j] == pytest.approx(iou3d(pairs[i], pairs[j]), abs=1e-12)
+
+
+# Center-form rows whose widths and heights may be exactly zero.
+box_row = st.tuples(
+    st.floats(-50, 50), st.floats(-50, 50),
+    st.one_of(st.just(0.0), st.floats(0.0, 20)),
+    st.one_of(st.just(0.0), st.floats(0.0, 20)),
+)
+
+
+class TestOverlapKernel:
+    """Row-aligned overlap against the matrix kernels and the scalar forms."""
+
+    @given(rows=st.lists(st.tuples(box_row, box_row), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_rows(self, rows):
+        a = np.array([r[0] for r in rows])
+        b = np.array([r[1] for r in rows])
+        got = overlap(a, b)
+        assert got.shape == (len(rows),)
+        assert np.array_equal(got, np.diagonal(iou_matrix(a, b)))
+        for i, (ra, rb) in enumerate(rows):
+            assert got[i] == pytest.approx(iou(BBox(*ra), BBox(*rb)), abs=1e-12)
+
+    @given(rows=st.lists(st.tuples(box_row, box_row, box_row, box_row),
+                         min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_paired_rows(self, rows):
+        a = np.array([r[0] + r[1] for r in rows])
+        b = np.array([r[2] + r[3] for r in rows])
+        got = overlap(a, b)
+        assert got.shape == (len(rows),)
+        assert np.array_equal(got, np.diagonal(iou3d_matrix(a, b)))
+        for i, r in enumerate(rows):
+            d = PairedBox(BBox(*r[0]), BBox(*r[1]))
+            g = PairedBox(BBox(*r[2]), BBox(*r[3]))
+            assert got[i] == pytest.approx(iou3d(d, g), abs=1e-12)
 
 
 class TestFlatten:

@@ -186,20 +186,6 @@ class TestRunSequence:
         report = evaluate(scene, res)
         assert report.mota > 0.8
 
-    def test_frame_override_hook(self):
-        scene = small_scene(duration=6)
-        calls = []
-
-        def overrides(frame):
-            calls.append(frame)
-            return None
-
-        run_sequence(
-            PipelineConfig(n_test=32), OracleDenoiser(1.0), scene=scene,
-            seed=0, frame_overrides=overrides,
-        )
-        assert calls == [2, 3, 4, 5, 6]
-
     def test_variants_share_downstream(self):
         # The two variants must differ only in candidate construction: on a
         # benign linear scene both track everything.

@@ -76,22 +76,22 @@ class TestSplitCandidates:
     def test_all_association(self):
         cands = [cand(i, PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9)
                  for i in range(4)]
-        d_pre, d_cur, d_new = split_candidates(cands, self.CFG)
-        assert len(d_pre) == 4 and len(d_cur) == 4 and d_new == []
+        assoc, d_new = split_candidates(cands, self.CFG)
+        assert len(assoc) == 4 and d_new == []
 
     def test_gate_drops_everything(self):
         cands = [cand(i, PRIOR if i <= 1 else PADDED, (0, 0, 10, 10),
                       (0, 0, 10, 10), 0.25) for i in range(3)]
-        d_pre, d_cur, d_new = split_candidates(cands, self.CFG)
-        assert d_pre == [] and d_cur == [] and d_new == []
+        assoc, d_new = split_candidates(cands, self.CFG)
+        assert assoc == [] and d_new == []
 
     def test_mixed_routing(self):
         cands = [
             cand(3, PRIOR, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
             cand(12, PADDED, (80, 80, 5, 5), (82, 80, 5, 5), 0.8),
         ]
-        d_pre, d_cur, d_new = split_candidates(cands, self.CFG)
-        assert len(d_pre) == 1 and len(d_new) == 1
+        assoc, d_new = split_candidates(cands, self.CFG)
+        assert len(assoc) == 1 and len(d_new) == 1
         assert d_new[0].index == 12
 
     def test_boundary_index_goes_to_association(self):
@@ -102,14 +102,14 @@ class TestSplitCandidates:
             cand(40, PRIOR, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
             cand(10, PADDED, (80, 80, 5, 5), (82, 80, 5, 5), 0.9),
         ]
-        d_pre, _, d_new = split_candidates(cands, self.CFG)
-        assert d_pre == [BBox(10, 10, 5, 5)]
+        assoc, d_new = split_candidates(cands, self.CFG)
+        assert [c.pair.prev for c in assoc] == [BBox(10, 10, 5, 5)]
         assert [c.index for c in d_new] == [10]
 
     def test_zero_assoc_slots_all_new(self):
         cands = [cand(0, PADDED, (10, 10, 5, 5), (12, 10, 5, 5), 0.9)]
-        d_pre, _, d_new = split_candidates(cands, self.CFG)
-        assert d_pre == [] and len(d_new) == 1
+        assoc, d_new = split_candidates(cands, self.CFG)
+        assert assoc == [] and len(d_new) == 1
 
 
 class TestAssociate:
