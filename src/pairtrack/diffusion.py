@@ -3,6 +3,8 @@
 Inference only refines: proposals are built from priors plus padding,
 corrupted toward noise by a motion-dependent amount, and denoised by a
 one-step or multi-step DDIM ladder over the cosine schedule.
+``single_step_noise`` is the forward Markov step that the schedule's
+``beta`` table defines; chaining it reproduces ``alpha_bar``.
 
 Box coordinates travel through three spaces: pixels, unit (normalized by
 image size into [0, 1]) and signal ([-scale, scale], scale 2.0 by
@@ -32,6 +34,7 @@ from .geometry import BBox, PairedBox
 __all__ = [
     "NoiseSchedule",
     "cosine_schedule",
+    "single_step_noise",
     "PaddingStrategy",
     "PerturbationSchedule",
     "ProposalSet",
@@ -75,6 +78,16 @@ def cosine_schedule(timesteps: int = 1000, offset: float = 0.008) -> NoiseSchedu
     # consistent and alpha_bar remains strictly positive and decreasing.
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta[1:])])
     return NoiseSchedule(timesteps=timesteps, alpha_bar=alpha_bar, beta=beta)
+
+
+def single_step_noise(
+    z: np.ndarray, t: int, sched: NoiseSchedule, noise: np.ndarray
+) -> np.ndarray:
+    """One Markov step from timestep t-1 to t."""
+    if not 1 <= t <= sched.timesteps:
+        raise ValueError(f"timestep {t} outside [1, {sched.timesteps}]")
+    b = sched.beta[t]
+    return math.sqrt(1.0 - b) * np.asarray(z) + math.sqrt(b) * np.asarray(noise)
 
 
 class PaddingStrategy(Enum):

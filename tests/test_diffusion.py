@@ -24,6 +24,7 @@ from pairtrack.diffusion import (
     ddim_refine,
     perturbation_timestep,
     round_half_up,
+    single_step_noise,
 )
 from pairtrack.geometry import BBox
 
@@ -53,6 +54,39 @@ class TestCosineSchedule:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             cosine_schedule(0)
+
+
+class TestSingleStepNoise:
+    def setup_method(self):
+        self.sched = cosine_schedule(1000)
+
+    def test_zero_noise_scaling(self):
+        z = np.ones(5)
+        out = single_step_noise(z, 10, self.sched, np.zeros(5))
+        assert np.allclose(out, math.sqrt(1.0 - self.sched.beta[10]))
+
+    def test_small_beta_near_identity(self):
+        z = np.ones(3)
+        out = single_step_noise(z, 1, self.sched, np.zeros(3))
+        assert np.allclose(out, z, atol=1e-4)
+
+    def test_range_check(self):
+        with pytest.raises(ValueError):
+            single_step_noise(np.zeros(1), 0, self.sched, np.zeros(1))
+
+    def test_composition_matches_marginal(self):
+        # Chaining Markov steps 1..t reproduces the variance-preserving
+        # closed form's moments (the printed (1-abar) form deviates).
+        rng = np.random.default_rng(0)
+        t = 60
+        sched = cosine_schedule(1000)
+        n = 20_000
+        z = np.full(n, 0.5)
+        for step in range(1, t + 1):
+            z = single_step_noise(z, step, sched, rng.standard_normal(n))
+        abar = sched.alpha_bar[t]
+        assert z.mean() == pytest.approx(math.sqrt(abar) * 0.5, abs=0.01)
+        assert z.std() == pytest.approx(math.sqrt(1.0 - abar), rel=0.05)
 
 
 class TestBuildProposals:
