@@ -4,7 +4,8 @@ A denoiser's one method, ``denoise_batch``, maps a batch of noisy paired
 boxes (signal space) plus a timestep and frame context to a
 ``DenoisedBatch`` holding one row per input row: a cleaned paired box,
 per-frame class scores and an association score. The refinement loop
-turns the final batch into pixel-space ``Candidate`` objects. Three
+turns the final batch into a pixel-space ``CandidateBatch``; ``Candidate``
+objects are built only for the rows that survive the gates. Three
 implementations ship here:
 
 * ``OracleDenoiser`` snaps rows toward ground truth with configurable
@@ -29,6 +30,7 @@ __all__ = [
     "FrameContext",
     "ProposalOrigin",
     "Candidate",
+    "CandidateBatch",
     "DenoisedBatch",
     "Denoiser",
     "OracleDenoiser",
@@ -95,11 +97,11 @@ class ProposalOrigin:
 class Candidate:
     """A denoised paired box with its scores.
 
-    ``pair`` is in pixel space; the refinement loop builds candidates from
-    its final ``DenoisedBatch``. ``index`` is the original proposal slot the
-    candidate came from and ``origin`` that slot's ``ProposalOrigin``:
-    prior-derived rows continue existing tracks, padded rows discover new
-    objects.
+    ``pair`` is in pixel space; ``CandidateBatch.candidates`` builds one
+    per row that survives the gates. ``index`` is the original proposal
+    slot the candidate came from and ``origin`` that slot's
+    ``ProposalOrigin``: prior-derived rows continue existing tracks, padded
+    rows discover new objects.
     """
 
     pair: PairedBox
@@ -108,6 +110,31 @@ class Candidate:
     assoc: float
     index: int = 0
     origin: int = ProposalOrigin.PADDED
+
+
+@dataclass
+class CandidateBatch:
+    """Refined proposals as arrays, pixel space; row i is proposal slot i."""
+
+    pairs: np.ndarray      # (n, 8), pixel space
+    cls_prev: np.ndarray   # (n,)
+    cls_cur: np.ndarray    # (n,)
+    assoc: np.ndarray      # (n,)
+    origin: np.ndarray     # (n,), ProposalOrigin values
+
+    def candidates(self, rows: Sequence[int]) -> list[Candidate]:
+        """``Candidate`` objects for the given rows, in the given order."""
+        return [
+            Candidate(
+                pair=PairedBox.from_flat(self.pairs[i]),
+                cls_prev=float(self.cls_prev[i]),
+                cls_cur=float(self.cls_cur[i]),
+                assoc=float(self.assoc[i]),
+                index=int(i),
+                origin=int(self.origin[i]),
+            )
+            for i in rows
+        ]
 
 
 @dataclass

@@ -23,13 +23,14 @@ import numpy as np
 
 from .denoiser import (
     DEFAULT_SIGNAL_SCALE,
-    Candidate,
+    CandidateBatch,
     Denoiser,
+    DenoisedBatch,
     FrameContext,
     ProposalOrigin,
     signal_to_pixel,
 )
-from .geometry import BBox, PairedBox
+from .geometry import BBox
 
 __all__ = [
     "NoiseSchedule",
@@ -228,6 +229,18 @@ def corrupt_proposals(
     return replace(proposals, pairs=mixed)
 
 
+def _check_denoised(batch: DenoisedBatch, n: int) -> None:
+    """Reject a denoiser output that breaks the one-row-per-proposal
+    contract or would flow on as NaN or out-of-range scores."""
+    if batch.pairs.shape[0] != n:
+        raise ValueError("denoiser changed the row count")
+    scores = (batch.cls_prev, batch.cls_cur, batch.assoc)
+    if not all(np.isfinite(x).all() for x in (batch.pairs, *scores)):
+        raise ValueError("denoiser returned non-finite values")
+    if not all(((x >= 0.0) & (x <= 1.0)).all() for x in scores):
+        raise ValueError("denoiser returned scores outside [0, 1]")
+
+
 def ddim_refine(
     proposals: ProposalSet,
     steps: int,
@@ -235,15 +248,17 @@ def ddim_refine(
     ctx: FrameContext,
     sched: NoiseSchedule,
     scale: float = DEFAULT_SIGNAL_SCALE,
-) -> list[Candidate]:
-    """Iteratively denoise a proposal batch and emit pixel-space candidates.
+) -> CandidateBatch:
+    """Iteratively denoise a proposal batch into a pixel-space candidate batch.
 
     The timestep ladder descends from the proposal timestep to 0 in
     ``steps`` evenly spaced stages. Every stage asks the denoiser for its
     clean-sample prediction (clamped to the signal range); intermediate
     stages re-noise it to the next rung with the deterministic (eta = 0)
-    DDIM update. The final stage's predictions become candidates carrying
-    their original proposal indices and origins.
+    DDIM update. The final stage's predictions become the returned arrays,
+    row i for proposal slot i, with the proposals' origins. A denoiser
+    output that changes the row count, holds non-finite values or scores
+    outside [0, 1] raises ``ValueError``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -254,8 +269,7 @@ def ddim_refine(
     for stage in range(steps):
         s_cur = int(ladder[stage])
         batch = denoiser.denoise_batch(z, s_cur, ctx)
-        if batch.pairs.shape[0] != n:
-            raise ValueError("denoiser changed the row count")
+        _check_denoised(batch, n)
         z0_hat = np.clip(batch.pairs, -scale, scale)
         if stage == steps - 1:
             break
@@ -269,14 +283,10 @@ def ddim_refine(
         z = math.sqrt(a_next) * z0_hat + math.sqrt(1.0 - a_next) * eps
 
     pixel = signal_to_pixel(np.clip(batch.pairs, -scale, scale), ctx.image_size, scale)
-    return [
-        Candidate(
-            pair=PairedBox.from_flat(pixel[i]),
-            cls_prev=float(batch.cls_prev[i]),
-            cls_cur=float(batch.cls_cur[i]),
-            assoc=float(batch.assoc[i]),
-            index=i,
-            origin=int(proposals.origin[i]),
-        )
-        for i in range(n)
-    ]
+    return CandidateBatch(
+        pairs=pixel,
+        cls_prev=batch.cls_prev,
+        cls_cur=batch.cls_cur,
+        assoc=batch.assoc,
+        origin=proposals.origin,
+    )

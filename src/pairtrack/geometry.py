@@ -5,6 +5,11 @@ demand. A PairedBox holds the same object's boxes in two adjacent frames
 and flattens to 8 scalars. Overlap measures come in the plain 2D flavor
 and a paired ("3D") flavor that sums areas over both frames.
 
+Suppression (``nms2d``, ``nms3d``) works on row arrays and is lazy: it
+computes corners and areas once, and each kept row clears only the later
+rows it overlaps, so its cost grows with rows x kept and no n x n overlap
+matrix is built.
+
 Degenerate (zero-area) boxes are legal inputs; every ratio involving an
 empty union or enclosure is defined to 0 by convention.
 """
@@ -153,47 +158,76 @@ def giou3d(d: PairedBox, g: PairedBox) -> float:
     return iou3d(d, g) - abs(enclosure - union) / abs(enclosure)
 
 
-def _nms(scores: Sequence[float], overlap_fn, threshold: float) -> list[int]:
-    """Greedy suppression shared by nms2d/nms3d.
+def _nms(
+    rows: np.ndarray, scores: Sequence[float], threshold: float, width: int
+) -> list[int]:
+    """Lazy greedy suppression shared by nms2d/nms3d.
 
-    Candidates are visited in descending score order (ties broken by lower
-    original index); one is removed iff its overlap with an already-kept
-    higher-scored candidate exceeds the threshold (strict).
+    Rows are ``width``-wide center-form boxes split into 4-wide members, as
+    in ``overlap``. Candidates are visited in descending score order (ties
+    broken by lower original index); one is removed iff its overlap with an
+    already-kept higher-scored candidate exceeds the threshold (strict).
+    Corners and member areas are computed once; each kept row then clears
+    the later rows it overlaps, so the cost grows with rows x kept instead
+    of rows squared. The overlap repeats ``overlap``'s arithmetic (candidate
+    area + kept area - intersection, summed over members, then divided), so
+    every decision matches the full-matrix greedy loop bit for bit.
     """
+    if len(rows) != len(scores):
+        raise ValueError("rows and scores must have equal length")
+    if not len(rows):
+        return []
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1:] != (width,):
+        raise ValueError(f"need (n, {width}) rows, got shape {rows.shape}")
+    n = rows.shape[0]
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    # Sorted rows; lo/hi hold (x, y) per member side by side: (n, 2 * members).
+    boxes = rows[order].reshape(n, -1, 4)
+    half = boxes[..., 2:] * 0.5
+    lo = (boxes[..., :2] - half).reshape(n, -1)
+    hi = (boxes[..., :2] + half).reshape(n, -1)
+    side = np.clip(hi - lo, 0, None)
+    area = side[:, 0::2] * side[:, 1::2]
+
+    alive = np.ones(n, dtype=bool)
     kept: list[int] = []
-    for idx in order:
-        i = int(idx)
-        if all(overlap_fn(i, j) <= threshold for j in kept):
-            kept.append(i)
-    return kept
+    i = 0
+    while True:
+        kept.append(int(order[i]))
+        rest = slice(i + 1, None)
+        wh = np.minimum(hi[rest], hi[i]) - np.maximum(lo[rest], lo[i])
+        np.maximum(wh, 0.0, out=wh)
+        inter_m = wh[:, 0::2] * wh[:, 1::2]
+        union_m = area[rest] + area[i] - inter_m
+        inter, union = inter_m[:, 0], union_m[:, 0]
+        for m in range(1, inter_m.shape[1]):
+            inter = inter + inter_m[:, m]
+            union = union + union_m[:, m]
+        ratio = np.zeros_like(inter)
+        np.divide(inter, union, out=ratio, where=union > 0)
+        later = alive[rest]
+        later &= ratio <= threshold
+        if not later.any():
+            return kept
+        i += 1 + int(later.argmax())
 
 
-def nms2d(boxes: Sequence[BBox], scores: Sequence[float], threshold: float) -> list[int]:
-    """Greedy 2D non-maximum suppression; returns kept indices in score order."""
-    if len(boxes) != len(scores):
-        raise ValueError("boxes and scores must have equal length")
-    if not boxes:
-        return []
-    arr = np.stack([b.as_array() for b in boxes])
-    mat = iou_matrix(arr, arr)
-    return _nms(scores, lambda i, j: mat[i, j], threshold)
+def nms2d(boxes: np.ndarray, scores: Sequence[float], threshold: float) -> list[int]:
+    """Greedy 2D non-maximum suppression on center-form rows (n, 4);
+    returns kept indices in score order."""
+    return _nms(boxes, scores, threshold, 4)
 
 
-def nms3d(pairs: Sequence[PairedBox], scores: Sequence[float], threshold: float) -> list[int]:
-    """Greedy paired-box suppression on iou3d; returns kept indices in score order."""
-    if len(pairs) != len(scores):
-        raise ValueError("pairs and scores must have equal length")
-    if not pairs:
-        return []
-    arr = np.stack([p.flatten() for p in pairs])
-    mat = iou3d_matrix(arr, arr)
-    return _nms(scores, lambda i, j: mat[i, j], threshold)
+def nms3d(pairs: np.ndarray, scores: Sequence[float], threshold: float) -> list[int]:
+    """Greedy paired-box suppression on iou3d over flattened pairs (n, 8);
+    returns kept indices in score order."""
+    return _nms(pairs, scores, threshold, 8)
 
 
 # Vectorized counterparts on raw arrays. Rows are center-form boxes (n, 4)
-# or flattened pairs (n, 8); used by the denoisers and suppression on full
-# proposal batches.
+# or flattened pairs (n, 8); used by the denoisers on full proposal
+# batches.
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ way in and out.
 
 from __future__ import annotations
 
+import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +49,11 @@ class MotRow:
 
 
 def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
-    """Parse a GT, detection or result file into per-frame rows."""
+    """Parse a GT, detection or result file into per-frame rows.
+
+    Every numeric field must be finite and box sizes non-negative (zero is
+    legal); anything else raises ``MotFormatError`` naming the line.
+    """
     frames: dict[int, list[MotRow]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -67,10 +73,16 @@ def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
                 conf = float(parts[6])
                 cls = int(float(parts[7])) if len(parts) > 7 else 1
                 vis = float(parts[8]) if len(parts) > 8 else 1.0
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise MotFormatError(
                     f"{path}: line {lineno}: {exc}"
                 ) from exc
+            if not all(map(math.isfinite, (left, top, w, h, conf, vis))):
+                raise MotFormatError(f"{path}: line {lineno}: non-finite field")
+            if w < 0 or h < 0:
+                raise MotFormatError(
+                    f"{path}: line {lineno}: negative box size {w} x {h}"
+                )
             box = BBox(left + w / 2.0, top + h / 2.0, w, h)
             frames.setdefault(frame, []).append(
                 MotRow(frame, track_id, box, conf, cls, vis)
@@ -165,11 +177,17 @@ def write_seqinfo(
 
 def parse_seqinfo(path: str | Path) -> tuple[tuple[int, int], int]:
     """Returns ((width, height), sequence length)."""
-    import configparser
-
     cp = configparser.ConfigParser()
-    cp.read(path)
+    try:
+        cp.read(path)
+    except configparser.Error as exc:
+        raise MotFormatError(f"{path}: {exc}") from exc
+    if not cp.has_section("Sequence"):
+        raise MotFormatError(f"{path}: no [Sequence] section")
     sec = cp["Sequence"]
+    missing = [k for k in ("imWidth", "imHeight", "seqLength") if k not in sec]
+    if missing:
+        raise MotFormatError(f"{path}: [Sequence] lacks {', '.join(missing)}")
     size = (int(sec["imWidth"]), int(sec["imHeight"]))
     if min(size) <= 0:
         raise MotFormatError(

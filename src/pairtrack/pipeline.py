@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .denoiser import Candidate, Denoiser, FrameContext, ProposalOrigin
+from .denoiser import Candidate, CandidateBatch, Denoiser, FrameContext, ProposalOrigin
 from .diffusion import (
     NoiseSchedule,
     PaddingStrategy,
@@ -82,27 +82,21 @@ def _corrupt_cur_only(
 
 
 def _gate_and_suppress(
-    cands: list[Candidate], cfg: PipelineConfig
+    batch: CandidateBatch, cfg: PipelineConfig
 ) -> list[Candidate]:
-    """Confidence gate, paired suppression, then the per-frame 2D gate."""
+    """Confidence gate, paired suppression, the per-frame 2D suppression
+    and the detection gate on row indices; candidates are built only for
+    the survivors, in proposal order."""
     tr = cfg.tracker
-    kept = [c for c in cands if c.assoc > tr.conf_threshold]
-    if not kept:
+    rows = np.flatnonzero(batch.assoc > tr.conf_threshold)
+    if not rows.size:
         return []
-    keep_idx = nms3d([c.pair for c in kept], [c.assoc for c in kept],
-                     tr.nms3d_threshold)
-    kept = [kept[i] for i in keep_idx]
-    if kept:
-        keep_idx = nms2d(
-            [c.pair.cur for c in kept], [c.cls_cur for c in kept],
-            tr.nms2d_threshold,
-        )
-        kept = [kept[i] for i in keep_idx]
-    kept = [
-        c for c in kept
-        if c.cls_prev > tr.det_threshold and c.cls_cur > tr.det_threshold
-    ]
-    return sorted(kept, key=lambda c: c.index)
+    rows = rows[nms3d(batch.pairs[rows], batch.assoc[rows], tr.nms3d_threshold)]
+    rows = rows[nms2d(batch.pairs[rows, 4:], batch.cls_cur[rows], tr.nms2d_threshold)]
+    det = (batch.cls_prev[rows] > tr.det_threshold) & (
+        batch.cls_cur[rows] > tr.det_threshold
+    )
+    return batch.candidates(np.sort(rows[det]))
 
 
 def run_pair(
@@ -134,8 +128,8 @@ def run_pair(
         props = corrupt_proposals(props, alpha, rng)
     steps = 1 if baseline else cfg.steps
 
-    cands = ddim_refine(props, steps, denoiser, ctx, sched, cfg.signal_scale)
-    kept = _gate_and_suppress(cands, cfg)
+    batch = ddim_refine(props, steps, denoiser, ctx, sched, cfg.signal_scale)
+    kept = _gate_and_suppress(batch, cfg)
     return kept, sum(c.origin == ProposalOrigin.PRIOR for c in kept)
 
 

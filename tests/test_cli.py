@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 
 from pairtrack.harness.cli import main
+from pairtrack.harness.io import parse_motchallenge
 
 
 def test_simulate_track_det_eval(tmp_path):
@@ -56,3 +57,55 @@ def test_non_positive_seqinfo_size_is_data_error(tmp_path, capsys):
                  "--seqinfo", str(seqinfo), "--out", str(result)]) == 2
     assert "data error" in capsys.readouterr().err
     assert not result.exists()
+
+
+def test_seqinfo_without_sequence_section_is_data_error(tmp_path, capsys):
+    scene_dir = _simulate(tmp_path)
+    result = tmp_path / "result.txt"
+    bad = tmp_path / "bad.ini"
+    for text, missing in (("[Seq]\n", "[Sequence]"),
+                          ("[Sequence]\nimWidth=100\nimHeight=100\n", "seqLength")):
+        bad.write_text(text)
+        assert main(["track", "--gt", str(scene_dir / "gt.txt"),
+                     "--seqinfo", str(bad), "--out", str(result)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and missing in err
+    assert not result.exists()
+
+
+def _track_det_rows(tmp_path, rows):
+    det = tmp_path / "d.txt"
+    det.write_text("".join(r + "\n" for r in rows))
+    result = tmp_path / "result.txt"
+    code = main(["track", "--det", str(det), "--image-size", "100x100",
+                 "--out", str(result)])
+    return code, det, result
+
+
+def test_non_finite_detection_field_is_data_error(tmp_path, capsys):
+    code, det, result = _track_det_rows(tmp_path, [
+        "1,-1,10,10,20,20,0.9,-1,-1,-1",
+        "2,-1,10,10,nan,20,0.9,-1,-1,-1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{det}: line 2" in err
+    assert not result.exists()
+
+
+def test_negative_detection_size_is_data_error(tmp_path, capsys):
+    code, det, result = _track_det_rows(tmp_path, [
+        "1,-1,10,10,20,-5,0.9,-1,-1,-1",
+        "2,-1,10,10,20,20,0.9,-1,-1,-1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{det}: line 1" in err
+    assert not result.exists()
+
+
+def test_zero_size_detection_is_legal(tmp_path):
+    det = tmp_path / "d.txt"
+    det.write_text("1,-1,10,10,0,0,0.9,-1,-1,-1\n")
+    (row,) = parse_motchallenge(det)[1]
+    assert (row.box.w, row.box.h) == (0.0, 0.0)

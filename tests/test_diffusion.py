@@ -252,18 +252,18 @@ class TestCorruptProposals:
 
 
 class _ConstantDenoiser:
-    """Always predicts the same clean batch, regardless of input."""
+    """Always predicts the same clean batch, regardless of input; ``scores``
+    overrides the unit class and association scores by field name."""
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, **scores):
         self.pairs = pairs
+        self.scores = scores
 
     def denoise_batch(self, z, s, ctx):
-        return DenoisedBatch(
-            pairs=self.pairs.copy(),
-            cls_prev=np.ones(len(self.pairs)),
-            cls_cur=np.ones(len(self.pairs)),
-            assoc=np.ones(len(self.pairs)),
-        )
+        n = len(self.pairs)
+        fields = {k: np.ones(n) for k in ("cls_prev", "cls_cur", "assoc")}
+        fields.update({k: np.array(v, dtype=float) for k, v in self.scores.items()})
+        return DenoisedBatch(pairs=self.pairs.copy(), **fields)
 
 
 class TestDdimRefine:
@@ -284,7 +284,7 @@ class TestDdimRefine:
         one = ddim_refine(p, 1, IdentityDenoiser(), self.ctx, self.sched)
         direct = IdentityDenoiser().denoise_batch(p.pairs, p.timestep, self.ctx)
         expected = np.clip(direct.pairs, -2.0, 2.0)
-        got = np.stack([c.pair.flatten() for c in one])
+        got = one.pairs
         w, h = IMAGE
         unit = (expected / 2.0 + 1) / 2 * np.tile([w, h, w, h], 2)
         assert np.allclose(got, unit)
@@ -295,7 +295,7 @@ class TestDdimRefine:
         p = self.proposals(n=4)
         for steps in (1, 2, 4, 7):
             out = ddim_refine(p, steps, den, self.ctx, self.sched)
-            got = np.stack([c.pair.flatten() for c in out])
+            got = out.pairs
             w, h = IMAGE
             unit = (target / 2.0 + 1) / 2 * np.tile([w, h, w, h], 2)
             assert np.allclose(got, unit), steps
@@ -314,14 +314,25 @@ class TestDdimRefine:
         )
         for steps in (1, 4):
             cands = ddim_refine(p, steps, oracle, ctx, self.sched)
-            got = np.stack([c.pair.flatten() for c in cands])
+            got = cands.pairs
             dists = np.abs(got[:, None, :] - gt_rows[None, :, :]).max(axis=2).min(axis=1)
             assert np.all(dists < 1e-6), steps
 
     def test_order_preserved_and_indices(self):
         p = self.proposals(n=16)
         out = ddim_refine(p, 2, IdentityDenoiser(), self.ctx, self.sched)
-        assert [c.index for c in out] == list(range(16))
+        assert [c.index for c in out.candidates(range(16))] == list(range(16))
+        assert np.array_equal(out.origin, p.origin)
+
+    def test_candidates_built_for_requested_rows(self):
+        p = self.proposals(n=6)
+        out = ddim_refine(p, 1, IdentityDenoiser(), self.ctx, self.sched)
+        cands = out.candidates([4, 1])
+        assert [c.index for c in cands] == [4, 1]
+        for c in cands:
+            assert np.array_equal(c.pair.flatten(), out.pairs[c.index])
+            assert c.origin == p.origin[c.index]
+            assert (c.cls_prev, c.cls_cur, c.assoc) == (1.0, 1.0, 1.0)
 
     def test_steps_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -334,3 +345,25 @@ class TestDdimRefine:
         den = _ConstantDenoiser(np.zeros((4, 8)))
         with pytest.raises(ValueError, match="row count"):
             ddim_refine(p, 1, den, self.ctx, self.sched)
+
+    def test_non_finite_output_rejected(self):
+        # NaN boxes or scores from a denoiser must not flow on into the gates.
+        p = self.proposals(n=4)
+        pairs = np.zeros((4, 8))
+        pairs[2, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ddim_refine(p, 1, _ConstantDenoiser(pairs), self.ctx, self.sched)
+        score = [1.0, np.nan, 1.0, 1.0]
+        for field in ("cls_prev", "cls_cur", "assoc"):
+            den = _ConstantDenoiser(np.zeros((4, 8)), **{field: score})
+            with pytest.raises(ValueError, match="non-finite"):
+                ddim_refine(p, 2, den, self.ctx, self.sched)
+
+    def test_score_outside_unit_interval_rejected(self):
+        p = self.proposals(n=4)
+        for field in ("cls_prev", "cls_cur", "assoc"):
+            for bad in (-0.1, 1.5):
+                score = [0.5, bad, 0.5, 0.5]
+                den = _ConstantDenoiser(np.zeros((4, 8)), **{field: score})
+                with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                    ddim_refine(p, 1, den, self.ctx, self.sched)

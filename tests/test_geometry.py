@@ -242,14 +242,20 @@ class TestProperties:
         assert giou3d(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
+def _rows(boxes) -> np.ndarray:
+    """Stack BBox or PairedBox objects into the arrays suppression takes."""
+    return np.stack([b.flatten() if isinstance(b, PairedBox) else b.as_array()
+                     for b in boxes])
+
+
 class TestNMS:
     def test_identical_boxes_suppressed(self):
         a = BBox(1, 1, 2, 2)
-        kept = nms2d([a, a], [0.9, 0.8], 0.6)
+        kept = nms2d(_rows([a, a]), [0.9, 0.8], 0.6)
         assert kept == [0]
 
     def test_disjoint_kept(self):
-        kept = nms2d([BBox(1, 1, 1, 1), BBox(5, 5, 1, 1)], [0.9, 0.8], 0.6)
+        kept = nms2d(_rows([BBox(1, 1, 1, 1), BBox(5, 5, 1, 1)]), [0.9, 0.8], 0.6)
         assert kept == [0, 1]
 
     def test_threshold_strict(self):
@@ -258,22 +264,22 @@ class TestNMS:
         a = BBox.from_corners(0, 0, 20, 20)
         b = BBox.from_corners(0, 0, 20, 13)  # inter 260, union 400
         assert iou(a, b) == pytest.approx(0.65, abs=1e-12)
-        assert nms2d([a, b], [0.9, 0.8], 0.6) == [0]
+        assert nms2d(_rows([a, b]), [0.9, 0.8], 0.6) == [0]
         # at threshold equal to overlap the pair survives (strict inequality)
-        assert nms2d([a, b], [0.9, 0.8], 0.65) == [0, 1]
+        assert nms2d(_rows([a, b]), [0.9, 0.8], 0.65) == [0, 1]
 
     def test_score_tie_keeps_lower_index(self):
         a = BBox(1, 1, 2, 2)
-        kept = nms2d([a, a, BBox(9, 9, 2, 2)], [0.8, 0.8, 0.8], 0.5)
+        kept = nms2d(_rows([a, a, BBox(9, 9, 2, 2)]), [0.8, 0.8, 0.8], 0.5)
         assert kept == [0, 2]
 
     def test_empty(self):
-        assert nms2d([], [], 0.5) == []
-        assert nms3d([], [], 0.5) == []
+        assert nms2d(np.zeros((0, 4)), [], 0.5) == []
+        assert nms3d(np.zeros((0, 8)), [], 0.5) == []
 
     def test_nms3d_pairs(self):
         p = PairedBox(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
-        kept = nms3d([p, p], [0.9, 0.5], 0.6)
+        kept = nms3d(_rows([p, p]), [0.9, 0.5], 0.6)
         assert kept == [0]
 
     def test_nms3d_single_frame_overlap_kept(self):
@@ -281,17 +287,89 @@ class TestNMS:
         a = PairedBox(BBox(1, 1, 2, 2), BBox(1, 1, 2, 2))
         b = PairedBox(BBox(1, 1, 2, 2), BBox(9, 9, 2, 2))
         assert iou3d(a, b) == pytest.approx(1 / 3, abs=1e-12)
-        assert nms3d([a, b], [0.9, 0.8], 0.6) == [0, 1]
+        assert nms3d(_rows([a, b]), [0.9, 0.8], 0.6) == [0, 1]
 
     def test_no_kept_pair_exceeds_threshold(self):
         rng = np.random.default_rng(3)
         boxes = [lattice_box(rng, hi=6.0, max_size=3.0) for _ in range(40)]
         scores = rng.uniform(0, 1, size=40).tolist()
-        kept = nms2d(boxes, scores, 0.4)
+        kept = nms2d(_rows(boxes), scores, 0.4)
         for i in kept:
             for j in kept:
                 if i != j:
                     assert iou(boxes[i], boxes[j]) <= 0.4
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            nms2d(np.zeros((2, 4)), [0.5], 0.5)
+        with pytest.raises(ValueError):
+            nms3d(np.zeros((1, 8)), [0.5, 0.4], 0.5)
+
+    def test_row_width_checked(self):
+        with pytest.raises(ValueError, match="8"):
+            nms3d(np.zeros((2, 4)), [0.5, 0.4], 0.5)
+        with pytest.raises(ValueError, match="4"):
+            nms2d(np.zeros((2, 8)), [0.5, 0.4], 0.5)
+
+
+def _greedy_reference(mat: np.ndarray, scores, threshold: float) -> list[int]:
+    """Full-matrix greedy suppression: visit rows by descending score (ties to
+    the lower index) and keep a row iff its overlap with every kept row is
+    at most the threshold."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    kept: list[int] = []
+    for i in order:
+        if all(mat[i, j] <= threshold for j in kept):
+            kept.append(int(i))
+    return kept
+
+
+# Lattice boxes (corners on the 1/4 grid, sizes 0 to 1.5) in a small area:
+# overlaps are frequent, some boxes have zero size, and overlap ratios
+# repeat.
+lattice_row = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)
+).map(lambda r: [(r[0] + r[2] / 2) / 4, (r[1] + r[3] / 2) / 4, r[2] / 4, r[3] / 4])
+# Few distinct values, so ties are common.
+tied_score = st.sampled_from([0.1, 0.5, 0.5, 0.8, 0.9])
+
+
+def _draw_threshold(data, mat: np.ndarray) -> float:
+    """A fixed threshold, or one of the realized overlaps of two distinct
+    rows, exactly (the pair must survive) or one float below (it must not)."""
+    off_diagonal = mat[~np.eye(len(mat), dtype=bool)]
+    realized = sorted(set(off_diagonal[off_diagonal > 0].tolist()))
+    fixed = st.sampled_from([0.0, 0.25, 0.5, 0.6, 0.7, 1.0])
+    if not realized:
+        return data.draw(fixed)
+    on = data.draw(st.sampled_from(realized))
+    return data.draw(st.sampled_from([on, float(np.nextafter(on, 0.0))]) | fixed)
+
+
+class TestLazyNMSEquivalence:
+    """Lazy suppression returns exactly what the full-matrix loop returns."""
+
+    @given(rows=st.lists(st.tuples(lattice_row, tied_score), max_size=30),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nms2d_matches_matrix_greedy(self, rows, data):
+        boxes = np.array([r for r, _ in rows]).reshape(-1, 4)
+        scores = [s for _, s in rows]
+        mat = iou_matrix(boxes, boxes)
+        threshold = _draw_threshold(data, mat)
+        expected = _greedy_reference(mat, scores, threshold)
+        assert nms2d(boxes, scores, threshold) == expected
+
+    @given(rows=st.lists(st.tuples(lattice_row, lattice_row, tied_score), max_size=30),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nms3d_matches_matrix_greedy(self, rows, data):
+        pairs = np.array([a + b for a, b, _ in rows]).reshape(-1, 8)
+        scores = [s for _, _, s in rows]
+        mat = iou3d_matrix(pairs, pairs)
+        threshold = _draw_threshold(data, mat)
+        expected = _greedy_reference(mat, scores, threshold)
+        assert nms3d(pairs, scores, threshold) == expected
 
 
 class TestMatrices:
