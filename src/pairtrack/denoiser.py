@@ -1,12 +1,14 @@
 """Pluggable denoisers that refine noisy paired boxes into candidates.
 
 A denoiser's one method, ``denoise_batch``, maps a batch of noisy paired
-boxes (signal space) plus a timestep and frame context to a
-``DenoisedBatch`` holding one row per input row: a cleaned paired box,
-per-frame class scores and an association score. The refinement loop
-turns the final batch into a pixel-space ``CandidateBatch``; ``Candidate``
-objects are built only for the rows that survive the gates. Three
-implementations ship here:
+boxes plus a timestep and frame context to a ``DenoisedBatch`` holding one
+row per input row: a cleaned paired box, per-frame class scores and an
+association score. Denoisers take and return pixel-space boxes; the
+diffusion's signal space and its scale stay inside
+``diffusion.ddim_refine``, which converts on the way in and out. The
+refinement loop turns the final batch into a ``CandidateBatch``;
+``Candidate`` objects are built only for the rows that survive the gates.
+Three implementations ship here:
 
 * ``OracleDenoiser`` snaps rows toward ground truth with configurable
   fidelity, standing in for a trained head in tests and simulations.
@@ -37,32 +39,7 @@ __all__ = [
     "OracleConfig",
     "DetectionSnapDenoiser",
     "IdentityDenoiser",
-    "signal_to_pixel",
-    "pixel_to_signal",
 ]
-
-DEFAULT_SIGNAL_SCALE = 2.0
-
-
-def pixel_to_signal(boxes: np.ndarray, image_size: tuple[int, int],
-                    scale: float = DEFAULT_SIGNAL_SCALE) -> np.ndarray:
-    """Map pixel-space (cx, cy, w, h) rows into the [-scale, scale] signal range.
-
-    Accepts (n, 4) single boxes or (n, 8) flattened pairs.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    w, h = image_size
-    norm = np.tile([w, h, w, h], boxes.shape[-1] // 4)
-    return (boxes / norm * 2.0 - 1.0) * scale
-
-
-def signal_to_pixel(signal: np.ndarray, image_size: tuple[int, int],
-                    scale: float = DEFAULT_SIGNAL_SCALE) -> np.ndarray:
-    """Inverse of :func:`pixel_to_signal`, with clamping to the valid range."""
-    signal = np.clip(np.asarray(signal, dtype=np.float64), -scale, scale)
-    w, h = image_size
-    norm = np.tile([w, h, w, h], signal.shape[-1] // 4)
-    return (signal / scale + 1.0) / 2.0 * norm
 
 
 @dataclass
@@ -139,9 +116,9 @@ class CandidateBatch:
 
 @dataclass
 class DenoisedBatch:
-    """Array view of a denoiser output: one row per input proposal."""
+    """Array view of a denoiser output: one row per input row, in order."""
 
-    pairs: np.ndarray      # (n, 8), signal space
+    pairs: np.ndarray      # (n, 8), pixel space
     cls_prev: np.ndarray   # (n,)
     cls_cur: np.ndarray    # (n,)
     assoc: np.ndarray      # (n,)
@@ -149,21 +126,21 @@ class DenoisedBatch:
 
 @runtime_checkable
 class Denoiser(Protocol):
-    """Interface contract: one output row per input row, order preserved."""
+    """Interface contract: one pixel-space row out per pixel-space row in."""
 
-    def denoise_batch(self, z: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
-        """Refine signal-space rows ``z`` (n, 8) at timestep ``s``."""
+    def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
+        """Refine pixel-space paired boxes ``boxes`` (n, 8) at timestep ``s``."""
         ...
 
 
 class IdentityDenoiser:
-    """Returns its input unchanged with unit scores; useful as a test stub."""
+    """Echoes its pixel-space input with unit scores; useful as a test stub."""
 
-    def denoise_batch(self, z: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
-        z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
+    def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
+        boxes = np.asarray(boxes, dtype=np.float64)
+        n = boxes.shape[0]
         ones = np.ones(n)
-        return DenoisedBatch(z.copy(), ones.copy(), ones.copy(), ones.copy())
+        return DenoisedBatch(boxes.copy(), ones.copy(), ones.copy(), ones.copy())
 
 
 @dataclass(frozen=True)
@@ -212,13 +189,11 @@ class OracleDenoiser:
     exists in either frame.
     """
 
-    def __init__(self, fidelity: float, config: OracleConfig | None = None,
-                 scale: float = DEFAULT_SIGNAL_SCALE):
+    def __init__(self, fidelity: float, config: OracleConfig | None = None):
         if not 0.0 <= fidelity <= 1.0:
             raise ValueError("fidelity must lie in [0, 1]")
         self.fidelity = fidelity
         self.config = config or OracleConfig()
-        self.scale = scale
 
     def _targets(self, ctx: FrameContext):
         """Build per-identity target pairs from the two frames' ground truth.
@@ -244,30 +219,29 @@ class OracleDenoiser:
             np.asarray(in_cur, dtype=bool),
         )
 
-    def denoise_batch(self, z: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
-        z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
+    def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
+        boxes = np.asarray(boxes, dtype=np.float64)
+        n = boxes.shape[0]
         cfg = self.config
         targets = self._targets(ctx)
         if targets is None:
             low = np.full(n, cfg.far_score)
-            return DenoisedBatch(z.copy(), low.copy(), low.copy(), low.copy())
+            return DenoisedBatch(boxes.copy(), low.copy(), low.copy(), low.copy())
         gt_pix, in_prev, in_cur = targets
 
-        z_pix = signal_to_pixel(z, ctx.image_size, self.scale)
         if ctx.conditional:
             # Baseline head: the previous-frame member is the condition and
             # is left untouched; identity is decided by the current member
             # alone.
-            overlaps = iou_matrix(z_pix[:, 4:], gt_pix[:, 4:])
+            overlaps = iou_matrix(boxes[:, 4:], gt_pix[:, 4:])
         else:
-            overlaps = iou3d_matrix(z_pix, gt_pix)
+            overlaps = iou3d_matrix(boxes, gt_pix)
         snap = np.argmax(overlaps, axis=1)
         # Weakly overlapping rows (oversized or far noise boxes) snap by
         # center distance; pure area-argmax would starve small objects.
         weak = overlaps.max(axis=1) < cfg.basin_floor
         if np.any(weak):
-            centers = z_pix[weak][:, [0, 1, 4, 5]]
+            centers = boxes[weak][:, [0, 1, 4, 5]]
             gt_centers = gt_pix[:, [0, 1, 4, 5]]
             if ctx.conditional:
                 dist = np.linalg.norm(
@@ -288,11 +262,11 @@ class OracleDenoiser:
 
         target_pix = gt_pix[snap]
         f = self.fidelity
-        out_pix = z_pix.copy()
+        out_pix = boxes.copy()
         blended = (4,) if ctx.conditional else (0, 4)
         for off in blended:
             sl = slice(off, off + 4)
-            out_pix[:, sl] = f * target_pix[:, sl] + (1.0 - f) * z_pix[:, sl]
+            out_pix[:, sl] = f * target_pix[:, sl] + (1.0 - f) * boxes[:, sl]
         if f > 0.0:
             out_pix = self._cap_residual(out_pix, target_pix, blended)
 
@@ -316,9 +290,7 @@ class OracleDenoiser:
         cls_cur = np.where(in_cur[snap], f, cfg.missing_cls)
         cls_prev = np.where(off_target, cfg.far_score, cls_prev)
         cls_cur = np.where(off_target, cfg.far_score, cls_cur)
-
-        out = pixel_to_signal(out_pix, ctx.image_size, self.scale)
-        return DenoisedBatch(out, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
+        return DenoisedBatch(out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
 
     def _cap_residual(
         self, out_pix: np.ndarray, target_pix: np.ndarray, members: tuple[int, ...]
@@ -371,9 +343,6 @@ class DetectionSnapDenoiser:
     iou(prev_det, cur_det) with min(conf_prev, conf_cur).
     """
 
-    def __init__(self, scale: float = DEFAULT_SIGNAL_SCALE):
-        self.scale = scale
-
     @staticmethod
     def _snap_frame(boxes_pix: np.ndarray, dets: Sequence[tuple[BBox, float]]):
         det_arr = np.stack([d[0].as_array() for d in dets])
@@ -385,25 +354,24 @@ class DetectionSnapDenoiser:
         pick = np.argmax(rank, axis=1)
         return det_arr[pick], confs[pick], pick
 
-    def denoise_batch(self, z: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
-        z = np.asarray(z, dtype=np.float64)
-        n = z.shape[0]
-        z_pix = signal_to_pixel(z, ctx.image_size, self.scale)
-        out_pix = z_pix.copy()
+    def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
+        boxes = np.asarray(boxes, dtype=np.float64)
+        n = boxes.shape[0]
+        out_pix = boxes.copy()
         cls_prev = np.zeros(n)
         cls_cur = np.zeros(n)
 
         have_prev = bool(ctx.det_prev)
         have_cur = bool(ctx.det_cur)
         if have_prev and not ctx.conditional:
-            boxes, confs, _ = self._snap_frame(z_pix[:, :4], ctx.det_prev)
-            out_pix[:, :4] = boxes
+            snapped, confs, _ = self._snap_frame(boxes[:, :4], ctx.det_prev)
+            out_pix[:, :4] = snapped
             cls_prev = confs
         elif ctx.conditional:
             cls_prev = np.ones(n)
         if have_cur:
-            boxes, confs, _ = self._snap_frame(z_pix[:, 4:], ctx.det_cur)
-            out_pix[:, 4:] = boxes
+            snapped, confs, _ = self._snap_frame(boxes[:, 4:], ctx.det_cur)
+            out_pix[:, 4:] = snapped
             cls_cur = confs
 
         if (have_prev or ctx.conditional) and have_cur:
@@ -411,6 +379,4 @@ class DetectionSnapDenoiser:
             assoc = 0.5 * (consistency + np.minimum(cls_prev, cls_cur))
         else:
             assoc = np.zeros(n)
-
-        out = pixel_to_signal(out_pix, ctx.image_size, self.scale)
-        return DenoisedBatch(out, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
+        return DenoisedBatch(out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))

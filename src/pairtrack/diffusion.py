@@ -7,9 +7,10 @@ one-step or multi-step DDIM ladder over the cosine schedule.
 ``beta`` table defines; chaining it reproduces ``alpha_bar``.
 
 Box coordinates travel through three spaces: pixels, unit (normalized by
-image size into [0, 1]) and signal ([-scale, scale], scale 2.0 by
-default). Proposal sets and everything inside the refinement loop live in
-signal space.
+image size into [0, 1]) and signal ([-SIGNAL_SCALE, SIGNAL_SCALE]).
+Padding is sampled in unit space; proposals, corruption and the DDIM update
+live in signal space, which this module owns: denoisers see and return
+pixels, and ``ddim_refine`` makes the only crossings to and from them.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .denoiser import (
-    DEFAULT_SIGNAL_SCALE,
     CandidateBatch,
     Denoiser,
     DenoisedBatch,
     FrameContext,
     ProposalOrigin,
-    signal_to_pixel,
 )
 from .geometry import BBox
 
@@ -44,12 +43,35 @@ __all__ = [
     "corrupt_proposals",
     "ddim_refine",
     "round_half_up",
+    "pixel_to_signal",
+    "signal_to_pixel",
 ]
+
+SIGNAL_SCALE = 2.0
 
 
 def round_half_up(value: float) -> int:
     """Round to nearest integer with halves going up; used for all counts."""
     return int(math.floor(value + 0.5))
+
+
+def pixel_to_signal(boxes: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """Map pixel-space (cx, cy, w, h) rows into the signal range.
+
+    Accepts (n, 4) single boxes or (n, 8) flattened pairs.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    w, h = image_size
+    norm = np.tile([w, h, w, h], boxes.shape[-1] // 4)
+    return (boxes / norm * 2.0 - 1.0) * SIGNAL_SCALE
+
+
+def signal_to_pixel(signal: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`pixel_to_signal`, with clamping to the valid range."""
+    signal = np.clip(np.asarray(signal, dtype=np.float64), -SIGNAL_SCALE, SIGNAL_SCALE)
+    w, h = image_size
+    norm = np.tile([w, h, w, h], signal.shape[-1] // 4)
+    return (signal / SIGNAL_SCALE + 1.0) / 2.0 * norm
 
 
 @dataclass(frozen=True)
@@ -179,7 +201,6 @@ def build_inference_proposals(
     strategy: PaddingStrategy,
     rng: np.random.Generator,
     image_size: tuple[int, int],
-    scale: float = DEFAULT_SIGNAL_SCALE,
     timestep: int = 0,
 ) -> ProposalSet:
     """Initialize a proposal batch from the previous frame's tracked boxes.
@@ -208,7 +229,7 @@ def build_inference_proposals(
 
     origin = np.full(n_test, ProposalOrigin.PADDED, dtype=np.int8)
     origin[:n_prior] = ProposalOrigin.PRIOR
-    signal = (rows * 2.0 - 1.0) * scale
+    signal = (rows * 2.0 - 1.0) * SIGNAL_SCALE
     return ProposalSet(pairs=signal, timestep=timestep, origin=origin)
 
 
@@ -247,18 +268,18 @@ def ddim_refine(
     denoiser: Denoiser,
     ctx: FrameContext,
     sched: NoiseSchedule,
-    scale: float = DEFAULT_SIGNAL_SCALE,
 ) -> CandidateBatch:
     """Iteratively denoise a proposal batch into a pixel-space candidate batch.
 
     The timestep ladder descends from the proposal timestep to 0 in
-    ``steps`` evenly spaced stages. Every stage asks the denoiser for its
-    clean-sample prediction (clamped to the signal range); intermediate
-    stages re-noise it to the next rung with the deterministic (eta = 0)
-    DDIM update. The final stage's predictions become the returned arrays,
-    row i for proposal slot i, with the proposals' origins. A denoiser
-    output that changes the row count, holds non-finite values or scores
-    outside [0, 1] raises ``ValueError``.
+    ``steps`` evenly spaced stages. Every stage hands the denoiser the sample
+    in pixels and maps its clean-sample prediction back into the (clamped)
+    signal range; intermediate stages re-noise it to the next rung with the
+    deterministic (eta = 0) DDIM update. The final stage's predictions,
+    mapped to pixels, become the returned arrays, row i for proposal slot i,
+    with the proposals' origins. A denoiser output that changes the row
+    count, holds non-finite values or scores outside [0, 1] raises
+    ``ValueError``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -268,9 +289,11 @@ def ddim_refine(
 
     for stage in range(steps):
         s_cur = int(ladder[stage])
-        batch = denoiser.denoise_batch(z, s_cur, ctx)
+        batch = denoiser.denoise_batch(signal_to_pixel(z, ctx.image_size), s_cur, ctx)
         _check_denoised(batch, n)
-        z0_hat = np.clip(batch.pairs, -scale, scale)
+        z0_hat = np.clip(
+            pixel_to_signal(batch.pairs, ctx.image_size), -SIGNAL_SCALE, SIGNAL_SCALE
+        )
         if stage == steps - 1:
             break
         s_next = int(ladder[stage + 1])
@@ -282,9 +305,9 @@ def ddim_refine(
             eps = (z - math.sqrt(a_cur) * z0_hat) / math.sqrt(1.0 - a_cur)
         z = math.sqrt(a_next) * z0_hat + math.sqrt(1.0 - a_next) * eps
 
-    pixel = signal_to_pixel(np.clip(batch.pairs, -scale, scale), ctx.image_size, scale)
+    # The round trip through signal space clamps the output to the image.
     return CandidateBatch(
-        pairs=pixel,
+        pairs=signal_to_pixel(z0_hat, ctx.image_size),
         cls_prev=batch.cls_prev,
         cls_cur=batch.cls_cur,
         assoc=batch.assoc,

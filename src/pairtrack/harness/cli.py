@@ -244,7 +244,14 @@ def _cmd_track(args) -> int:
         scene = scene_from_gt(parse_motchallenge(args.gt), image_size)
         denoiser_kind = args.denoiser or "oracle"
     else:
-        detections = detections_from_rows(parse_motchallenge(args.det))
+        rows = parse_motchallenge(args.det)
+        # The snap denoiser scores with these confidences.
+        for frame, conf in ((f, r.conf) for f, rs in rows.items() for r in rs):
+            if not 0.0 <= conf <= 1.0:
+                raise MotFormatError(
+                    f"{args.det}: frame {frame}: confidence {conf} outside [0, 1]"
+                )
+        detections = detections_from_rows(rows)
         denoiser_kind = args.denoiser or "snap"
     if denoiser_kind == "oracle":
         if scene is None:
@@ -271,6 +278,7 @@ def _cmd_track(args) -> int:
             inputs={"gt": args.gt or "", "det": args.det or ""},
             outputs={"result": args.out},
             extra={"denoiser": denoiser_kind, "fidelity": fidelity,
+                   "oracle": config_snapshot(oracle_cfg),
                    "image_size": list(image_size)},
         ),
         Path(args.out).with_suffix(".manifest.json"),
@@ -326,7 +334,7 @@ def _cmd_ablate(args) -> int:
         oracle_cfg=oracle_cfg,
     )
     write_csv(rows, args.out)
-    _write_experiment_manifest("ablate", args, seed, cfg, fidelity)
+    _write_experiment_manifest("ablate", args, seed, cfg, fidelity, oracle_cfg)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -343,7 +351,7 @@ def _cmd_sweep(args) -> int:
         oracle_cfg=oracle_cfg,
     )
     write_csv(rows, args.out)
-    _write_experiment_manifest("sweep", args, seed, cfg, fidelity)
+    _write_experiment_manifest("sweep", args, seed, cfg, fidelity, oracle_cfg)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -359,12 +367,14 @@ def _cmd_robustness(args) -> int:
         oracle_cfg=oracle_cfg,
     )
     write_csv(rows, args.out)
-    _write_experiment_manifest("robustness", args, seed, cfg, fidelity)
+    _write_experiment_manifest("robustness", args, seed, cfg, fidelity, oracle_cfg)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _write_experiment_manifest(command, args, seed, cfg, fidelity) -> None:
+def _write_experiment_manifest(
+    command, args, seed, cfg, fidelity, oracle_cfg
+) -> None:
     write_manifest(
         RunManifest(
             command=command,
@@ -372,7 +382,8 @@ def _write_experiment_manifest(command, args, seed, cfg, fidelity) -> None:
             config=config_snapshot(cfg),
             inputs={"gt": args.gt},
             outputs={"csv": args.out},
-            extra={"fidelity": fidelity, "argv": sys.argv[1:]},
+            extra={"fidelity": fidelity, "oracle": config_snapshot(oracle_cfg),
+                   "argv": sys.argv[1:]},
         ),
         Path(args.out).with_suffix(".manifest.json"),
     )

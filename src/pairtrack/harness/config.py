@@ -1,8 +1,9 @@
 """Flat sectioned key-value configuration with layered precedence.
 
 Resolution order for every knob: CLI flag > config-file key > built-in
-default. Files are INI-style with sections mirroring the component
-configs::
+default. Files are INI-style with one section per component config, whose
+fields (plus the oracle's ``fidelity``) are the only keys; any other section
+or key is an error rather than silently ignored::
 
     [pipeline]
     n_test = 500
@@ -18,55 +19,35 @@ configs::
 
     [oracle]
     fidelity = 0.9
+    snap_cap = 0.035
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from ..denoiser import OracleConfig
-from ..diffusion import PaddingStrategy, PerturbationSchedule
-from ..pipeline import PipelineConfig, Variant
+from ..pipeline import PipelineConfig
 from ..tracker import TrackerConfig
 
 __all__ = ["load_config_file", "resolve_pipeline_config", "resolve_oracle",
            "config_snapshot"]
 
-_PIPELINE_FIELDS = {
-    "n_test": int,
-    "steps": int,
-    "proportion": float,
-    "timesteps": int,
-    "signal_scale": float,
-    "default_motion": float,
-    "padding": PaddingStrategy,
-    "perturbation": PerturbationSchedule,
-    "variant": Variant,
-}
 
-_TRACKER_FIELDS = {
-    "conf_threshold": float,
-    "det_threshold": float,
-    "nms3d_threshold": float,
-    "nms2d_threshold": float,
-    "init_score_threshold": float,
-    "iou_match_threshold": float,
-    "max_lost_age": int,
-}
+def _fields(cls) -> dict[str, Any]:
+    """Field name -> type of a config dataclass, nested configs left out."""
+    hints = get_type_hints(cls)
+    return {k: t for k, t in hints.items() if not dataclasses.is_dataclass(t)}
 
-_ORACLE_FIELDS = {
-    "fidelity": float,
-    "far_floor": float,
-    "far_score": float,
-    "missing_penalty": float,
-    "missing_cls": float,
-    "basin_floor": float,
-    "tie_margin": float,
-    "score_floor": float,
-    "snap_cap": float,
+
+_SCHEMA = {
+    "pipeline": _fields(PipelineConfig),
+    "tracker": _fields(TrackerConfig),
+    "oracle": {"fidelity": float, **_fields(OracleConfig)},
 }
 
 
@@ -78,22 +59,27 @@ def load_config_file(path: str | Path | None) -> dict[str, dict[str, str]]:
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(path)
-    return {section: dict(cp[section]) for section in cp.sections()}
+    values = {section: dict(cp[section]) for section in cp.sections()}
+    for section, keys in values.items():
+        if section not in _SCHEMA:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in keys:
+            if key not in _SCHEMA[section]:
+                raise ValueError(f"{path}: [{section}] unknown key {key!r}")
+    return values
 
 
 def _coerce(kind: Any, raw: str):
-    if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(kind, type) and issubclass(kind, (PaddingStrategy,
-                                                    PerturbationSchedule,
-                                                    Variant)):
+    if issubclass(kind, Enum):
         return kind(raw.strip().lower())
     return kind(raw)
 
 
-def _layer(fields: dict, file_section: dict[str, str], overrides: dict) -> dict:
+def _layer(section: str, file_values: dict | None, overrides: dict) -> dict:
+    """Typed keyword arguments for one section's config, file then overrides."""
+    file_section = (file_values or {}).get(section, {})
     out = {}
-    for name, kind in fields.items():
+    for name, kind in _SCHEMA[section].items():
         if name in file_section:
             out[name] = _coerce(kind, file_section[name])
         value = overrides.get(name)
@@ -107,13 +93,8 @@ def resolve_pipeline_config(
     **overrides,
 ) -> PipelineConfig:
     """Build a pipeline config from defaults, file values, then overrides."""
-    file_values = file_values or {}
-    pipeline_kwargs = _layer(
-        _PIPELINE_FIELDS, file_values.get("pipeline", {}), overrides
-    )
-    tracker_kwargs = _layer(
-        _TRACKER_FIELDS, file_values.get("tracker", {}), overrides
-    )
+    pipeline_kwargs = _layer("pipeline", file_values, overrides)
+    tracker_kwargs = _layer("tracker", file_values, overrides)
     return PipelineConfig(
         tracker=TrackerConfig(**tracker_kwargs), **pipeline_kwargs
     )
@@ -124,14 +105,13 @@ def resolve_oracle(
     **overrides,
 ) -> tuple[float, OracleConfig]:
     """Oracle fidelity plus score-model parameters from the same layers."""
-    file_values = file_values or {}
-    kwargs = _layer(_ORACLE_FIELDS, file_values.get("oracle", {}), overrides)
+    kwargs = _layer("oracle", file_values, overrides)
     fidelity = kwargs.pop("fidelity", 0.9)
     return fidelity, OracleConfig(**kwargs)
 
 
-def config_snapshot(cfg: PipelineConfig) -> dict:
-    """Flatten a config into JSON-ready primitives for the run manifest."""
+def config_snapshot(cfg) -> dict:
+    """Flatten a config dataclass into JSON-ready primitives for a manifest."""
 
     def plain(value):
         if dataclasses.is_dataclass(value):
@@ -139,7 +119,7 @@ def config_snapshot(cfg: PipelineConfig) -> dict:
                 f.name: plain(getattr(value, f.name))
                 for f in dataclasses.fields(value)
             }
-        if isinstance(value, (PaddingStrategy, PerturbationSchedule, Variant)):
+        if isinstance(value, Enum):
             return value.value
         return value
 

@@ -60,7 +60,6 @@ class PipelineConfig:
     padding: PaddingStrategy = PaddingStrategy.CAT_GAUSSIAN
     perturbation: PerturbationSchedule = PerturbationSchedule.LOGARITHMIC
     timesteps: int = 1000
-    signal_scale: float = 2.0
     variant: Variant = Variant.DIFFUSION
     default_motion: float = 0.25
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -119,7 +118,7 @@ def run_pair(
     baseline = cfg.variant is Variant.BASELINE
     props = build_inference_proposals(
         priors, cfg.n_test, 1.0 if baseline else cfg.proportion, cfg.padding,
-        rng, ctx.image_size, scale=cfg.signal_scale, timestep=t,
+        rng, ctx.image_size, timestep=t,
     )
     if baseline and props.n_prior_slots:
         props = _corrupt_cur_only(props, alpha, rng)
@@ -128,7 +127,7 @@ def run_pair(
         props = corrupt_proposals(props, alpha, rng)
     steps = 1 if baseline else cfg.steps
 
-    batch = ddim_refine(props, steps, denoiser, ctx, sched, cfg.signal_scale)
+    batch = ddim_refine(props, steps, denoiser, ctx, sched)
     kept = _gate_and_suppress(batch, cfg)
     return kept, sum(c.origin == ProposalOrigin.PRIOR for c in kept)
 

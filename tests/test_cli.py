@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import csv
+import json
+from dataclasses import replace
 
+from pairtrack.denoiser import OracleConfig
+from pairtrack.diffusion import PaddingStrategy, PerturbationSchedule
 from pairtrack.harness.cli import main
+from pairtrack.harness.config import (
+    config_snapshot,
+    resolve_oracle,
+    resolve_pipeline_config,
+)
 from pairtrack.harness.io import parse_motchallenge
+from pairtrack.pipeline import PipelineConfig, Variant
+from pairtrack.tracker import TrackerConfig
 
 
 def test_simulate_track_det_eval(tmp_path):
@@ -109,3 +120,73 @@ def test_zero_size_detection_is_legal(tmp_path):
     det.write_text("1,-1,10,10,0,0,0.9,-1,-1,-1\n")
     (row,) = parse_motchallenge(det)[1]
     assert (row.box.w, row.box.h) == (0.0, 0.0)
+
+
+def _track_with_config(tmp_path, text):
+    scene_dir = _simulate(tmp_path)
+    config = tmp_path / "c.ini"
+    config.write_text(text)
+    result = tmp_path / "result.txt"
+    code = main(["track", "--gt", str(scene_dir / "gt.txt"), "--config",
+                 str(config), "--out", str(result), "--n-test", "32"])
+    return code, config, result
+
+
+def test_retired_signal_scale_key_is_data_error(tmp_path, capsys):
+    # The signal scale belongs to the diffusion loop; a file that still
+    # sets it must not run with a scale the denoisers never see.
+    code, config, result = _track_with_config(
+        tmp_path, "[pipeline]\nsignal_scale = 1.0\n"
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "signal_scale" in err and str(config) in err
+    assert not result.exists()
+
+
+def test_unknown_config_section_is_data_error(tmp_path, capsys):
+    code, config, result = _track_with_config(tmp_path, "[pipleine]\nn_test = 10\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "pipleine" in err and str(config) in err
+    assert not result.exists()
+
+
+def test_manifest_records_oracle_config(tmp_path):
+    code, _, result = _track_with_config(tmp_path, "[oracle]\nsnap_cap = 0.2\n")
+    assert code == 0
+    manifest = json.loads(result.with_suffix(".manifest.json").read_text())
+    assert manifest["extra"]["oracle"]["snap_cap"] == 0.2
+    assert manifest["extra"]["fidelity"] == 0.9
+
+
+def test_out_of_range_detection_confidence_is_data_error(tmp_path, capsys):
+    code, det, result = _track_det_rows(tmp_path, [
+        "1,-1,10,10,20,20,0.9,-1,-1,-1",
+        "2,-1,10,10,20,20,5.0,-1,-1,-1",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{det}: frame 2" in err and "5.0" in err
+    assert not result.exists()
+
+
+def test_config_round_trip():
+    # A manifest snapshot written back as a config file resolves to the same
+    # configs: every field is a key, and every key reads back its type.
+    cfg = PipelineConfig(
+        n_test=64, steps=2, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
+        perturbation=PerturbationSchedule.LINEAR, timesteps=500,
+        variant=Variant.BASELINE, default_motion=0.1,
+        tracker=TrackerConfig(conf_threshold=0.3, max_lost_age=7),
+    )
+    snap = config_snapshot(cfg)
+    values = {
+        "pipeline": {k: str(v) for k, v in snap.items() if k != "tracker"},
+        "tracker": {k: str(v) for k, v in snap["tracker"].items()},
+        "oracle": {"fidelity": "0.5", "snap_cap": "0.2"},
+    }
+    assert resolve_pipeline_config(values) == cfg
+    assert resolve_oracle(values) == (0.5, OracleConfig(snap_cap=0.2))
+    overridden = resolve_pipeline_config(values, n_test=16, padding="full")
+    assert overridden == replace(cfg, n_test=16, padding=PaddingStrategy.CAT_FULL)

@@ -10,36 +10,10 @@ from pairtrack.denoiser import (
     FrameContext,
     IdentityDenoiser,
     OracleDenoiser,
-    pixel_to_signal,
-    signal_to_pixel,
 )
 from pairtrack.geometry import BBox, PairedBox, iou3d
 
 IMAGE = (1000, 800)
-
-
-def pairs_to_signal(rows_pix):
-    return pixel_to_signal(np.asarray(rows_pix, dtype=float), IMAGE)
-
-
-def row_pixels(out, i):
-    """Denoiser output rows are in signal space; map row i back to pixels."""
-    return signal_to_pixel(out.pairs[i], IMAGE)
-
-
-class TestSignalMapping:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        boxes = rng.uniform(50, 700, size=(20, 8))
-        sig = pixel_to_signal(boxes, IMAGE)
-        back = signal_to_pixel(sig, IMAGE)
-        assert np.allclose(back, boxes)
-
-    def test_clamping(self):
-        sig = np.full((1, 8), 99.0)
-        out = signal_to_pixel(sig, IMAGE)
-        w, h = IMAGE
-        assert np.allclose(out[0, :4], [w, h, w, h])
 
 
 class TestIdentityDenoiser:
@@ -68,23 +42,24 @@ class TestOracleDenoiser:
 
     def test_fidelity_one_snaps_exactly(self):
         ctx = self.ctx()
-        z = pairs_to_signal(
+        boxes = np.array(
             [
                 [205, 195, 50, 90, 215, 210, 70, 110],
                 [610, 390, 70, 70, 580, 410, 90, 90],
-            ]
+            ],
+            dtype=float,
         )
-        out = OracleDenoiser(1.0).denoise_batch(z, 100, ctx)
-        assert np.allclose(row_pixels(out, 0), [200, 200, 60, 100, 210, 205, 60, 100])
-        assert np.allclose(row_pixels(out, 1), [600, 400, 80, 80, 590, 400, 80, 80])
+        out = OracleDenoiser(1.0).denoise_batch(boxes, 100, ctx)
+        assert np.allclose(out.pairs[0], [200, 200, 60, 100, 210, 205, 60, 100])
+        assert np.allclose(out.pairs[1], [600, 400, 80, 80, 590, 400, 80, 80])
         assert out.assoc[0] >= 0.95  # near-unit score, modulated by input fit
         assert out.cls_prev[0] == pytest.approx(1.0)
 
     def test_fidelity_zero_echoes_with_low_scores(self):
         ctx = self.ctx()
-        z = pairs_to_signal([[205, 195, 50, 90, 215, 210, 70, 110]])
-        out = OracleDenoiser(0.0).denoise_batch(z, 100, ctx)
-        assert np.allclose(row_pixels(out, 0), [205, 195, 50, 90, 215, 210, 70, 110])
+        boxes = np.array([[205, 195, 50, 90, 215, 210, 70, 110]], dtype=float)
+        out = OracleDenoiser(0.0).denoise_batch(boxes, 100, ctx)
+        assert np.allclose(out.pairs[0], [205, 195, 50, 90, 215, 210, 70, 110])
         assert out.assoc[0] < 0.25
 
     def test_each_snaps_to_nearest(self):
@@ -100,58 +75,58 @@ class TestOracleDenoiser:
             PairedBox(BBox(200, 200, 60, 100), BBox(210, 205, 60, 100)),
             PairedBox(BBox(600, 400, 80, 80), BBox(590, 400, 80, 80)),
         ]
-        out = OracleDenoiser(1.0).denoise_batch(pairs_to_signal(rows), 100, ctx)
+        out = OracleDenoiser(1.0).denoise_batch(rows, 100, ctx)
         for i, row in enumerate(rows):
             row_pair = PairedBox.from_flat(row)
             overlaps = [iou3d(row_pair, t) for t in targets]
             if max(overlaps) > 0:
                 expected = targets[int(np.argmax(overlaps))]
-                assert np.allclose(row_pixels(out, i), expected.flatten())
+                assert np.allclose(out.pairs[i], expected.flatten())
 
     def test_missing_in_one_frame_penalized(self):
         gt_prev = [(1, BBox(200, 200, 60, 100))]
         gt_cur = []  # identity 1 vanished in the current frame
         ctx = FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
-        z = pairs_to_signal([[200, 200, 60, 100, 200, 200, 60, 100]])
-        out = OracleDenoiser(1.0).denoise_batch(z, 50, ctx)
+        boxes = np.array([[200, 200, 60, 100, 200, 200, 60, 100]], dtype=float)
+        out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
         assert out.assoc[0] < 0.25
         assert out.cls_cur[0] < 0.25
 
     def test_empty_gt_all_below_gate(self):
         ctx = FrameContext(1, 2, IMAGE, gt_prev=[], gt_cur=[])
-        z = pairs_to_signal(np.full((5, 8), 300.0))
-        out = OracleDenoiser(1.0).denoise_batch(z, 50, ctx)
+        boxes = np.full((5, 8), 300.0)
+        out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
         assert np.all(out.assoc < 0.25)
 
     def test_low_fidelity_far_rows_below_gate(self):
         # With weak fidelity an output row stuck far from every target is
         # marked off-target.
         ctx = self.ctx()
-        z = pairs_to_signal([[950, 50, 10, 10, 950, 60, 10, 10]])
-        out = OracleDenoiser(0.1).denoise_batch(z, 50, ctx)
+        boxes = np.array([[950, 50, 10, 10, 950, 60, 10, 10]], dtype=float)
+        out = OracleDenoiser(0.1).denoise_batch(boxes, 50, ctx)
         assert out.assoc[0] < 0.25
 
     def test_detection_mode_prev_equals_cur(self):
         gt = [(1, BBox(300, 300, 60, 60))]
         ctx = FrameContext(5, 5, IMAGE, gt_prev=gt, gt_cur=gt)
-        z = pairs_to_signal([[280, 280, 50, 50, 320, 320, 70, 70]])
-        out = OracleDenoiser(1.0).denoise_batch(z, 0, ctx)
-        pix = row_pixels(out, 0)
+        boxes = np.array([[280, 280, 50, 50, 320, 320, 70, 70]], dtype=float)
+        out = OracleDenoiser(1.0).denoise_batch(boxes, 0, ctx)
+        pix = out.pairs[0]
         assert np.allclose(pix[:4], pix[4:])
 
     def test_conditional_mode_keeps_prev_member(self):
         ctx = self.ctx(conditional=True)
-        z = pairs_to_signal([[205, 195, 50, 90, 215, 210, 70, 110]])
-        out = OracleDenoiser(1.0).denoise_batch(z, 100, ctx)
-        pix = row_pixels(out, 0)
+        boxes = np.array([[205, 195, 50, 90, 215, 210, 70, 110]], dtype=float)
+        out = OracleDenoiser(1.0).denoise_batch(boxes, 100, ctx)
+        pix = out.pairs[0]
         assert np.allclose(pix[:4], [205, 195, 50, 90])  # condition untouched
         assert np.allclose(pix[4:], [210, 205, 60, 100])  # snapped
 
     def test_deterministic(self):
         ctx = self.ctx()
-        z = pairs_to_signal(np.random.default_rng(1).uniform(100, 700, (10, 8)))
-        a = OracleDenoiser(0.8).denoise_batch(z, 30, ctx)
-        b = OracleDenoiser(0.8).denoise_batch(z, 30, ctx)
+        boxes = np.random.default_rng(1).uniform(100, 700, (10, 8))
+        a = OracleDenoiser(0.8).denoise_batch(boxes, 30, ctx)
+        b = OracleDenoiser(0.8).denoise_batch(boxes, 30, ctx)
         assert np.allclose(a.pairs, b.pairs)
         assert np.array_equal(a.assoc, b.assoc)
 
@@ -167,10 +142,10 @@ class TestDetectionSnapDenoiser:
             det_prev=[(BBox(300, 300, 60, 60), 0.9)],
             det_cur=[(BBox(320, 300, 60, 60), 0.8)],
         )
-        z = pairs_to_signal(np.tile([500.0, 500, 80, 80, 500, 500, 80, 80], (3, 1)))
-        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        boxes = np.tile([500.0, 500, 80, 80, 500, 500, 80, 80], (3, 1))
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         for i in range(3):
-            pix = row_pixels(out, i)
+            pix = out.pairs[i]
             assert np.allclose(pix[:4], [300, 300, 60, 60])
             assert np.allclose(pix[4:], [320, 300, 60, 60])
             assert out.cls_prev[i] == pytest.approx(0.9)
@@ -179,8 +154,8 @@ class TestDetectionSnapDenoiser:
     def test_stationary_full_confidence(self):
         b = BBox(300, 300, 60, 60)
         ctx = FrameContext(1, 2, IMAGE, det_prev=[(b, 1.0)], det_cur=[(b, 1.0)])
-        z = pairs_to_signal([[300, 300, 60, 60, 300, 300, 60, 60]])
-        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        boxes = np.array([[300, 300, 60, 60, 300, 300, 60, 60]], dtype=float)
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == pytest.approx(1.0)
 
     def test_crossing_objects_resolved_by_overlap(self):
@@ -193,15 +168,15 @@ class TestDetectionSnapDenoiser:
             det_prev=[(a_prev, 0.9), (b_prev, 0.9)],
             det_cur=[(a_cur, 0.9), (b_cur, 0.9)],
         )
-        z = pairs_to_signal([[210, 300, 60, 60, 230, 300, 60, 60]])
-        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
-        pix = row_pixels(out, 0)
+        boxes = np.array([[210, 300, 60, 60, 230, 300, 60, 60]], dtype=float)
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
+        pix = out.pairs[0]
         assert np.allclose(pix[:4], a_prev.as_array())
         assert np.allclose(pix[4:], a_cur.as_array())
 
     def test_no_detections_zero_scores(self):
         ctx = FrameContext(1, 2, IMAGE, det_prev=[], det_cur=[])
-        z = pairs_to_signal([[100, 100, 50, 50, 100, 100, 50, 50]])
-        out = DetectionSnapDenoiser().denoise_batch(z, 0, ctx)
+        boxes = np.array([[100, 100, 50, 50, 100, 100, 50, 50]], dtype=float)
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == 0.0
-        assert np.allclose(row_pixels(out, 0), [100, 100, 50, 50, 100, 100, 50, 50])
+        assert np.allclose(out.pairs[0], [100, 100, 50, 50, 100, 100, 50, 50])

@@ -12,7 +12,6 @@ from pairtrack.denoiser import (
     FrameContext,
     IdentityDenoiser,
     OracleDenoiser,
-    pixel_to_signal,
 )
 from pairtrack.diffusion import (
     PaddingStrategy,
@@ -23,12 +22,29 @@ from pairtrack.diffusion import (
     cosine_schedule,
     ddim_refine,
     perturbation_timestep,
+    pixel_to_signal,
     round_half_up,
+    signal_to_pixel,
     single_step_noise,
 )
 from pairtrack.geometry import BBox
 
 IMAGE = (1000, 1000)
+
+
+class TestSignalMapping:
+    def test_roundtrip(self):
+        rng = np.random.default_rng(0)
+        boxes = rng.uniform(50, 700, size=(20, 8))
+        sig = pixel_to_signal(boxes, IMAGE)
+        back = signal_to_pixel(sig, IMAGE)
+        assert np.allclose(back, boxes)
+
+    def test_clamping(self):
+        sig = np.full((1, 8), 99.0)
+        out = signal_to_pixel(sig, IMAGE)
+        w, h = IMAGE
+        assert np.allclose(out[0, :4], [w, h, w, h])
 
 
 class TestCosineSchedule:
@@ -252,8 +268,8 @@ class TestCorruptProposals:
 
 
 class _ConstantDenoiser:
-    """Always predicts the same clean batch, regardless of input; ``scores``
-    overrides the unit class and association scores by field name."""
+    """Always predicts the same clean pixel-space batch, regardless of input;
+    ``scores`` overrides the unit class and association scores by field name."""
 
     def __init__(self, pairs, **scores):
         self.pairs = pairs
@@ -290,15 +306,28 @@ class TestDdimRefine:
         assert np.allclose(got, unit)
 
     def test_idempotent_denoiser_fixed_point(self):
-        target = np.tile(np.linspace(-1, 1, 8), (4, 1))
+        target = np.tile(np.linspace(250, 750, 8), (4, 1))  # pixels
         den = _ConstantDenoiser(target)
         p = self.proposals(n=4)
         for steps in (1, 2, 4, 7):
             out = ddim_refine(p, steps, den, self.ctx, self.sched)
-            got = out.pairs
-            w, h = IMAGE
-            unit = (target / 2.0 + 1) / 2 * np.tile([w, h, w, h], 2)
-            assert np.allclose(got, unit), steps
+            assert np.allclose(out.pairs, target), steps
+
+    def test_denoiser_sees_pixels(self):
+        # The signal space stays inside the loop: every stage hands the
+        # denoiser its sample mapped to pixels.
+        seen = []
+
+        class Spy(IdentityDenoiser):
+            def denoise_batch(self, boxes, s, ctx):
+                seen.append(boxes)
+                return super().denoise_batch(boxes, s, ctx)
+
+        p = self.proposals(n=6)
+        ddim_refine(p, 2, Spy(), self.ctx, self.sched)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], signal_to_pixel(p.pairs, IMAGE))
+        assert np.all((seen[1] >= 0.0) & (seen[1] <= 1000.0))
 
     def test_perfect_oracle_reaches_gt_any_steps(self):
         gt_prev = [(1, BBox(300, 300, 60, 120)), (2, BBox(700, 650, 80, 80))]

@@ -27,3 +27,14 @@ def test_scalar_geometry_exported():
     for name in ("giou", "giou3d", "iou3d"):
         assert name in pairtrack.__all__
         assert name in pairtrack.geometry.__all__
+
+
+def test_signal_space_owned_by_diffusion():
+    # Denoisers see pixels; only the DDIM loop's module maps to and from
+    # the signal space.
+    for name in ("pixel_to_signal", "signal_to_pixel"):
+        owners = [
+            m for m in MODULES
+            if name in getattr(importlib.import_module(m), "__all__", [])
+        ]
+        assert owners == ["pairtrack.diffusion"], name
