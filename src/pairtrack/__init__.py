@@ -6,7 +6,7 @@ and feeding them through a Kalman-backed track lifecycle.
 """
 
 from .denoiser import (
-    Candidate,
+    CandidateBatch,
     DetectionSnapDenoiser,
     FrameContext,
     IdentityDenoiser,
@@ -47,7 +47,7 @@ __all__ = [
     "cosine_schedule",
     "PaddingStrategy",
     "PerturbationSchedule",
-    "Candidate",
+    "CandidateBatch",
     "FrameContext",
     "OracleDenoiser",
     "OracleConfig",

@@ -6,8 +6,8 @@ row per input row: a cleaned paired box, per-frame class scores and an
 association score. Denoisers take and return pixel-space boxes; the
 diffusion's signal space and its scale stay inside
 ``diffusion.ddim_refine``, which converts on the way in and out. The
-refinement loop turns the final batch into a ``CandidateBatch``;
-``Candidate`` objects are built only for the rows that survive the gates.
+refinement loop turns the final batch into a ``CandidateBatch``, whose rows
+the gates select and the tracker reads, still as arrays.
 Three implementations ship here:
 
 * ``OracleDenoiser`` snaps rows toward ground truth with configurable
@@ -26,12 +26,11 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import BBox, PairedBox, iou3d_matrix, iou_matrix, overlap
+from .geometry import BBox, iou3d_matrix, iou_matrix, overlap
 
 __all__ = [
     "FrameContext",
     "ProposalOrigin",
-    "Candidate",
     "CandidateBatch",
     "DenoisedBatch",
     "Denoiser",
@@ -71,27 +70,9 @@ class ProposalOrigin:
 
 
 @dataclass
-class Candidate:
-    """A denoised paired box with its scores.
-
-    ``pair`` is in pixel space; ``CandidateBatch.candidates`` builds one
-    per row that survives the gates. ``index`` is the original proposal
-    slot the candidate came from and ``origin`` that slot's
-    ``ProposalOrigin``: prior-derived rows continue existing tracks, padded
-    rows discover new objects.
-    """
-
-    pair: PairedBox
-    cls_prev: float
-    cls_cur: float
-    assoc: float
-    index: int = 0
-    origin: int = ProposalOrigin.PADDED
-
-
-@dataclass
 class CandidateBatch:
-    """Refined proposals as arrays, pixel space; row i is proposal slot i."""
+    """Refined proposals as arrays, pixel space; row i is proposal slot i
+    until ``take`` selects rows, which keep their scores and origins."""
 
     pairs: np.ndarray      # (n, 8), pixel space
     cls_prev: np.ndarray   # (n,)
@@ -99,19 +80,15 @@ class CandidateBatch:
     assoc: np.ndarray      # (n,)
     origin: np.ndarray     # (n,), ProposalOrigin values
 
-    def candidates(self, rows: Sequence[int]) -> list[Candidate]:
-        """``Candidate`` objects for the given rows, in the given order."""
-        return [
-            Candidate(
-                pair=PairedBox.from_flat(self.pairs[i]),
-                cls_prev=float(self.cls_prev[i]),
-                cls_cur=float(self.cls_cur[i]),
-                assoc=float(self.assoc[i]),
-                index=int(i),
-                origin=int(self.origin[i]),
-            )
-            for i in rows
-        ]
+    def __len__(self) -> int:
+        return self.pairs.shape[0]
+
+    def take(self, rows) -> "CandidateBatch":
+        """The given rows, in the given order."""
+        return CandidateBatch(
+            self.pairs[rows], self.cls_prev[rows], self.cls_cur[rows],
+            self.assoc[rows], self.origin[rows],
+        )
 
 
 @dataclass

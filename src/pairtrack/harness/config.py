@@ -3,7 +3,9 @@
 Resolution order for every knob: CLI flag > config-file key > built-in
 default. Files are INI-style with one section per component config, whose
 fields (plus the oracle's ``fidelity``) are the only keys; any other section
-or key is an error rather than silently ignored::
+or key, a value its field's type cannot take, or a file ``configparser``
+cannot read is a ``ValueError`` naming the file rather than silently
+ignored::
 
     [pipeline]
     n_test = 500
@@ -51,21 +53,33 @@ _SCHEMA = {
 }
 
 
-def load_config_file(path: str | Path | None) -> dict[str, dict[str, str]]:
-    """Read an INI config into raw string sections; empty without a path."""
+def load_config_file(path: str | Path | None) -> dict[str, dict[str, Any]]:
+    """Read an INI config into sections of typed values; empty without a
+    path."""
     if path is None:
         return {}
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        raw = {section: dict(cp[section]) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not read:
         raise FileNotFoundError(path)
-    values = {section: dict(cp[section]) for section in cp.sections()}
-    for section, keys in values.items():
+    values: dict[str, dict[str, Any]] = {}
+    for section, keys in raw.items():
         if section not in _SCHEMA:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key in keys:
+        values[section] = {}
+        for key, text in keys.items():
             if key not in _SCHEMA[section]:
                 raise ValueError(f"{path}: [{section}] unknown key {key!r}")
+            try:
+                values[section][key] = _coerce(_SCHEMA[section][key], text)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: [{section}] {key} = {text!r}: {exc}"
+                ) from exc
     return values
 
 
@@ -76,15 +90,16 @@ def _coerce(kind: Any, raw: str):
 
 
 def _layer(section: str, file_values: dict | None, overrides: dict) -> dict:
-    """Typed keyword arguments for one section's config, file then overrides."""
+    """Typed keyword arguments for one section's config, file then overrides;
+    string values are coerced to the field's type."""
     file_section = (file_values or {}).get(section, {})
     out = {}
     for name, kind in _SCHEMA[section].items():
-        if name in file_section:
-            out[name] = _coerce(kind, file_section[name])
         value = overrides.get(name)
+        if value is None:
+            value = file_section.get(name)
         if value is not None:
-            out[name] = value if not isinstance(value, str) else _coerce(kind, value)
+            out[name] = _coerce(kind, value) if isinstance(value, str) else value
     return out
 
 

@@ -6,18 +6,18 @@ sqrt(class_score * association_score) per frame, L1 regression in
 image-normalized coordinates, and the paired-box GIoU complement. Term
 weights are (2, 5, 2) and the sum is normalized by the positive-match
 count. Unmatched predictions contribute background focal terms only.
+Predictions are the rows of a ``CandidateBatch``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .denoiser import Candidate
+from .denoiser import CandidateBatch
 from .geometry import PairedBox, giou3d
 
 __all__ = [
@@ -73,40 +73,43 @@ def hungarian(cost: np.ndarray) -> MatchSet:
     )
 
 
-def focal_loss(
-    p: float, y: int, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA
-) -> float:
-    """Standard focal loss for a binary label on probability ``p``."""
-    p = min(max(p, _EPS), 1.0 - _EPS)
+def focal_loss(p, y: int, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA):
+    """Standard focal loss for a binary label on probability ``p``, a
+    scalar or an array of them."""
+    p = np.clip(p, _EPS, 1.0 - _EPS)
     if y == 1:
-        return -alpha * (1.0 - p) ** gamma * math.log(p)
-    return -(1.0 - alpha) * p ** gamma * math.log(1.0 - p)
+        return -alpha * (1.0 - p) ** gamma * np.log(p)
+    return -(1.0 - alpha) * p ** gamma * np.log(1.0 - p)
 
 
-def _fused_scores(pred: Candidate) -> tuple[float, float]:
-    s = max(pred.assoc, 0.0)
+def _fused_scores(preds: CandidateBatch) -> tuple[np.ndarray, np.ndarray]:
+    s = np.maximum(preds.assoc, 0.0)
     return (
-        math.sqrt(max(pred.cls_prev, 0.0) * s),
-        math.sqrt(max(pred.cls_cur, 0.0) * s),
+        np.sqrt(np.maximum(preds.cls_prev, 0.0) * s),
+        np.sqrt(np.maximum(preds.cls_cur, 0.0) * s),
     )
 
 
 def _l1_normalized(
-    pred: PairedBox, gt: PairedBox, image_size: tuple[int, int]
-) -> float:
+    pairs: np.ndarray, gt: PairedBox, image_size: tuple[int, int]
+) -> np.ndarray:
+    """L1 distance of (..., 8) pixel rows to ``gt``, image-normalized."""
     w, h = image_size
     norm = np.tile([w, h, w, h], 2)
-    return float(np.abs(pred.flatten() / norm - gt.flatten() / norm).sum())
+    return np.abs(pairs / norm - gt.flatten() / norm).sum(axis=-1)
 
 
 def match_cost(
-    pred: Candidate, gt: PairedBox, image_size: tuple[int, int] = (1, 1)
-) -> float:
-    """Assignment cost mirroring the loss terms; lower is better."""
-    fp, fc = _fused_scores(pred)
+    preds: CandidateBatch, gt: PairedBox, image_size: tuple[int, int] = (1, 1)
+) -> np.ndarray:
+    """Assignment cost of each prediction row against ``gt``, mirroring the
+    loss terms; lower is better."""
+    fp, fc = _fused_scores(preds)
     cls_cost = focal_loss(fp, 1) + focal_loss(fc, 1)
-    reg_cost = _l1_normalized(pred.pair, gt, image_size)
-    giou_cost = 1.0 - giou3d(pred.pair, gt)
+    reg_cost = _l1_normalized(preds.pairs, gt, image_size)
+    giou_cost = 1.0 - np.array(
+        [giou3d(PairedBox.from_flat(row), gt) for row in preds.pairs]
+    )
     return LAMBDA_CLS * cls_cost + LAMBDA_REG * reg_cost + LAMBDA_GIOU * giou_cost
 
 
@@ -123,7 +126,7 @@ class LossBreakdown:
 
 
 def detection_loss(
-    preds: Sequence[Candidate],
+    preds: CandidateBatch,
     gts: Sequence[PairedBox],
     image_size: tuple[int, int] = (1, 1),
 ) -> LossBreakdown:
@@ -133,28 +136,23 @@ def detection_loss(
     predictions enter the classification sum as background (label 0) on
     their fused scores; unmatched ground truth contributes nothing here.
     """
+    fp, fc = _fused_scores(preds)
     if not gts:
         matches = MatchSet((), tuple(range(len(preds))), ())
-        cls = sum(
-            focal_loss(f, 0) for p in preds for f in _fused_scores(p)
-        )
+        cls = float(np.sum(focal_loss(fp, 0) + focal_loss(fc, 0)))
         total = LAMBDA_CLS * cls / 1.0
         return LossBreakdown(cls, 0.0, 0.0, total, 1, matches)
 
-    cost = np.array(
-        [[match_cost(p, g, image_size) for g in gts] for p in preds]
-    ).reshape(len(preds), len(gts))
+    cost = np.stack([match_cost(preds, g, image_size) for g in gts], axis=1)
     matches = hungarian(cost)
 
     cls = reg = giou_term = 0.0
     for pi, gi in matches.pairs:
-        fp, fc = _fused_scores(preds[pi])
-        cls += focal_loss(fp, 1) + focal_loss(fc, 1)
-        reg += _l1_normalized(preds[pi].pair, gts[gi], image_size)
-        giou_term += 1.0 - giou3d(preds[pi].pair, gts[gi])
+        cls += focal_loss(fp[pi], 1) + focal_loss(fc[pi], 1)
+        reg += _l1_normalized(preds.pairs[pi], gts[gi], image_size)
+        giou_term += 1.0 - giou3d(PairedBox.from_flat(preds.pairs[pi]), gts[gi])
     for pi in matches.unmatched_predictions:
-        fp, fc = _fused_scores(preds[pi])
-        cls += focal_loss(fp, 0) + focal_loss(fc, 0)
+        cls += focal_loss(fp[pi], 0) + focal_loss(fc[pi], 0)
 
     n_pos = max(matches.n_pos, 1)
     total = (LAMBDA_CLS * cls + LAMBDA_REG * reg + LAMBDA_GIOU * giou_term) / n_pos

@@ -7,8 +7,9 @@ baseline repeats prior boxes only, corrupts just the current-frame member
 and runs a single conditional refinement. A baseline pair without priors
 has only padded noise and so no previous-frame member to condition on: it
 is corrupted and refined whole, unconditionally, like a diffusion pair.
-The variant flag touches nothing past candidate construction; every
-candidate carries its row's origin, which decides how the tracker uses it.
+The variant flag touches nothing past candidate construction: the gate
+survivors reach the tracker as rows of a ``CandidateBatch``, each with its
+proposal's origin, which decides how the tracker uses it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .denoiser import Candidate, CandidateBatch, Denoiser, FrameContext, ProposalOrigin
+from .denoiser import CandidateBatch, Denoiser, FrameContext, ProposalOrigin
 from .diffusion import (
     NoiseSchedule,
     PaddingStrategy,
@@ -82,20 +83,20 @@ def _corrupt_cur_only(
 
 def _gate_and_suppress(
     batch: CandidateBatch, cfg: PipelineConfig
-) -> list[Candidate]:
+) -> CandidateBatch:
     """Confidence gate, paired suppression, the per-frame 2D suppression
-    and the detection gate on row indices; candidates are built only for
-    the survivors, in proposal order."""
+    and the detection gate on row indices; returns the survivor rows in
+    proposal order."""
     tr = cfg.tracker
     rows = np.flatnonzero(batch.assoc > tr.conf_threshold)
     if not rows.size:
-        return []
+        return batch.take(rows)
     rows = rows[nms3d(batch.pairs[rows], batch.assoc[rows], tr.nms3d_threshold)]
     rows = rows[nms2d(batch.pairs[rows, 4:], batch.cls_cur[rows], tr.nms2d_threshold)]
     det = (batch.cls_prev[rows] > tr.det_threshold) & (
         batch.cls_cur[rows] > tr.det_threshold
     )
-    return batch.candidates(np.sort(rows[det]))
+    return batch.take(np.sort(rows[det]))
 
 
 def run_pair(
@@ -106,11 +107,11 @@ def run_pair(
     sched: NoiseSchedule,
     rng: np.random.Generator,
     motion_x: float,
-) -> tuple[list[Candidate], int]:
+) -> tuple[CandidateBatch, int]:
     """Produce gated candidates for one frame pair.
 
-    Returns the surviving candidates (original proposal indices and
-    origins intact) and how many of them are prior-derived.
+    Returns the surviving rows (in proposal order, origins intact) and how
+    many of them are prior-derived.
     """
     t = perturbation_timestep(motion_x, cfg.perturbation, sched.timesteps)
     alpha = 1.0 - math.sqrt(sched.alpha_bar[t])
@@ -129,7 +130,7 @@ def run_pair(
 
     batch = ddim_refine(props, steps, denoiser, ctx, sched)
     kept = _gate_and_suppress(batch, cfg)
-    return kept, sum(c.origin == ProposalOrigin.PRIOR for c in kept)
+    return kept, int(np.count_nonzero(kept.origin == ProposalOrigin.PRIOR))
 
 
 def _tracked_motion(

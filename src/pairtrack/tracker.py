@@ -1,13 +1,16 @@
-"""Track lifecycle: splitting, association, duplicate filtering, Kalman
+"""Track lifecycle: routing, association, duplicate filtering, Kalman
 reassociation of lost tracks, initialization and identity bookkeeping.
 
-Candidates arrive per frame pair already confidence-gated and suppressed,
-each marked with the origin of its proposal row. Prior-derived rows form
-an aligned (previous box, current box) list that advances existing tracks;
-padded rows surface new objects and feed lost-track reassociation. A
+Candidates arrive per frame pair as the rows of a ``CandidateBatch`` that
+the pipeline's gates and suppression let through, each marked with the
+origin of its proposal row. Prior-derived rows form an aligned
+(previous box, current box) array that advances existing tracks; padded
+rows surface new objects and feed lost-track reassociation. A
 prior-derived row that continues no track is a sighting all the same and
 joins the padded rows, as a confident unmatched box starts a track in
-ByteTrack.
+ByteTrack. Rows stay arrays through association; a ``BBox`` is built only
+where a track is advanced, resumed or started, since each emits a result
+row.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .denoiser import Candidate, ProposalOrigin
-from .geometry import BBox, iou, iou_matrix
+from .denoiser import CandidateBatch, ProposalOrigin
+from .geometry import BBox, PairedBox, iou, iou_matrix
 
 __all__ = [
     "TrackerConfig",
@@ -30,10 +33,8 @@ __all__ = [
     "TrackingResult",
     "ResultRow",
     "KalmanBoxFilter",
-    "split_candidates",
     "associate",
     "filter_duplicates",
-    "predict_lost",
     "GreedyIoUTracker",
 ]
 
@@ -227,47 +228,20 @@ class TrackingResult:
     def add(self, frame: int, row: ResultRow) -> None:
         self.frames.setdefault(frame, []).append(row)
 
-    def frame_range(self) -> tuple[int, int]:
-        if not self.frames:
-            return (0, -1)
-        keys = sorted(self.frames)
-        return keys[0], keys[-1]
-
-
-def split_candidates(
-    cands: Sequence[Candidate], cfg: TrackerConfig
-) -> tuple[list[Candidate], list[Candidate]]:
-    """Route confident candidates by origin: (association rows, discoveries).
-
-    Prior-derived rows are association rows, whose previous and current
-    members form the aligned (D_pre, D_cur) lists; padded rows are
-    new-object discoveries, whatever their slot index.
-    """
-    assoc: list[Candidate] = []
-    new: list[Candidate] = []
-    for cand in cands:
-        if cand.assoc <= cfg.conf_threshold:
-            continue
-        if cand.origin == ProposalOrigin.PRIOR:
-            assoc.append(cand)
-        else:
-            new.append(cand)
-    return assoc, new
-
 
 def associate(
-    tracks: Sequence[Track], boxes: Sequence[BBox], iou_threshold: float
+    tracks: Sequence[Track], boxes: np.ndarray, iou_threshold: float
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Hungarian matching of tracks to boxes on IoU, gated at the threshold.
+    """Hungarian matching of tracks to (m, 4) boxes on IoU, gated at the
+    threshold.
 
     Returns (matches as (track_idx, box_idx) pairs, unmatched track
     indices, unmatched box indices).
     """
-    if not tracks or not boxes:
+    if not tracks or not len(boxes):
         return [], list(range(len(tracks))), list(range(len(boxes)))
     track_arr = np.stack([t.last_box.as_array() for t in tracks])
-    box_arr = np.stack([b.as_array() for b in boxes])
-    overlaps = iou_matrix(track_arr, box_arr)
+    overlaps = iou_matrix(track_arr, boxes)
     rows, cols = linear_sum_assignment(1.0 - overlaps)
     matches, un_t, un_b = [], set(range(len(tracks))), set(range(len(boxes)))
     for r, c in zip(rows, cols):
@@ -279,26 +253,17 @@ def associate(
 
 
 def filter_duplicates(
-    d_new: Sequence[Candidate], d_cur: Sequence[tuple[BBox, float]],
-    nms2d_threshold: float,
-) -> list[Candidate]:
-    """Drop discoveries whose current box duplicates an association box.
+    new_cur: np.ndarray, assoc_cur: np.ndarray, nms2d_threshold: float
+) -> np.ndarray:
+    """Keep mask over discoveries' current (k, 4) boxes: False where one
+    duplicates an association row's current box.
 
-    Removal requires overlap strictly above the threshold; a candidate
+    Removal requires overlap strictly above the threshold; a discovery
     sitting exactly at it survives.
     """
-    if not d_new or not d_cur:
-        return list(d_new)
-    new_arr = np.stack([c.pair.cur.as_array() for c in d_new])
-    cur_arr = np.stack([b.as_array() for b, _ in d_cur])
-    overlaps = iou_matrix(new_arr, cur_arr).max(axis=1)
-    return [c for c, o in zip(d_new, overlaps) if o <= nms2d_threshold]
-
-
-def predict_lost(tracks: Sequence[Track]) -> None:
-    """Advance every lost track's box one frame by constant velocity."""
-    for t in tracks:
-        t.predict()
+    if not len(new_cur) or not len(assoc_cur):
+        return np.ones(len(new_cur), dtype=bool)
+    return iou_matrix(new_cur, assoc_cur).max(axis=1) <= nms2d_threshold
 
 
 class Tracker:
@@ -311,25 +276,18 @@ class Tracker:
         self.last_frame: int | None = None
         self._next_id = 1
 
-    @property
-    def tracks(self) -> list[Track]:
-        return self.activated + self.lost
-
     def prior_boxes(self) -> list[BBox]:
         """Current-frame boxes of the activated tracks, for proposal reuse."""
         return [t.last_box for t in self.activated]
 
     def step(
-        self,
-        frame: int,
-        cands: Sequence[Candidate],
+        self, frame: int, batch: CandidateBatch
     ) -> list[tuple[int, ResultRow]]:
-        """Process the candidates of the frame pair (frame - 1, frame).
+        """Process the candidate rows of the frame pair (frame - 1, frame).
 
-        Prior-derived candidates advance the activated tracks whose boxes
-        their previous-frame members match. Those that match none join the
-        padded discoveries, ahead of them, to resume lost tracks or start
-        new ones.
+        Prior-derived rows advance the activated tracks whose boxes their
+        previous-frame members match. Those that match none join the padded
+        discoveries, ahead of them, to resume lost tracks or start new ones.
 
         Returns (frame, row) tuples: one row per activated track at this
         frame, plus retroactive previous-frame rows for tracks born or
@@ -340,45 +298,50 @@ class Tracker:
             raise ValueError(f"frame {frame} not after {self.last_frame}")
         self.last_frame = frame
 
-        assoc, d_new = split_candidates(cands, cfg)
+        pairs = batch.pairs
+        prior = batch.origin == ProposalOrigin.PRIOR
+        assoc_rows = np.flatnonzero(prior)
+        new_rows = np.flatnonzero(~prior)
 
         # Association of activated tracks against the previous-frame boxes.
         matches, un_tracks, un_rows = associate(
-            self.activated, [c.pair.prev for c in assoc],
-            cfg.iou_match_threshold,
+            self.activated, pairs[assoc_rows, :4], cfg.iou_match_threshold
         )
         emitted: list[tuple[int, ResultRow]] = []
-        for ti, ci in matches:
-            cand = assoc[ci]
-            self.activated[ti].advance(frame, cand.pair.cur, cand.assoc)
+        for ti, ri in matches:
+            row = assoc_rows[ri]
+            self.activated[ti].advance(
+                frame, BBox(*pairs[row, 4:]), float(batch.assoc[row])
+            )
         act_remain = [self.activated[i] for i in un_tracks]
 
-        d_new = [assoc[i] for i in un_rows] + filter_duplicates(
-            d_new, [(c.pair.cur, c.assoc) for c in assoc], cfg.nms2d_threshold
+        keep = filter_duplicates(
+            pairs[new_rows, 4:], pairs[assoc_rows, 4:], cfg.nms2d_threshold
         )
+        d_new = np.concatenate([assoc_rows[un_rows], new_rows[keep]])
 
         # Roll every unmatched track's motion state to this frame, then let
         # them reclaim discoveries at the predicted spots. Tracks that went
         # unmatched just now take part too: their object may simply have
         # surfaced through a padded row, or moved off its prior, this frame.
-        predict_lost(self.lost)
-        predict_lost(act_remain)
         pool = self.lost + act_remain
+        for t in pool:
+            t.predict()
         lost_matches, un_pool, un_new = associate(
-            pool, [c.pair.cur for c in d_new], cfg.iou_match_threshold
+            pool, pairs[d_new, 4:], cfg.iou_match_threshold
         )
         reactivated: list[Track] = []
-        for ti, ci in lost_matches:
-            cand = d_new[ci]
+        for ti, ri in lost_matches:
+            row = d_new[ri]
+            pair = PairedBox.from_flat(pairs[row])
             track = pool[ti]
             added = track.reactivate(
-                frame, cand.pair.prev, cand.pair.cur, cand.assoc
+                frame, pair.prev, pair.cur, float(batch.assoc[row])
             )
             for f, box in added[:-1]:
                 emitted.append((f, ResultRow(track.track_id, box, track.score)))
             reactivated.append(track)
         pool_remain = [pool[i] for i in un_pool]
-        d_remain = [d_new[i] for i in un_new]
 
         # Reconcile the two state sets, with age and retirement bookkeeping.
         kept = [t for t in self.activated if t not in act_remain]
@@ -391,15 +354,15 @@ class Tracker:
         self.lost = [t for t in pool_remain if t.lost_age <= cfg.max_lost_age]
 
         # Initialize new tracks from the remaining discoveries.
-        for cand in d_remain:
-            if cand.assoc > cfg.init_score_threshold:
-                track = Track.start(
-                    self._next_id, frame, cand.pair.prev, cand.pair.cur, cand.assoc
-                )
+        for row in d_new[un_new]:
+            score = float(batch.assoc[row])
+            if score > cfg.init_score_threshold:
+                pair = PairedBox.from_flat(pairs[row])
+                track = Track.start(self._next_id, frame, pair.prev, pair.cur, score)
                 self._next_id += 1
                 self.activated.append(track)
                 emitted.append(
-                    (frame - 1, ResultRow(track.track_id, cand.pair.prev, cand.assoc))
+                    (frame - 1, ResultRow(track.track_id, pair.prev, score))
                 )
 
         for t in self.activated:

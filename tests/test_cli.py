@@ -152,6 +152,28 @@ def test_unknown_config_section_is_data_error(tmp_path, capsys):
     assert not result.exists()
 
 
+def test_config_without_section_header_is_data_error(tmp_path, capsys):
+    code, config, result = _track_with_config(tmp_path, "n_test = 5\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(config) in err
+    assert not result.exists()
+
+
+def test_bad_config_value_names_file_section_key_and_value(tmp_path, capsys):
+    for section, key, value in [("pipeline", "n_test", "abc"),
+                                ("pipeline", "padding", "zigzag"),
+                                ("tracker", "det_threshold", "high")]:
+        code, config, result = _track_with_config(
+            tmp_path, f"[{section}]\n{key} = {value}\n"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(config) in err
+        assert f"[{section}] {key} = '{value}'" in err
+        assert not result.exists()
+
+
 def test_manifest_records_oracle_config(tmp_path):
     code, _, result = _track_with_config(tmp_path, "[oracle]\nsnap_cap = 0.2\n")
     assert code == 0

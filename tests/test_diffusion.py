@@ -350,18 +350,19 @@ class TestDdimRefine:
     def test_order_preserved_and_indices(self):
         p = self.proposals(n=16)
         out = ddim_refine(p, 2, IdentityDenoiser(), self.ctx, self.sched)
-        assert [c.index for c in out.candidates(range(16))] == list(range(16))
+        assert len(out) == 16
         assert np.array_equal(out.origin, p.origin)
 
     def test_candidates_built_for_requested_rows(self):
         p = self.proposals(n=6)
         out = ddim_refine(p, 1, IdentityDenoiser(), self.ctx, self.sched)
-        cands = out.candidates([4, 1])
-        assert [c.index for c in cands] == [4, 1]
-        for c in cands:
-            assert np.array_equal(c.pair.flatten(), out.pairs[c.index])
-            assert c.origin == p.origin[c.index]
-            assert (c.cls_prev, c.cls_cur, c.assoc) == (1.0, 1.0, 1.0)
+        rows = [4, 1]
+        sub = out.take(rows)
+        assert len(sub) == 2
+        assert np.array_equal(sub.pairs, out.pairs[rows])
+        assert np.array_equal(sub.origin, p.origin[rows])
+        for scores in (sub.cls_prev, sub.cls_cur, sub.assoc):
+            assert scores.tolist() == [1.0, 1.0]
 
     def test_steps_zero_rejected(self):
         with pytest.raises(ValueError):

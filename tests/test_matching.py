@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pairtrack.denoiser import Candidate
+from pairtrack.denoiser import CandidateBatch, ProposalOrigin
 from pairtrack.geometry import BBox, PairedBox
 from pairtrack.matching import (
     LAMBDA_CLS,
@@ -108,8 +108,26 @@ class TestFocalLoss:
         assert focal_loss(0.0, 1) >= 0
 
 
-def perfect_candidate(gt: PairedBox) -> Candidate:
-    return Candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=1.0)
+def candidate(pair: PairedBox, cls_prev, cls_cur, assoc) -> CandidateBatch:
+    """One prediction as a one-row batch."""
+    return CandidateBatch(
+        pairs=pair.flatten()[None],
+        cls_prev=np.array([cls_prev], dtype=np.float64),
+        cls_cur=np.array([cls_cur], dtype=np.float64),
+        assoc=np.array([assoc], dtype=np.float64),
+        origin=np.array([ProposalOrigin.PADDED], dtype=np.int8),
+    )
+
+
+def stacked(preds: list[CandidateBatch]) -> CandidateBatch:
+    return CandidateBatch(*(
+        np.concatenate([getattr(p, name) for p in preds])
+        for name in ("pairs", "cls_prev", "cls_cur", "assoc", "origin")
+    ))
+
+
+def perfect_candidate(gt: PairedBox) -> CandidateBatch:
+    return candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=1.0)
 
 
 def gt_pair(cx=100.0, cy=100.0, w=40.0, h=40.0, dx=10.0) -> PairedBox:
@@ -120,21 +138,21 @@ class TestMatchCost:
     def test_perfect_is_minimal(self):
         gt = gt_pair()
         perfect = perfect_candidate(gt)
-        off = Candidate(
+        off = candidate(
             pair=gt_pair(cx=130.0), cls_prev=0.8, cls_cur=0.7, assoc=0.6
         )
         assert match_cost(perfect, gt, (1000, 1000)) < match_cost(off, gt, (1000, 1000))
 
     def test_overlapping_beats_disjoint(self):
         gt = gt_pair()
-        near = Candidate(pair=gt_pair(cx=105.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
-        far = Candidate(pair=gt_pair(cx=800.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
+        near = candidate(pair=gt_pair(cx=105.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
+        far = candidate(pair=gt_pair(cx=800.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
         assert match_cost(near, gt, (1000, 1000)) < match_cost(far, gt, (1000, 1000))
 
     def test_hand_value(self):
         # Single pred/GT with all three terms evaluated by direct arithmetic.
         gt = PairedBox(BBox(0.3, 0.3, 0.2, 0.2), BBox(0.35, 0.3, 0.2, 0.2))
-        pred = Candidate(
+        pred = candidate(
             pair=PairedBox(BBox(0.32, 0.3, 0.2, 0.2), BBox(0.35, 0.32, 0.2, 0.2)),
             cls_prev=0.9,
             cls_cur=0.8,
@@ -146,7 +164,7 @@ class TestMatchCost:
         reg = 0.02 + 0.02
         from pairtrack.geometry import giou3d
 
-        giou_term = 1.0 - giou3d(pred.pair, gt)
+        giou_term = 1.0 - giou3d(PairedBox.from_flat(pred.pairs[0]), gt)
         expected = LAMBDA_CLS * cls + LAMBDA_REG * reg + LAMBDA_GIOU * giou_term
         assert match_cost(pred, gt, (1, 1)) == pytest.approx(expected, abs=1e-12)
 
@@ -156,7 +174,7 @@ class TestDetectionLoss:
 
     def test_perfect_predictions(self):
         gts = [gt_pair(), gt_pair(cx=500.0, cy=400.0)]
-        preds = [perfect_candidate(g) for g in gts]
+        preds = stacked([perfect_candidate(g) for g in gts])
         out = detection_loss(preds, gts, self.IMG)
         assert out.reg == 0.0
         assert out.giou_term == pytest.approx(0.0, abs=1e-12)
@@ -166,20 +184,20 @@ class TestDetectionLoss:
     def test_fused_score_formula(self):
         # C = 1, S = 0.25 -> fused 0.5 enters the positive focal term.
         gt = gt_pair()
-        pred = Candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=0.25)
-        out = detection_loss([pred], [gt], self.IMG)
+        pred = candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=0.25)
+        out = detection_loss(pred, [gt], self.IMG)
         expected_cls = 2 * focal_loss(0.5, 1)
         assert out.cls == pytest.approx(expected_cls, rel=1e-12)
 
     def test_single_pair_hand_computed(self):
         gt = PairedBox(BBox(300, 300, 200, 200), BBox(350, 300, 200, 200))
-        pred = Candidate(
+        pred = candidate(
             pair=PairedBox(BBox(320, 300, 200, 200), BBox(350, 320, 200, 200)),
             cls_prev=0.9,
             cls_cur=0.8,
             assoc=0.81,
         )
-        out = detection_loss([pred], [gt], self.IMG)
+        out = detection_loss(pred, [gt], self.IMG)
 
         cls = focal_loss(math.sqrt(0.9 * 0.81), 1) + focal_loss(math.sqrt(0.8 * 0.81), 1)
         reg = (20 / 1000) + (20 / 1000)
@@ -202,8 +220,8 @@ class TestDetectionLoss:
             gt_pair(cx=float(rng.uniform(100, 900)), cy=float(rng.uniform(100, 900)))
             for _ in range(6)
         ]
-        preds = [
-            Candidate(
+        preds = stacked([
+            candidate(
                 pair=gt_pair(
                     cx=float(rng.uniform(100, 900)), cy=float(rng.uniform(100, 900))
                 ),
@@ -212,11 +230,11 @@ class TestDetectionLoss:
                 assoc=float(rng.uniform(0.2, 1)),
             )
             for _ in range(8)
-        ]
+        ])
         base = detection_loss(preds, gts, self.IMG)
         for seed in range(5):
             r = np.random.default_rng(seed)
-            pp = [preds[i] for i in r.permutation(len(preds))]
+            pp = preds.take(r.permutation(len(preds)))
             gg = [gts[i] for i in r.permutation(len(gts))]
             out = detection_loss(pp, gg, self.IMG)
             assert out.total == pytest.approx(base.total, abs=1e-9)
@@ -224,8 +242,8 @@ class TestDetectionLoss:
             assert out.reg == pytest.approx(base.reg, abs=1e-9)
 
     def test_empty_gt_background_only(self):
-        pred = Candidate(pair=gt_pair(), cls_prev=0.5, cls_cur=0.5, assoc=0.5)
-        out = detection_loss([pred], [], self.IMG)
+        pred = candidate(pair=gt_pair(), cls_prev=0.5, cls_cur=0.5, assoc=0.5)
+        out = detection_loss(pred, [], self.IMG)
         assert out.reg == 0.0 and out.giou_term == 0.0
         assert out.cls > 0
         assert out.n_pos == 1
@@ -234,23 +252,23 @@ class TestDetectionLoss:
         gt = gt_pair()
         totals = []
         for shift in (0.0, 5.0, 10.0, 20.0):
-            pred = Candidate(
+            pred = candidate(
                 pair=gt_pair(cx=100.0 + shift), cls_prev=1.0, cls_cur=1.0, assoc=1.0
             )
-            totals.append(detection_loss([pred], [gt], self.IMG).total)
+            totals.append(detection_loss(pred, [gt], self.IMG).total)
         assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_total_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             gts = [gt_pair(cx=float(rng.uniform(100, 900)))]
-            preds = [
-                Candidate(
+            preds = stacked([
+                candidate(
                     pair=gt_pair(cx=float(rng.uniform(100, 900))),
                     cls_prev=float(rng.uniform(0, 1)),
                     cls_cur=float(rng.uniform(0, 1)),
                     assoc=float(rng.uniform(0, 1)),
                 )
                 for _ in range(3)
-            ]
+            ])
             assert detection_loss(preds, gts, self.IMG).total >= 0.0

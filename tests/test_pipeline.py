@@ -5,17 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pairtrack.denoiser import FrameContext, OracleDenoiser
+from pairtrack import pipeline
+from pairtrack.denoiser import (
+    CandidateBatch,
+    FrameContext,
+    OracleDenoiser,
+    ProposalOrigin,
+)
 from pairtrack.diffusion import cosine_schedule
 from pairtrack.geometry import BBox
 from pairtrack.metrics import evaluate
-from pairtrack.pipeline import PipelineConfig, Variant, run_pair, run_sequence
+from pairtrack.pipeline import (
+    PipelineConfig,
+    Variant,
+    _gate_and_suppress,
+    run_pair,
+    run_sequence,
+)
 from pairtrack.simulator import (
     LinearMotion,
     NonLinearMotion,
     SceneSpec,
     generate,
 )
+from pairtrack.tracker import Tracker
+
+PRIOR = ProposalOrigin.PRIOR
+PADDED = ProposalOrigin.PADDED
 
 
 def small_scene(seed=1, n=4, duration=10, occlusion=0.0):
@@ -46,9 +62,9 @@ class TestRunPair:
         assert n_prior == 0
         assert len(cands) == 4
         gt_cur = {i: b for i, b in scene.visible(2)}
-        for c in cands:
+        for cur in cands.pairs[:, 4:]:
             assert any(
-                np.allclose(c.pair.cur.as_array(), b.as_array(), atol=1e-6)
+                np.allclose(cur, b.as_array(), atol=1e-6)
                 for b in gt_cur.values()
             )
 
@@ -64,8 +80,36 @@ class TestRunPair:
             ctx, scene.visible_boxes(1), cfg, OracleDenoiser(0.9), sched,
             np.random.default_rng(3), 0.3,
         )
-        assert all(c.assoc > cfg.tracker.conf_threshold for c in cands)
+        assert all(a > cfg.tracker.conf_threshold for a in cands.assoc)
         assert len(cands) <= cfg.n_test
+
+    def test_gate_drops_everything(self):
+        # Rows at the confidence gate go whatever their origin; the tracker
+        # trusts this gate and applies none of its own.
+        cfg = PipelineConfig()
+        batch = CandidateBatch(
+            pairs=np.tile([5.0, 5.0, 10.0, 10.0] * 2, (3, 1)),
+            cls_prev=np.ones(3),
+            cls_cur=np.ones(3),
+            assoc=np.full(3, cfg.tracker.conf_threshold),
+            origin=np.array([PRIOR, PRIOR, PADDED], dtype=np.int8),
+        )
+        assert len(_gate_and_suppress(batch, cfg)) == 0
+
+    def test_survivors_keep_proposal_order(self):
+        cfg = PipelineConfig()
+        pairs = np.array([[100.0 * k, 100.0, 20.0, 20.0] * 2 for k in range(1, 5)])
+        batch = CandidateBatch(
+            pairs=pairs,
+            cls_prev=np.ones(4),
+            cls_cur=np.ones(4),
+            assoc=np.array([0.3, 0.9, 0.1, 0.8]),
+            origin=np.array([PADDED, PRIOR, PRIOR, PADDED], dtype=np.int8),
+        )
+        kept = _gate_and_suppress(batch, cfg)
+        assert np.array_equal(kept.pairs, pairs[[0, 1, 3]])
+        assert kept.assoc.tolist() == [0.3, 0.9, 0.8]
+        assert kept.origin.tolist() == [PADDED, PRIOR, PADDED]
 
     def test_fallback_without_priors(self):
         scene = small_scene()
@@ -77,7 +121,7 @@ class TestRunPair:
             np.random.default_rng(0), 0.25,
         )
         assert n_prior == 0
-        assert isinstance(cands, list)
+        assert isinstance(cands, CandidateBatch)
 
     def test_detection_mode_prev_equals_cur(self):
         scene = small_scene()
@@ -89,10 +133,8 @@ class TestRunPair:
             np.random.default_rng(0), 0.25,
         )
         assert cands
-        for c in cands:
-            assert np.allclose(
-                c.pair.prev.as_array(), c.pair.cur.as_array(), atol=1e-6
-            )
+        for pair in cands.pairs:
+            assert np.allclose(pair[:4], pair[4:], atol=1e-6)
 
     def test_baseline_uses_conditional_refinement(self):
         scene = small_scene()
@@ -132,6 +174,34 @@ class TestRunPair:
 
 
 class TestRunSequence:
+    def test_step_receives_run_pair_survivors(self, monkeypatch):
+        # A caller counting run_pair's output and Tracker.step's input relies
+        # on this: the step gets exactly the survivors, and n_prior counts
+        # the prior-derived rows among them.
+        pair_out, step_in = [], []
+        real_run_pair, real_step = pipeline.run_pair, Tracker.step
+
+        def spy_run_pair(*args, **kwargs):
+            out = real_run_pair(*args, **kwargs)
+            pair_out.append(out)
+            return out
+
+        def spy_step(self, frame, batch):
+            step_in.append(batch)
+            return real_step(self, frame, batch)
+
+        monkeypatch.setattr(pipeline, "run_pair", spy_run_pair)
+        monkeypatch.setattr(Tracker, "step", spy_step)
+        scene = small_scene(duration=8, occlusion=0.3)
+        run_sequence(
+            PipelineConfig(n_test=64), OracleDenoiser(0.9), scene=scene, seed=2
+        )
+        assert len(pair_out) == len(step_in) == scene.n_frames - 1
+        for (kept, n_prior), batch in zip(pair_out, step_in):
+            assert len(kept) == len(batch)
+            assert n_prior == np.count_nonzero(batch.origin == PRIOR)
+        assert any(n_prior for _, n_prior in pair_out)
+
     def test_two_frame_scene(self):
         scene = small_scene(duration=2)
         res = run_sequence(

@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pairtrack.denoiser import Candidate, ProposalOrigin
-from pairtrack.geometry import BBox, PairedBox, iou
+from pairtrack.denoiser import CandidateBatch, ProposalOrigin
+from pairtrack.geometry import BBox, iou
 from pairtrack.tracker import (
     GreedyIoUTracker,
     KalmanBoxFilter,
     Track,
-    TrackStatus,
     Tracker,
-    TrackerConfig,
     associate,
     filter_duplicates,
-    split_candidates,
 )
 
 
@@ -24,15 +25,26 @@ PRIOR = ProposalOrigin.PRIOR
 PADDED = ProposalOrigin.PADDED
 
 
-def cand(index, origin, prev, cur, assoc, cls_prev=0.9, cls_cur=0.9):
-    return Candidate(
-        pair=PairedBox(BBox(*prev), BBox(*cur)),
-        cls_prev=cls_prev,
-        cls_cur=cls_cur,
-        assoc=assoc,
-        index=index,
-        origin=origin,
+def cand(origin, prev, cur, assoc):
+    """One survivor row: its origin, (cx, cy, w, h) boxes and score."""
+    return origin, tuple(prev) + tuple(cur), assoc
+
+
+def batch(cands):
+    """Survivor rows as the batch ``Tracker.step`` receives, in list order."""
+    n = len(cands)
+    origin, pairs, assoc = zip(*cands) if cands else ((), (), ())
+    return CandidateBatch(
+        pairs=np.array(pairs, dtype=np.float64).reshape(n, 8),
+        cls_prev=np.full(n, 0.9),
+        cls_cur=np.full(n, 0.9),
+        assoc=np.array(assoc, dtype=np.float64),
+        origin=np.array(origin, dtype=np.int8),
     )
+
+
+def boxes(*rows):
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 class TestKalman:
@@ -70,46 +82,67 @@ class TestKalman:
         assert 100.0 < mean[0] <= 110.0
 
 
+def tracked(*pairs):
+    """A tracker that started one track per (prev, cur) padded row at frame 2."""
+    tracker = Tracker()
+    tracker.step(2, batch([cand(PADDED, prev, cur, 0.9) for prev, cur in pairs]))
+    return tracker
+
+
 class TestSplitCandidates:
-    CFG = TrackerConfig()
+    """``Tracker.step`` splits its rows into association rows and
+    discoveries by origin, whatever their slot."""
 
     def test_all_association(self):
-        cands = [cand(i, PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9)
-                 for i in range(4)]
-        assoc, d_new = split_candidates(cands, self.CFG)
-        assert len(assoc) == 4 and d_new == []
-
-    def test_gate_drops_everything(self):
-        cands = [cand(i, PRIOR if i <= 1 else PADDED, (0, 0, 10, 10),
-                      (0, 0, 10, 10), 0.25) for i in range(3)]
-        assoc, d_new = split_candidates(cands, self.CFG)
-        assert assoc == [] and d_new == []
+        starts = [((100 * k, 100, 20, 20), (100 * k + 10, 100, 20, 20))
+                  for k in range(1, 5)]
+        tracker = tracked(*starts)
+        cands = [cand(PRIOR, cur, (cur[0] + 10,) + cur[1:], 0.9)
+                 for _, cur in starts]
+        emitted = rows_by_frame(tracker.step(3, batch(cands)))
+        assert sorted(r.track_id for r in emitted[3]) == [1, 2, 3, 4]
+        assert 2 not in emitted
+        by_id = {r.track_id: r.box for r in emitted[3]}
+        assert by_id == {k: BBox(100 * k + 20, 100, 20, 20) for k in range(1, 5)}
 
     def test_mixed_routing(self):
-        cands = [
-            cand(3, PRIOR, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
-            cand(12, PADDED, (80, 80, 5, 5), (82, 80, 5, 5), 0.8),
-        ]
-        assoc, d_new = split_candidates(cands, self.CFG)
-        assert len(assoc) == 1 and len(d_new) == 1
-        assert d_new[0].index == 12
+        tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
+        emitted = rows_by_frame(tracker.step(3, batch([
+            cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
+            cand(PADDED, (600, 600, 20, 20), (610, 600, 20, 20), 0.8),
+        ])))
+        by_id = {r.track_id: r.box for r in emitted[3]}
+        assert by_id == {1: BBox(120, 100, 20, 20), 2: BBox(610, 600, 20, 20)}
+        assert [r.track_id for r in emitted[2]] == [2]
 
     def test_boundary_index_goes_to_association(self):
-        # The boundary is the origin, not the slot: a prior-derived row past
-        # a 10-row prior block still associates, and a padded row at slot 10
-        # is a discovery.
-        cands = [
-            cand(40, PRIOR, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
-            cand(10, PADDED, (80, 80, 5, 5), (82, 80, 5, 5), 0.9),
-        ]
-        assoc, d_new = split_candidates(cands, self.CFG)
-        assert [c.pair.prev for c in assoc] == [BBox(10, 10, 5, 5)]
-        assert [c.index for c in d_new] == [10]
+        # The boundary is the origin, not the slot: a prior-derived row after
+        # a padded one still associates, and a padded row in the leading slot
+        # whose previous member matches the track is a discovery.
+        tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
+        emitted = rows_by_frame(tracker.step(3, batch([
+            cand(PADDED, (110, 100, 20, 20), (400, 400, 20, 20), 0.9),
+            cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
+        ])))
+        by_id = {r.track_id: r.box for r in emitted[3]}
+        assert by_id == {1: BBox(120, 100, 20, 20), 2: BBox(400, 400, 20, 20)}
+
+    def test_padded_row_never_advances(self):
+        tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
+        emitted = rows_by_frame(tracker.step(3, batch([
+            cand(PADDED, (110, 100, 20, 20), (400, 400, 20, 20), 0.9),
+        ])))
+        assert [r.track_id for r in emitted[3]] == [2]
+        assert [t.track_id for t in tracker.lost] == [1]
 
     def test_zero_assoc_slots_all_new(self):
-        cands = [cand(0, PADDED, (10, 10, 5, 5), (12, 10, 5, 5), 0.9)]
-        assoc, d_new = split_candidates(cands, self.CFG)
-        assert assoc == [] and len(d_new) == 1
+        tracker = Tracker()
+        emitted = rows_by_frame(tracker.step(2, batch([
+            cand(PADDED, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
+        ])))
+        assert len(tracker.activated) == 1
+        assert [r.box for r in emitted[1]] == [BBox(10, 10, 5, 5)]
+        assert [r.box for r in emitted[2]] == [BBox(12, 10, 5, 5)]
 
 
 class TestAssociate:
@@ -118,48 +151,56 @@ class TestAssociate:
 
     def test_exact_overlap_matches(self):
         t = self.make_track(1, (100, 100, 20, 20))
-        matches, un_t, un_b = associate([t], [BBox(100, 100, 20, 20)], 0.3)
+        matches, un_t, un_b = associate([t], boxes((100, 100, 20, 20)), 0.3)
         assert matches == [(0, 0)] and un_t == [] and un_b == []
 
     def test_no_overlap_no_match(self):
         t = self.make_track(1, (100, 100, 20, 20))
-        matches, un_t, un_b = associate([t], [BBox(500, 500, 20, 20)], 0.3)
+        matches, un_t, un_b = associate([t], boxes((500, 500, 20, 20)), 0.3)
         assert matches == [] and un_t == [0] and un_b == [0]
 
     def test_crossed_overlaps_maximize_total(self):
         t1 = self.make_track(1, (100, 100, 20, 20))
         t2 = self.make_track(2, (112, 100, 20, 20))
         b1, b2 = BBox(104, 100, 20, 20), BBox(114, 100, 20, 20)
-        matches, _, _ = associate([t1, t2], [b1, b2], 0.1)
+        matches, _, _ = associate(
+            [t1, t2], np.stack([b1.as_array(), b2.as_array()]), 0.1
+        )
         straight = iou(t1.last_box, b1) + iou(t2.last_box, b2)
         crossed = iou(t1.last_box, b2) + iou(t2.last_box, b1)
         expected = {(0, 0), (1, 1)} if straight >= crossed else {(0, 1), (1, 0)}
         assert set(matches) == expected
 
     def test_empty_inputs(self):
-        assert associate([], [], 0.3) == ([], [], [])
+        assert associate([], np.zeros((0, 4)), 0.3) == ([], [], [])
 
 
 class TestFilterDuplicates:
     def test_duplicate_removed(self):
-        c = cand(9, PADDED, (50, 50, 10, 10), (100, 100, 20, 20), 0.9)
-        kept = filter_duplicates([c], [(BBox(100, 100, 20, 20), 0.9)], 0.7)
-        assert kept == []
+        keep = filter_duplicates(
+            boxes((100, 100, 20, 20)), boxes((100, 100, 20, 20)), 0.7
+        )
+        assert keep.tolist() == [False]
 
     def test_disjoint_kept(self):
-        c = cand(9, PADDED, (50, 50, 10, 10), (300, 300, 20, 20), 0.9)
-        kept = filter_duplicates([c], [(BBox(100, 100, 20, 20), 0.9)], 0.7)
-        assert kept == [c]
+        keep = filter_duplicates(
+            boxes((300, 300, 20, 20)), boxes((100, 100, 20, 20)), 0.7
+        )
+        assert keep.tolist() == [True]
 
     def test_boundary_exactly_at_threshold_kept(self):
         # iou((0,0,20,20), (0,0,20,14)) = 280/400 = 0.7 exactly
         a = BBox.from_corners(0, 0, 20, 20)
         b = BBox.from_corners(0, 0, 20, 14)
         assert iou(a, b) == pytest.approx(0.7, abs=1e-12)
-        c = Candidate(pair=PairedBox(BBox(50, 50, 5, 5), b), cls_prev=1,
-                      cls_cur=1, assoc=0.9, index=3)
-        kept = filter_duplicates([c], [(a, 0.9)], 0.7)
-        assert kept == [c]
+        keep = filter_duplicates(boxes(b.as_array()), boxes(a.as_array()), 0.7)
+        assert keep.tolist() == [True]
+
+    def test_no_association_rows_keeps_all(self):
+        keep = filter_duplicates(
+            boxes((100, 100, 20, 20), (300, 300, 20, 20)), np.zeros((0, 4)), 0.7
+        )
+        assert keep.tolist() == [True, True]
 
 
 def rows_by_frame(emitted):
@@ -172,9 +213,9 @@ def rows_by_frame(emitted):
 class TestTrackerStep:
     def test_empty_candidates_tracks_become_lost(self):
         tracker = Tracker()
-        tracker.step(2, [cand(0, PADDED, (100, 100, 20, 20), (110, 100, 20, 20),
-                              0.9)])
-        emitted = tracker.step(3, [])
+        tracker.step(2, batch([cand(PADDED, (100, 100, 20, 20),
+                                    (110, 100, 20, 20), 0.9)]))
+        emitted = tracker.step(3, batch([]))
         assert emitted == []
         assert tracker.activated == []
         assert len(tracker.lost) == 1
@@ -187,7 +228,7 @@ class TestTrackerStep:
             origin = PADDED if k == 1 else PRIOR
             emitted = tracker.step(
                 k + 1,
-                [cand(0, origin, boxes[k - 1], boxes[k], 0.9)],
+                batch([cand(origin, boxes[k - 1], boxes[k], 0.9)]),
             )
             for _, row in emitted:
                 ids.add(row.track_id)
@@ -195,32 +236,32 @@ class TestTrackerStep:
 
     def test_monotone_frame_required(self):
         tracker = Tracker()
-        tracker.step(2, [])
+        tracker.step(2, batch([]))
         with pytest.raises(ValueError):
-            tracker.step(2, [])
+            tracker.step(2, batch([]))
 
     def test_ids_monotone_increasing(self):
         tracker = Tracker()
         tracker.step(
             2,
-            [
-                cand(0, PADDED, (100, 100, 20, 20), (100, 100, 20, 20), 0.9),
-                cand(1, PADDED, (300, 300, 20, 20), (300, 300, 20, 20), 0.9),
-            ],
+            batch([
+                cand(PADDED, (100, 100, 20, 20), (100, 100, 20, 20), 0.9),
+                cand(PADDED, (300, 300, 20, 20), (300, 300, 20, 20), 0.9),
+            ]),
         )
         first_ids = {t.track_id for t in tracker.activated}
         tracker.step(
             3,
-            [cand(5, PADDED, (600, 600, 20, 20), (600, 600, 20, 20), 0.9)],
+            batch([cand(PADDED, (600, 600, 20, 20), (600, 600, 20, 20), 0.9)]),
         )
         new_ids = {t.track_id for t in tracker.activated} - first_ids
         assert all(n > max(first_ids) for n in new_ids)
 
     def test_state_partition(self):
         tracker = Tracker()
-        tracker.step(2, [cand(0, PADDED, (100, 100, 20, 20), (110, 100, 20, 20),
-                              0.9)])
-        tracker.step(3, [])
+        tracker.step(2, batch([cand(PADDED, (100, 100, 20, 20),
+                                    (110, 100, 20, 20), 0.9)]))
+        tracker.step(3, batch([]))
         act = {id(t) for t in tracker.activated}
         lost = {id(t) for t in tracker.lost}
         assert act.isdisjoint(lost)
@@ -231,11 +272,11 @@ class TestTrackerStep:
         rng = np.random.default_rng(0)
         for k in range(2, 8):
             cands = [
-                cand(i + 5, PADDED, tuple(rng.uniform(50, 900, 2)) + (20, 20),
+                cand(PADDED, tuple(rng.uniform(50, 900, 2)) + (20, 20),
                      tuple(rng.uniform(50, 900, 2)) + (20, 20), 0.9)
                 for i in range(3)
             ]
-            for frame, row in tracker.step(k, cands):
+            for frame, row in tracker.step(k, batch(cands)):
                 all_rows.setdefault(frame, []).append(row.track_id)
         for frame, ids in all_rows.items():
             assert len(ids) == len(set(ids)), frame
@@ -245,12 +286,86 @@ class TestTrackerStep:
         # detection stream) is still a sighting and starts a track.
         tracker = Tracker()
         emitted = rows_by_frame(tracker.step(
-            2, [cand(0, PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9)]
+            2, batch([cand(PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9)])
         ))
         assert len(tracker.activated) == 1
         assert [r.box for r in emitted[1]] == [BBox(100, 100, 20, 20)]
         assert [r.box for r in emitted[2]] == [BBox(110, 100, 20, 20)]
         assert emitted[1][0].track_id == emitted[2][0].track_id
+
+
+# Survivor runs on a small lattice. A row often continues a box of the
+# previous step's rows, moved a little or not at all, so tracks advance,
+# go unmatched, get lost and are resumed; sizes may be zero, as clamped
+# denoiser output can be.
+_coord = st.integers(0, 5).map(lambda v: 20.0 * v)
+_size = st.sampled_from([0.0, 20.0, 40.0])
+_box = st.tuples(_coord, _coord, _size, _size)
+_shift = st.sampled_from([-10.0, 0.0, 10.0])
+
+
+@st.composite
+def _survivor_runs(draw):
+    frame, last_curs, steps = 1, [], []
+    for _ in range(draw(st.integers(1, 12))):
+        frame += draw(st.integers(1, 2))
+        rows = []
+        for _ in range(draw(st.integers(0, 6))):
+            if last_curs and draw(st.integers(0, 3)):
+                prev = draw(st.sampled_from(last_curs))
+            else:
+                prev = draw(_box)
+            if draw(st.booleans()):
+                cur = (prev[0] + draw(_shift), prev[1] + draw(_shift)) + prev[2:]
+            else:
+                cur = draw(_box)
+            origin = draw(st.sampled_from([PRIOR, PADDED]))
+            rows.append(cand(origin, prev, cur, draw(st.sampled_from([0.5, 0.9]))))
+        last_curs = [tuple(pair[4:]) for _, pair, _ in rows] or last_curs
+        steps.append((frame, rows))
+    return steps
+
+
+class TestStepProperties:
+    @given(steps=_survivor_runs())
+    @settings(max_examples=100, deadline=None)
+    # A track left unmatched by association and resumed by a discovery in
+    # the same pair; a zero-height track predicted forward unmatched.
+    @example(steps=[
+        (2, [cand(PADDED, (20, 20, 20, 20), (30, 20, 20, 20), 0.9)]),
+        (3, [cand(PADDED, (30, 20, 20, 20), (40, 20, 20, 20), 0.9)]),
+    ])
+    @example(steps=[
+        (2, [cand(PADDED, (40, 40, 20, 0), (40, 40, 20, 0), 0.9)]),
+        (3, [cand(PADDED, (80, 80, 20, 20), (80, 80, 20, 20), 0.9)]),
+    ])
+    def test_lifecycle_invariants(self, steps):
+        tracker = Tracker()
+        ids_at: dict[int, list[int]] = {}
+        for frame, rows in steps:
+            for f, row in tracker.step(frame, batch(rows)):
+                ids_at.setdefault(f, []).append(row.track_id)
+                assert all(math.isfinite(v) for v in row.box.as_array())
+                assert math.isfinite(row.score)
+            for t in tracker.activated + tracker.lost:
+                # Lost tracks' predicted boxes are never emitted, but they
+                # are matched against later discoveries.
+                assert np.isfinite(t.last_box.as_array()).all()
+            active = [t.track_id for t in tracker.activated]
+            lost = [t.track_id for t in tracker.lost]
+            assert set(active).isdisjoint(lost)
+            assert len(set(active)) == len(active)
+        for f, ids in ids_at.items():
+            assert len(ids) == len(set(ids)), f
+
+    @given(steps=_survivor_runs(), back=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_frame_must_increase(self, steps, back):
+        tracker = Tracker()
+        for frame, rows in steps:
+            tracker.step(frame, batch(rows))
+        with pytest.raises(ValueError):
+            tracker.step(frame - back, batch(rows))
 
 
 class TestHandTracedScenario:
@@ -268,10 +383,10 @@ class TestHandTracedScenario:
         emitted = rows_by_frame(
             tracker.step(
                 2,
-                [
-                    cand(0, PADDED, (100, 100, 20, 20), (110, 100, 20, 20), 0.9),
-                    cand(1, PADDED, (300, 300, 20, 20), (300, 310, 20, 20), 0.85),
-                ],
+                batch([
+                    cand(PADDED, (100, 100, 20, 20), (110, 100, 20, 20), 0.9),
+                    cand(PADDED, (300, 300, 20, 20), (300, 310, 20, 20), 0.85),
+                ]),
             )
         )
         assert {r.track_id for r in emitted[1]} == {1, 2}
@@ -285,12 +400,12 @@ class TestHandTracedScenario:
         emitted = rows_by_frame(
             tracker.step(
                 3,
-                [
-                    cand(0, PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
-                    cand(1, PRIOR, (300, 310, 20, 20), (300, 320, 20, 20), 0.85),
-                    cand(5, PADDED, (110, 100, 20, 20), (120, 100, 20, 20), 0.8),
-                    cand(7, PADDED, (500, 500, 20, 20), (500, 500, 20, 20), 0.65),
-                ],
+                batch([
+                    cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
+                    cand(PRIOR, (300, 310, 20, 20), (300, 320, 20, 20), 0.85),
+                    cand(PADDED, (110, 100, 20, 20), (120, 100, 20, 20), 0.8),
+                    cand(PADDED, (500, 500, 20, 20), (500, 500, 20, 20), 0.65),
+                ]),
             )
         )
         assert sorted(r.track_id for r in emitted[3]) == [1, 2]
@@ -300,7 +415,7 @@ class TestHandTracedScenario:
         emitted = rows_by_frame(
             tracker.step(
                 4,
-                [cand(1, PRIOR, (300, 320, 20, 20), (300, 330, 20, 20), 0.85)],
+                batch([cand(PRIOR, (300, 320, 20, 20), (300, 330, 20, 20), 0.85)]),
             )
         )
         assert [r.track_id for r in emitted[4]] == [2]
@@ -310,7 +425,7 @@ class TestHandTracedScenario:
         emitted = rows_by_frame(
             tracker.step(
                 5,
-                [cand(0, PRIOR, (300, 330, 20, 20), (300, 340, 20, 20), 0.85)],
+                batch([cand(PRIOR, (300, 330, 20, 20), (300, 340, 20, 20), 0.85)]),
             )
         )
         assert [r.track_id for r in emitted[5]] == [2]
@@ -321,10 +436,10 @@ class TestHandTracedScenario:
         emitted = rows_by_frame(
             tracker.step(
                 6,
-                [
-                    cand(0, PRIOR, (300, 340, 20, 20), (300, 350, 20, 20), 0.85),
-                    cand(3, PADDED, (140, 100, 20, 20), (150, 100, 20, 20), 0.8),
-                ],
+                batch([
+                    cand(PRIOR, (300, 340, 20, 20), (300, 350, 20, 20), 0.85),
+                    cand(PADDED, (140, 100, 20, 20), (150, 100, 20, 20), 0.8),
+                ]),
             )
         )
         assert sorted(r.track_id for r in emitted[6]) == [1, 2]
