@@ -5,10 +5,15 @@ demand. A PairedBox holds the same object's boxes in two adjacent frames
 and flattens to 8 scalars. Overlap measures come in the plain 2D flavor
 and a paired ("3D") flavor that sums areas over both frames.
 
-Suppression (``nms2d``, ``nms3d``) works on row arrays and is lazy: it
-computes corners and areas once, and each kept row clears only the later
-rows it overlaps, so its cost grows with rows x kept and no n x n overlap
-matrix is built.
+One vectorized kernel, ``overlap``, computes every array-valued overlap:
+row-aligned, as the ``iou_matrix``/``iou3d_matrix`` matrices, and inside
+suppression. It computes corners and areas once per side and broadcasts
+only the intersection and union.
+
+Suppression (``nms2d``, ``nms3d``) works on row arrays: it ranks the rows
+once and settles them in fixed-size chunks, each with one ``overlap``
+matrix of the chunk's rows and one ``overlap`` of the rows it keeps
+against the rows still pending. No n x n matrix is built.
 
 Degenerate (zero-area) boxes are legal inputs; every ratio involving an
 empty union or enclosure is defined to 0 by convention.
@@ -158,20 +163,26 @@ def giou3d(d: PairedBox, g: PairedBox) -> float:
     return iou3d(d, g) - abs(enclosure - union) / abs(enclosure)
 
 
+# Ranked rows settled per suppression step: enough that few steps are
+# needed, few enough that the step's own overlap matrix stays small.
+_CHUNK = 64
+
+
 def _nms(
     rows: np.ndarray, scores: Sequence[float], threshold: float, width: int
 ) -> list[int]:
-    """Lazy greedy suppression shared by nms2d/nms3d.
+    """Greedy suppression shared by nms2d/nms3d.
 
-    Rows are ``width``-wide center-form boxes split into 4-wide members, as
-    in ``overlap``. Candidates are visited in descending score order (ties
-    broken by lower original index); one is removed iff its overlap with an
-    already-kept higher-scored candidate exceeds the threshold (strict).
-    Corners and member areas are computed once; each kept row then clears
-    the later rows it overlaps, so the cost grows with rows x kept instead
-    of rows squared. The overlap repeats ``overlap``'s arithmetic (candidate
-    area + kept area - intersection, summed over members, then divided), so
-    every decision matches the full-matrix greedy loop bit for bit.
+    Rows are ``width``-wide center-form boxes, as in ``overlap``.
+    Candidates are visited in descending score order (ties broken by lower
+    original index); one is removed iff its overlap with an already-kept
+    higher-scored candidate exceeds the threshold (strict). The ranked rows
+    still pending are settled ``_CHUNK`` at a time: one ``overlap`` matrix
+    of the chunk runs the greedy pass inside it, and one ``overlap`` of the
+    rows it keeps against the later pending rows removes those they
+    suppress. Every ratio is the one ``overlap`` gives for that pair, and
+    ``overlap`` is symmetric, so the decisions match the full-matrix greedy
+    loop bit for bit while no n x n matrix is built.
     """
     if len(rows) != len(scores):
         raise ValueError("rows and scores must have equal length")
@@ -180,37 +191,26 @@ def _nms(
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[1:] != (width,):
         raise ValueError(f"need (n, {width}) rows, got shape {rows.shape}")
-    n = rows.shape[0]
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    # Sorted rows; lo/hi hold (x, y) per member side by side: (n, 2 * members).
-    boxes = rows[order].reshape(n, -1, 4)
-    half = boxes[..., 2:] * 0.5
-    lo = (boxes[..., :2] - half).reshape(n, -1)
-    hi = (boxes[..., :2] + half).reshape(n, -1)
-    side = np.clip(hi - lo, 0, None)
-    area = side[:, 0::2] * side[:, 1::2]
-
-    alive = np.ones(n, dtype=bool)
-    kept: list[int] = []
-    i = 0
-    while True:
-        kept.append(int(order[i]))
-        rest = slice(i + 1, None)
-        wh = np.minimum(hi[rest], hi[i]) - np.maximum(lo[rest], lo[i])
-        np.maximum(wh, 0.0, out=wh)
-        inter_m = wh[:, 0::2] * wh[:, 1::2]
-        union_m = area[rest] + area[i] - inter_m
-        inter, union = inter_m[:, 0], union_m[:, 0]
-        for m in range(1, inter_m.shape[1]):
-            inter = inter + inter_m[:, m]
-            union = union + union_m[:, m]
-        ratio = np.zeros_like(inter)
-        np.divide(inter, union, out=ratio, where=union > 0)
-        later = alive[rest]
-        later &= ratio <= threshold
-        if not later.any():
-            return kept
-        i += 1 + int(later.argmax())
+    ranked = rows[order]
+    pending = np.arange(len(ranked))
+    kept: list[np.ndarray] = []
+    while pending.size:
+        at, pending = pending[:_CHUNK], pending[_CHUNK:]
+        chunk = ranked[at]
+        ok = overlap(chunk[:, None], chunk[None]) <= threshold
+        np.fill_diagonal(ok, True)
+        alive = np.ones(len(at), dtype=bool)
+        # A row alive at its turn clears every kept row, and ok is
+        # symmetric, so and-ing its whole row leaves earlier rows as they are.
+        for i in range(len(at)):
+            if alive[i]:
+                alive &= ok[i]
+        kept.append(at[alive])
+        if pending.size:
+            clear = overlap(chunk[alive][:, None], ranked[None, pending]) <= threshold
+            pending = pending[clear.all(axis=0)]
+    return order[np.concatenate(kept)].tolist()
 
 
 def nms2d(boxes: np.ndarray, scores: Sequence[float], threshold: float) -> list[int]:
@@ -230,6 +230,19 @@ def nms3d(pairs: np.ndarray, scores: Sequence[float], threshold: float) -> list[
 # batches.
 
 
+def _members(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corners and areas of the 4-wide members of center-form rows (..., w),
+    member axis first: lo and hi (k, 2, ...) hold (x, y), area is (k, ...)."""
+    lead = x.ndim - 1
+    boxes = x.reshape(x.shape[:-1] + (x.shape[-1] // 4, 4))
+    boxes = np.ascontiguousarray(boxes.transpose(lead, lead + 1, *range(lead)))
+    half = boxes[:, 2:] * 0.5
+    lo = boxes[:, :2] - half
+    hi = boxes[:, :2] + half
+    side = np.maximum(hi - lo, 0.0)
+    return lo, hi, side[:, 0] * side[:, 1]
+
+
 def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU between broadcast-aligned rows of center-form arrays.
 
@@ -238,22 +251,33 @@ def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     8-wide rows paired-box IoU. Shapes (n, w) and (n, w) give (n,), and
     (n, 1, w) against (1, m, w) gives the (n, m) matrix. 0 where the union
     is empty.
+
+    Corners and member areas are computed once per side in its own shape;
+    only the per-member intersection and union are broadcast. The result
+    is symmetric: overlap(a, b) equals overlap(b, a) bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    a = a.reshape(a.shape[:-1] + (a.shape[-1] // 4, 4))
-    b = b.reshape(b.shape[:-1] + (b.shape[-1] // 4, 4))
-    half_a, half_b = a[..., 2:] * 0.5, b[..., 2:] * 0.5
-    lo_a, hi_a = a[..., :2] - half_a, a[..., :2] + half_a
-    lo_b, hi_b = b[..., :2] - half_b, b[..., :2] + half_b
-    wh = np.clip(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    side_a = np.clip(hi_a - lo_a, 0, None)
-    side_b = np.clip(hi_b - lo_b, 0, None)
-    union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
-    inter = inter.sum(axis=-1)
-    union = union.sum(axis=-1)
-    out = np.zeros_like(inter)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"rows must have equal width, got {a.shape} and {b.shape}")
+    # The member and coordinate axes go first, so align the row axes here.
+    nd = max(a.ndim, b.ndim)
+    lo_a, hi_a, area_a = _members(a.reshape((1,) * (nd - a.ndim) + a.shape))
+    lo_b, hi_b, area_b = _members(b.reshape((1,) * (nd - b.ndim) + b.shape))
+    inter = union = None
+    for m in range(len(area_a)):
+        wh = np.minimum(hi_a[m], hi_b[m])
+        wh -= np.maximum(lo_a[m], lo_b[m])
+        np.maximum(wh, 0.0, out=wh)
+        inter_m = wh[0] * wh[1]
+        union_m = area_a[m] + area_b[m]
+        union_m -= inter_m
+        if inter is None:
+            inter, union = inter_m, union_m
+        else:
+            inter += inter_m
+            union += union_m
+    out = np.zeros(np.shape(inter))
     np.divide(inter, union, out=out, where=union > 0)
     return out
 

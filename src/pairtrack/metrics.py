@@ -100,11 +100,9 @@ def evaluate(
             pred_lengths[p] = pred_lengths.get(p, 0) + 1
 
         overlaps = iou_matrix(gt_boxes, pred_boxes)
-        for gi in range(len(gt_ids)):
-            for pi in range(len(pred_ids)):
-                if overlaps[gi, pi] >= iou_gate:
-                    key = (gt_ids[gi], pred_ids[pi])
-                    overlap_counts[key] = overlap_counts.get(key, 0) + 1
+        for gi, pi in zip(*np.nonzero(overlaps >= iou_gate)):
+            key = (gt_ids[gi], pred_ids[pi])
+            overlap_counts[key] = overlap_counts.get(key, 0) + 1
 
         # Keep last frame's correspondences that still hold at the gate.
         matches: dict[int, int] = {}

@@ -65,6 +65,13 @@ class PipelineConfig:
     default_motion: float = 0.25
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
+    def __post_init__(self):
+        for name in ("n_test", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 <= self.proportion <= 1.0:
+            raise ValueError(f"proportion must be in [0, 1], got {self.proportion!r}")
+
     def schedule(self) -> NoiseSchedule:
         return cosine_schedule(self.timesteps)
 

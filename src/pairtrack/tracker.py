@@ -55,6 +55,16 @@ class TrackerConfig:
     iou_match_threshold: float = 0.3
     max_lost_age: int = 30
 
+    def __post_init__(self):
+        for name in ("conf_threshold", "det_threshold", "nms3d_threshold",
+                     "nms2d_threshold", "init_score_threshold",
+                     "iou_match_threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if self.max_lost_age < 0:
+            raise ValueError(f"max_lost_age must be >= 0, got {self.max_lost_age!r}")
+
 
 class TrackStatus(Enum):
     ACTIVATED = "activated"

@@ -174,6 +174,35 @@ def test_bad_config_value_names_file_section_key_and_value(tmp_path, capsys):
         assert not result.exists()
 
 
+def test_out_of_range_config_value_names_key(tmp_path, capsys):
+    scene_dir = _simulate(tmp_path)
+    config = tmp_path / "c.ini"
+    result = tmp_path / "result.txt"
+    for section, key, value in [("tracker", "conf_threshold", "1.5"),
+                                ("tracker", "iou_match_threshold", "-0.1"),
+                                ("tracker", "max_lost_age", "-1"),
+                                ("pipeline", "n_test", "0"),
+                                ("pipeline", "steps", "0"),
+                                ("pipeline", "proportion", "1.5")]:
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["track", "--gt", str(scene_dir / "gt.txt"), "--config",
+                     str(config), "--out", str(result)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and key in err
+        assert not result.exists()
+    assert main(["track", "--gt", str(scene_dir / "gt.txt"), "--out",
+                 str(result), "--n-test", "0"]) == 2
+    assert "n_test" in capsys.readouterr().err
+    assert not result.exists()
+
+
+def test_config_range_bounds_are_inclusive():
+    TrackerConfig(conf_threshold=0.0, det_threshold=1.0, max_lost_age=0)
+    PipelineConfig(n_test=1, steps=1, proportion=0.0)
+    PipelineConfig(proportion=1.0)
+
+
 def test_manifest_records_oracle_config(tmp_path):
     code, _, result = _track_with_config(tmp_path, "[oracle]\nsnap_cap = 0.2\n")
     assert code == 0

@@ -346,30 +346,56 @@ def _draw_threshold(data, mat: np.ndarray) -> float:
     return data.draw(st.sampled_from([on, float(np.nextafter(on, 0.0))]) | fixed)
 
 
+def _check_nms2d(rows, data):
+    boxes = np.array([r for r, _ in rows]).reshape(-1, 4)
+    scores = [s for _, s in rows]
+    mat = iou_matrix(boxes, boxes)
+    threshold = _draw_threshold(data, mat)
+    assert nms2d(boxes, scores, threshold) == _greedy_reference(mat, scores, threshold)
+
+
+def _check_nms3d(rows, data):
+    pairs = np.array([a + b for a, b, _ in rows]).reshape(-1, 8)
+    scores = [s for _, _, s in rows]
+    mat = iou3d_matrix(pairs, pairs)
+    threshold = _draw_threshold(data, mat)
+    assert nms3d(pairs, scores, threshold) == _greedy_reference(mat, scores, threshold)
+
+
 class TestLazyNMSEquivalence:
-    """Lazy suppression returns exactly what the full-matrix loop returns."""
+    """Suppression returns exactly what the full-matrix loop returns, on
+    inputs that fit in one suppression chunk."""
 
     @given(rows=st.lists(st.tuples(lattice_row, tied_score), max_size=30),
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_nms2d_matches_matrix_greedy(self, rows, data):
-        boxes = np.array([r for r, _ in rows]).reshape(-1, 4)
-        scores = [s for _, s in rows]
-        mat = iou_matrix(boxes, boxes)
-        threshold = _draw_threshold(data, mat)
-        expected = _greedy_reference(mat, scores, threshold)
-        assert nms2d(boxes, scores, threshold) == expected
+        _check_nms2d(rows, data)
 
     @given(rows=st.lists(st.tuples(lattice_row, lattice_row, tied_score), max_size=30),
            data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_nms3d_matches_matrix_greedy(self, rows, data):
-        pairs = np.array([a + b for a, b, _ in rows]).reshape(-1, 8)
-        scores = [s for _, _, s in rows]
-        mat = iou3d_matrix(pairs, pairs)
-        threshold = _draw_threshold(data, mat)
-        expected = _greedy_reference(mat, scores, threshold)
-        assert nms3d(pairs, scores, threshold) == expected
+        _check_nms3d(rows, data)
+
+
+class TestChunkedNMSEquivalence:
+    """Inputs longer than one suppression chunk (64 rows), drawn from the
+    small lattice so that rows in later chunks are suppressed by rows kept
+    in earlier ones."""
+
+    @given(rows=st.lists(st.tuples(lattice_row, tied_score), min_size=65, max_size=200),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nms2d_matches_matrix_greedy(self, rows, data):
+        _check_nms2d(rows, data)
+
+    @given(rows=st.lists(st.tuples(lattice_row, lattice_row, tied_score),
+                         min_size=65, max_size=200),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nms3d_matches_matrix_greedy(self, rows, data):
+        _check_nms3d(rows, data)
 
 
 class TestMatrices:
@@ -427,6 +453,79 @@ class TestOverlapKernel:
             d = PairedBox(BBox(*r[0]), BBox(*r[1]))
             g = PairedBox(BBox(*r[2]), BBox(*r[3]))
             assert got[i] == pytest.approx(iou3d(d, g), abs=1e-12)
+
+
+def _broadcast_overlap(a, b) -> np.ndarray:
+    """The broadcast-first overlap formula, kept apart from the kernel as
+    its reference: corners, clips and areas are computed on the broadcast
+    (..., members, 2) shape and the members summed with ``sum``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a = a.reshape(a.shape[:-1] + (a.shape[-1] // 4, 4))
+    b = b.reshape(b.shape[:-1] + (b.shape[-1] // 4, 4))
+    half_a, half_b = a[..., 2:] * 0.5, b[..., 2:] * 0.5
+    lo_a, hi_a = a[..., :2] - half_a, a[..., :2] + half_a
+    lo_b, hi_b = b[..., :2] - half_b, b[..., :2] + half_b
+    wh = np.clip(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0, None)
+    inter = wh[..., 0] * wh[..., 1]
+    side_a = np.clip(hi_a - lo_a, 0, None)
+    side_b = np.clip(hi_b - lo_b, 0, None)
+    union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
+    inter = inter.sum(axis=-1)
+    union = union.sum(axis=-1)
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+# Free boxes (zero sizes included), free boxes packed into a small area,
+# or lattice boxes; the last two overlap often.
+any_box = st.one_of(
+    box_row,
+    st.tuples(st.floats(0, 4), st.floats(0, 4), st.floats(0, 3), st.floats(0, 3)),
+    lattice_row.map(tuple),
+)
+
+
+def _draw_rows(data, n: int, width: int) -> np.ndarray:
+    rows = data.draw(st.lists(st.tuples(*[any_box] * (width // 4)),
+                              min_size=n, max_size=n))
+    return np.array([sum(r, ()) for r in rows], dtype=np.float64).reshape(n, width)
+
+
+class TestKernelAgainstBroadcastReference:
+    """The member-first kernel equals the broadcast-first formula bit for
+    bit, empty operands included."""
+
+    @given(width=st.sampled_from([4, 8]), n=st.integers(0, 8),
+           m=st.integers(0, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_form(self, width, n, m, data):
+        a, b = _draw_rows(data, n, width), _draw_rows(data, m, width)
+        got = (iou_matrix if width == 4 else iou3d_matrix)(a, b)
+        assert got.shape == (n, m)
+        assert np.array_equal(got, _broadcast_overlap(a[:, None], b[None]))
+
+    @given(width=st.sampled_from([4, 8]), n=st.integers(0, 12), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_aligned_form(self, width, n, data):
+        a, b = _draw_rows(data, n, width), _draw_rows(data, n, width)
+        got = overlap(a, b)
+        assert got.shape == (n,)
+        assert np.array_equal(got, _broadcast_overlap(a, b))
+        one = _draw_rows(data, 1, width)[0]
+        assert np.array_equal(overlap(a, one), _broadcast_overlap(a, one))
+
+    def test_empty_operands(self):
+        for width, matrix in ((4, iou_matrix), (8, iou3d_matrix)):
+            assert matrix(np.zeros((0, width)), np.ones((3, width))).shape == (0, 3)
+            assert matrix(np.ones((3, width)), np.zeros((0, width))).shape == (3, 0)
+            assert matrix(np.zeros((0, width)), np.zeros((0, width))).shape == (0, 0)
+            assert overlap(np.zeros((0, width)), np.zeros((0, width))).shape == (0,)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            overlap(np.zeros((2, 4)), np.zeros((2, 8)))
 
 
 class TestFlatten:
