@@ -162,8 +162,8 @@ def _resolve_image_size(args) -> tuple[int, int]:
         return parse_seqinfo(args.seqinfo)[0]
     if getattr(args, "image_size", None):
         return _parse_image_size(args.image_size)
-    gt = getattr(args, "gt", None)
-    sidecar = Path(gt).parent / "seqinfo.ini" if gt else None
+    source = getattr(args, "gt", None) or getattr(args, "det", None)
+    sidecar = Path(source).parent / "seqinfo.ini" if source else None
     if sidecar is not None and sidecar.exists():
         return parse_seqinfo(sidecar)[0]
     return (1920, 1080)

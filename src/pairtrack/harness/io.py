@@ -124,7 +124,16 @@ def scene_from_gt(
 def detections_from_rows(
     rows: dict[int, list[MotRow]]
 ) -> dict[int, list[tuple[BBox, float]]]:
-    return {f: [(r.box, r.conf) for r in rs] for f, rs in rows.items()}
+    """Per-frame (box, confidence) detections, every frame key kept.
+
+    Rows with a visibility in [0, 0.5], which ``scene_from_gt`` counts as
+    occluded, are dropped; detection files carry ``-1`` there and keep
+    every row.
+    """
+    return {
+        f: [(r.box, r.conf) for r in rs if not 0.0 <= r.visibility <= 0.5]
+        for f, rs in rows.items()
+    }
 
 
 def write_detections(

@@ -8,31 +8,37 @@ origin of its proposal row. Prior-derived rows form an aligned
 rows surface new objects and feed lost-track reassociation. A
 prior-derived row that continues no track is a sighting all the same and
 joins the padded rows, as a confident unmatched box starts a track in
-ByteTrack. Rows stay arrays through association; a ``BBox`` is built only
-where a track is advanced, resumed or started, since each emits a result
-row.
+ByteTrack.
+
+The tracker's state is one table of arrays with a row per track: id,
+Kalman mean (8,) and covariance (8, 8), last box, score, lost age and the
+last frame a row was emitted for. Activated rows come first and have lost
+age 0; lost rows follow. The constant-velocity Kalman filter runs on
+stacks of rows, as ByteTrack's ``multi_predict`` does: each step predicts
+every track at once and updates every matched track at once. A ``BBox``
+is built only for an emitted result row and for ``prior_boxes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .denoiser import CandidateBatch, ProposalOrigin
-from .geometry import BBox, PairedBox, iou, iou_matrix
+from .geometry import BBox, iou, iou_matrix
 
 __all__ = [
     "TrackerConfig",
-    "TrackStatus",
-    "Track",
     "Tracker",
     "TrackingResult",
     "ResultRow",
-    "KalmanBoxFilter",
+    "MOTION_MAT",
+    "kalman_initiate",
+    "kalman_predict",
+    "kalman_update",
     "associate",
     "filter_duplicates",
     "GreedyIoUTracker",
@@ -41,10 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Thresholds and limits of the lifecycle algorithm.
+    """Thresholds of the candidate gates and of the track lifecycle.
 
-    ``init_score_threshold`` gates new tracks and defaults to the
-    detection score threshold.
+    ``pipeline._gate_and_suppress`` reads ``conf_threshold`` (the
+    association-score gate), ``nms3d_threshold`` (paired suppression),
+    ``nms2d_threshold`` (per-frame suppression) and ``det_threshold`` (the
+    detection gate on both pair members). ``Tracker.step`` reads
+    ``nms2d_threshold`` too (duplicate discoveries), ``iou_match_threshold``
+    (both association rounds), ``init_score_threshold`` (new tracks; it
+    defaults to the detection threshold) and ``max_lost_age`` (retirement
+    of lost tracks).
     """
 
     conf_threshold: float = 0.25
@@ -66,160 +78,108 @@ class TrackerConfig:
             raise ValueError(f"max_lost_age must be >= 0, got {self.max_lost_age!r}")
 
 
-class TrackStatus(Enum):
-    ACTIVATED = "activated"
-    LOST = "lost"
+# Constant-velocity Kalman filter on (cx, cy, aspect, height) and their
+# velocities, over stacks of tracks: means (k, 8), covariances (k, 8, 8).
+MOTION_MAT = np.eye(8)
+MOTION_MAT[:4, 4:] = np.eye(4)
+_UPDATE_MAT = np.eye(4, 8)
+_POS, _VEL = 1.0 / 20, 1.0 / 160
+# Noise standard deviations per unit of box height; the aspect ratio and
+# its velocity (entries 2 and 6) take fixed ones instead.
+_INIT_STD = np.array([2 * _POS, 2 * _POS, 0, 2 * _POS,
+                      10 * _VEL, 10 * _VEL, 0, 10 * _VEL])
+_MOTION_STD = np.array([_POS, _POS, 0, _POS, _VEL, _VEL, 0, _VEL])
+_MEASURE_STD = np.array([_POS, _POS, 0, _POS])
 
 
-class KalmanBoxFilter:
-    """Constant-velocity filter on (cx, cy, aspect, height) and velocities."""
-
-    def __init__(self):
-        ndim = 4
-        self.motion_mat = np.eye(2 * ndim)
-        for i in range(ndim):
-            self.motion_mat[i, ndim + i] = 1.0
-        self.update_mat = np.eye(ndim, 2 * ndim)
-        self.std_weight_position = 1.0 / 20
-        self.std_weight_velocity = 1.0 / 160
-
-    def initiate(self, measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = np.zeros(8)
-        mean[:4] = measurement
-        h = measurement[3]
-        std = [
-            2 * self.std_weight_position * h,
-            2 * self.std_weight_position * h,
-            1e-2,
-            2 * self.std_weight_position * h,
-            10 * self.std_weight_velocity * h,
-            10 * self.std_weight_velocity * h,
-            1e-5,
-            10 * self.std_weight_velocity * h,
-        ]
-        return mean, np.diag(np.square(std))
-
-    def predict(self, mean: np.ndarray, cov: np.ndarray):
-        h = mean[3]
-        std = [
-            self.std_weight_position * h,
-            self.std_weight_position * h,
-            1e-2,
-            self.std_weight_position * h,
-            self.std_weight_velocity * h,
-            self.std_weight_velocity * h,
-            1e-5,
-            self.std_weight_velocity * h,
-        ]
-        motion_cov = np.diag(np.square(std))
-        mean = self.motion_mat @ mean
-        cov = self.motion_mat @ cov @ self.motion_mat.T + motion_cov
-        return mean, cov
-
-    def update(self, mean: np.ndarray, cov: np.ndarray, measurement: np.ndarray):
-        h = mean[3]
-        std = [
-            self.std_weight_position * h,
-            self.std_weight_position * h,
-            1e-1,
-            self.std_weight_position * h,
-        ]
-        innovation_cov = np.diag(np.square(std))
-        projected_mean = self.update_mat @ mean
-        projected_cov = self.update_mat @ cov @ self.update_mat.T + innovation_cov
-        gain = np.linalg.solve(
-            projected_cov.T, (cov @ self.update_mat.T).T
-        ).T
-        innovation = measurement - projected_mean
-        mean = mean + gain @ innovation
-        cov = cov - gain @ projected_cov @ gain.T
-        return mean, cov
+def _noise_cov(h: np.ndarray, per_height: np.ndarray, aspect) -> np.ndarray:
+    """Diagonal covariances (k, n, n) of standard deviations
+    ``h * per_height``, with ``aspect`` at entries 2 and 6."""
+    std = h[:, None] * per_height
+    std[:, 2::4] = aspect
+    n = per_height.size
+    cov = np.zeros((len(h), n, n))
+    cov[:, np.arange(n), np.arange(n)] = np.square(std)
+    return cov
 
 
-def _box_to_xyah(box: BBox) -> np.ndarray:
-    h = box.h if box.h > 1e-6 else 1e-6
-    return np.array([box.cx, box.cy, box.w / h, h])
+def kalman_initiate(meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States of new tracks at rest from (k, 4) xyah measurements."""
+    means = np.zeros((len(meas), 8))
+    means[:, :4] = meas
+    return means, _noise_cov(meas[:, 3], _INIT_STD, (1e-2, 1e-5))
 
 
-def _xyah_to_box(state: np.ndarray) -> BBox:
-    cx, cy, a, h = state[:4]
-    return BBox(float(cx), float(cy), float(a * h), float(h))
+def kalman_predict(
+    means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate every state one frame ahead."""
+    motion_cov = _noise_cov(means[:, 3], _MOTION_STD, (1e-2, 1e-5))
+    return means @ MOTION_MAT.T, MOTION_MAT @ covs @ MOTION_MAT.T + motion_cov
 
 
-_SHARED_KALMAN = KalmanBoxFilter()
+def kalman_update(
+    means: np.ndarray, covs: np.ndarray, meas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Correct every state with its row of the (k, 4) xyah measurements."""
+    innovation_cov = _noise_cov(means[:, 3], _MEASURE_STD, 1e-1)
+    projected_mean = means @ _UPDATE_MAT.T
+    projected_cov = _UPDATE_MAT @ covs @ _UPDATE_MAT.T + innovation_cov
+    gain = np.linalg.solve(
+        projected_cov.swapaxes(1, 2), (covs @ _UPDATE_MAT.T).swapaxes(1, 2)
+    ).swapaxes(1, 2)
+    innovation = meas - projected_mean
+    means = means + (gain @ innovation[:, :, None])[:, :, 0]
+    covs = covs - gain @ projected_cov @ gain.swapaxes(1, 2)
+    return means, covs
 
 
-@dataclass(eq=False)
-class Track:
-    """One identity with its motion state and per-frame box history."""
+def _xyah(boxes: np.ndarray) -> np.ndarray:
+    """(k, 4) center-form boxes as measurements (cx, cy, w / h, h), the
+    height floored at 1e-6."""
+    h = np.where(boxes[:, 3] > 1e-6, boxes[:, 3], 1e-6)
+    return np.column_stack([boxes[:, 0], boxes[:, 1], boxes[:, 2] / h, h])
 
-    track_id: int
-    status: TrackStatus
-    last_box: BBox
-    score: float
-    mean: np.ndarray
-    covariance: np.ndarray
-    history: list[tuple[int, BBox]] = field(default_factory=list)
-    lost_age: int = 0
+
+def _state_boxes(means: np.ndarray) -> np.ndarray:
+    """Center-form (k, 4) boxes of the states' positions."""
+    return np.column_stack(
+        [means[:, 0], means[:, 1], means[:, 2] * means[:, 3], means[:, 3]]
+    )
+
+
+@dataclass
+class _Tracks:
+    """The track table: row i of every column belongs to one track."""
+
+    ids: np.ndarray       # (k,)
+    means: np.ndarray     # (k, 8)
+    covs: np.ndarray      # (k, 8, 8)
+    boxes: np.ndarray     # (k, 4) emitted while activated, predicted while lost
+    scores: np.ndarray    # (k,)
+    lost_age: np.ndarray  # (k,) frames since lost; 0 while activated
+    last_emitted: np.ndarray  # (k,) last frame a row was emitted for
 
     @classmethod
-    def start(cls, track_id: int, frame: int, pair_prev: BBox, pair_cur: BBox,
-              score: float) -> "Track":
-        mean, cov = _SHARED_KALMAN.initiate(_box_to_xyah(pair_cur))
+    def start(cls, first_id: int, frame: int, pairs: np.ndarray,
+              scores: np.ndarray) -> "_Tracks":
+        """Activated rows for new tracks from (k, 8) pairs."""
+        k = len(pairs)
+        means, covs = kalman_initiate(_xyah(pairs[:, 4:]))
         # The pair is two sightings of the object; seed the velocity from it.
-        mean[4] = pair_cur.cx - pair_prev.cx
-        mean[5] = pair_cur.cy - pair_prev.cy
-        return cls(
-            track_id=track_id,
-            status=TrackStatus.ACTIVATED,
-            last_box=pair_cur,
-            score=score,
-            mean=mean,
-            covariance=cov,
-            history=[(frame - 1, pair_prev), (frame, pair_cur)],
-        )
+        means[:, 4:6] = pairs[:, 4:6] - pairs[:, :2]
+        return cls(np.arange(first_id, first_id + k), means, covs,
+                   pairs[:, 4:], scores, np.zeros(k, dtype=int),
+                   np.full(k, frame))
 
-    def advance(self, frame: int, box: BBox, score: float) -> None:
-        self.mean, self.covariance = _SHARED_KALMAN.predict(self.mean, self.covariance)
-        self.mean, self.covariance = _SHARED_KALMAN.update(
-            self.mean, self.covariance, _box_to_xyah(box)
-        )
-        self.last_box = box
-        self.score = score
-        self.status = TrackStatus.ACTIVATED
-        self.lost_age = 0
-        self.history.append((frame, box))
+    def take(self, rows: np.ndarray) -> "_Tracks":
+        return _Tracks(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def reactivate(self, frame: int, pair_prev: BBox, pair_cur: BBox,
-                   score: float) -> list[tuple[int, BBox]]:
-        """Resume a lost track from a rediscovered pair.
-
-        Returns the history rows added, including the gap-filling previous
-        frame sighting when the track has no entry there yet.
-        """
-        added = []
-        if not self.history or self.history[-1][0] < frame - 1:
-            self.history.append((frame - 1, pair_prev))
-            added.append((frame - 1, pair_prev))
-        self.mean, self.covariance = _SHARED_KALMAN.update(
-            self.mean, self.covariance, _box_to_xyah(pair_cur)
-        )
-        self.last_box = pair_cur
-        self.score = score
-        self.status = TrackStatus.ACTIVATED
-        self.lost_age = 0
-        self.history.append((frame, pair_cur))
-        added.append((frame, pair_cur))
-        return added
-
-    def mark_lost(self) -> None:
-        self.status = TrackStatus.LOST
-        self.lost_age = max(self.lost_age, 1)
-
-    def predict(self) -> None:
-        """Propagate the constant-velocity state one frame ahead."""
-        self.mean, self.covariance = _SHARED_KALMAN.predict(self.mean, self.covariance)
-        self.last_box = _xyah_to_box(self.mean)
+    def concat(self, other: "_Tracks") -> "_Tracks":
+        return _Tracks(*(
+            np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+            for f in fields(self)
+        ))
 
 
 @dataclass
@@ -240,26 +200,27 @@ class TrackingResult:
 
 
 def associate(
-    tracks: Sequence[Track], boxes: np.ndarray, iou_threshold: float
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Hungarian matching of tracks to (m, 4) boxes on IoU, gated at the
-    threshold.
+    track_boxes: np.ndarray, boxes: np.ndarray, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hungarian matching of (k, 4) track boxes to (m, 4) boxes on IoU,
+    gated at the threshold.
 
-    Returns (matches as (track_idx, box_idx) pairs, unmatched track
-    indices, unmatched box indices).
+    Returns the matches as a (j, 2) array of (track index, box index) rows
+    in ascending track order, then the unmatched track indices and the
+    unmatched box indices, each ascending.
     """
-    if not tracks or not len(boxes):
-        return [], list(range(len(tracks))), list(range(len(boxes)))
-    track_arr = np.stack([t.last_box.as_array() for t in tracks])
-    overlaps = iou_matrix(track_arr, boxes)
-    rows, cols = linear_sum_assignment(1.0 - overlaps)
-    matches, un_t, un_b = [], set(range(len(tracks))), set(range(len(boxes)))
-    for r, c in zip(rows, cols):
-        if overlaps[r, c] >= iou_threshold:
-            matches.append((int(r), int(c)))
-            un_t.discard(int(r))
-            un_b.discard(int(c))
-    return matches, sorted(un_t), sorted(un_b)
+    n, m = len(track_boxes), len(boxes)
+    matches = np.zeros((0, 2), dtype=np.intp)
+    if n and m:
+        overlaps = iou_matrix(track_boxes, boxes)
+        rows, cols = linear_sum_assignment(1.0 - overlaps)
+        hit = overlaps[rows, cols] >= iou_threshold
+        matches = np.column_stack([rows[hit], cols[hit]])
+    free_t = np.ones(n, dtype=bool)
+    free_t[matches[:, 0]] = False
+    free_b = np.ones(m, dtype=bool)
+    free_b[matches[:, 1]] = False
+    return matches, np.flatnonzero(free_t), np.flatnonzero(free_b)
 
 
 def filter_duplicates(
@@ -276,19 +237,38 @@ def filter_duplicates(
     return iou_matrix(new_cur, assoc_cur).max(axis=1) <= nms2d_threshold
 
 
+def _result_rows(
+    frame: int, ids: np.ndarray, boxes: np.ndarray, scores: np.ndarray
+) -> list[tuple[int, ResultRow]]:
+    return [
+        (frame, ResultRow(tid, BBox(*box), score))
+        for tid, box, score in zip(ids.tolist(), boxes.tolist(), scores.tolist())
+    ]
+
+
 class Tracker:
     """Single-owner stateful lifecycle machine; one step call per frame."""
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self.activated: list[Track] = []
-        self.lost: list[Track] = []
+        self._tracks = _Tracks.start(1, 0, np.zeros((0, 8)), np.zeros(0))  # empty
         self.last_frame: int | None = None
         self._next_id = 1
 
+    @property
+    def activated(self) -> np.ndarray:
+        """Ids of the activated tracks, in lifecycle order."""
+        return self._tracks.ids[self._tracks.lost_age == 0]
+
+    @property
+    def lost(self) -> np.ndarray:
+        """Ids of the lost tracks, in lifecycle order."""
+        return self._tracks.ids[self._tracks.lost_age > 0]
+
     def prior_boxes(self) -> list[BBox]:
         """Current-frame boxes of the activated tracks, for proposal reuse."""
-        return [t.last_box for t in self.activated]
+        t = self._tracks
+        return [BBox(*box) for box in t.boxes[t.lost_age == 0].tolist()]
 
     def step(
         self, frame: int, batch: CandidateBatch
@@ -312,72 +292,68 @@ class Tracker:
         prior = batch.origin == ProposalOrigin.PRIOR
         assoc_rows = np.flatnonzero(prior)
         new_rows = np.flatnonzero(~prior)
+        tracks = self._tracks
+        n_tracks = len(tracks.ids)
+        n_act = int(np.count_nonzero(tracks.lost_age == 0))
 
         # Association of activated tracks against the previous-frame boxes.
-        matches, un_tracks, un_rows = associate(
-            self.activated, pairs[assoc_rows, :4], cfg.iou_match_threshold
+        matches, un_act, un_rows = associate(
+            tracks.boxes[:n_act], pairs[assoc_rows, :4], cfg.iou_match_threshold
         )
-        emitted: list[tuple[int, ResultRow]] = []
-        for ti, ri in matches:
-            row = assoc_rows[ri]
-            self.activated[ti].advance(
-                frame, BBox(*pairs[row, 4:]), float(batch.assoc[row])
-            )
-        act_remain = [self.activated[i] for i in un_tracks]
-
         keep = filter_duplicates(
             pairs[new_rows, 4:], pairs[assoc_rows, 4:], cfg.nms2d_threshold
         )
         d_new = np.concatenate([assoc_rows[un_rows], new_rows[keep]])
 
-        # Roll every unmatched track's motion state to this frame, then let
-        # them reclaim discoveries at the predicted spots. Tracks that went
-        # unmatched just now take part too: their object may simply have
-        # surfaced through a padded row, or moved off its prior, this frame.
-        pool = self.lost + act_remain
-        for t in pool:
-            t.predict()
-        lost_matches, un_pool, un_new = associate(
-            pool, pairs[d_new, 4:], cfg.iou_match_threshold
+        # Roll every track's motion state to this frame. The unmatched ones
+        # then reclaim discoveries at their predicted spots: the lost tracks,
+        # and the activated tracks that went unmatched just now, since their
+        # object may simply have surfaced through a padded row, or moved off
+        # its prior, this frame.
+        tracks.means, tracks.covs = kalman_predict(tracks.means, tracks.covs)
+        pool = np.concatenate([np.arange(n_act, n_tracks), un_act])
+        tracks.boxes[pool] = _state_boxes(tracks.means[pool])
+        resumed, un_pool, un_new = associate(
+            tracks.boxes[pool], pairs[d_new, 4:], cfg.iou_match_threshold
         )
-        reactivated: list[Track] = []
-        for ti, ri in lost_matches:
-            row = d_new[ri]
-            pair = PairedBox.from_flat(pairs[row])
-            track = pool[ti]
-            added = track.reactivate(
-                frame, pair.prev, pair.cur, float(batch.assoc[row])
-            )
-            for f, box in added[:-1]:
-                emitted.append((f, ResultRow(track.track_id, box, track.score)))
-            reactivated.append(track)
-        pool_remain = [pool[i] for i in un_pool]
 
-        # Reconcile the two state sets, with age and retirement bookkeeping.
-        kept = [t for t in self.activated if t not in act_remain]
-        self.activated = kept + reactivated
-        for t in pool_remain:
-            if t.status is TrackStatus.LOST:
-                t.lost_age += 1
-            else:
-                t.mark_lost()
-        self.lost = [t for t in pool_remain if t.lost_age <= cfg.max_lost_age]
+        # One update for the advanced tracks, then the resumed ones; each
+        # takes its row's current box and score.
+        hit = np.concatenate([matches[:, 0], pool[resumed[:, 0]]])
+        rows = np.concatenate([assoc_rows[matches[:, 1]], d_new[resumed[:, 1]]])
+        tracks.means[hit], tracks.covs[hit] = kalman_update(
+            tracks.means[hit], tracks.covs[hit], _xyah(pairs[rows, 4:])
+        )
+        tracks.boxes[hit] = pairs[rows, 4:]
+        tracks.scores[hit] = batch.assoc[rows]
+        # A resumed track with no row at the previous frame gets one there.
+        gap = tracks.last_emitted[hit] < frame - 1
+        gap[:len(matches)] = False
+        tracks.last_emitted[hit] = frame
+        tracks.lost_age[hit] = 0
+        # Unmatched tracks age; those lost for too long retire.
+        lost = pool[un_pool]
+        tracks.lost_age[lost] += 1
+        lost = lost[tracks.lost_age[lost] <= cfg.max_lost_age]
 
         # Initialize new tracks from the remaining discoveries.
-        for row in d_new[un_new]:
-            score = float(batch.assoc[row])
-            if score > cfg.init_score_threshold:
-                pair = PairedBox.from_flat(pairs[row])
-                track = Track.start(self._next_id, frame, pair.prev, pair.cur, score)
-                self._next_id += 1
-                self.activated.append(track)
-                emitted.append(
-                    (frame - 1, ResultRow(track.track_id, pair.prev, score))
-                )
+        born = d_new[un_new]
+        born = born[batch.assoc[born] > cfg.init_score_threshold]
+        new = _Tracks.start(self._next_id, frame, pairs[born], batch.assoc[born])
+        self._next_id += len(born)
+        prev_rows = np.concatenate([rows[gap], born])
+        prev_ids = np.concatenate([tracks.ids[hit[gap]], new.ids])
 
-        for t in self.activated:
-            emitted.append((frame, ResultRow(t.track_id, t.last_box, t.score)))
-        return emitted
+        # Advanced, resumed and born rows are the activated ones, in the order
+        # ``prior_boxes`` hands them on as proposal priors; lost rows follow.
+        order = np.concatenate([hit, n_tracks + np.arange(len(born)), lost])
+        self._tracks = tracks = tracks.concat(new).take(order)
+        act = slice(0, len(hit) + len(born))
+        return _result_rows(
+            frame - 1, prev_ids, pairs[prev_rows, :4], batch.assoc[prev_rows]
+        ) + _result_rows(
+            frame, tracks.ids[act], tracks.boxes[act], tracks.scores[act]
+        )
 
 
 class GreedyIoUTracker:

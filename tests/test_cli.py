@@ -14,7 +14,7 @@ from pairtrack.harness.config import (
     resolve_oracle,
     resolve_pipeline_config,
 )
-from pairtrack.harness.io import parse_motchallenge
+from pairtrack.harness.io import detections_from_rows, parse_motchallenge
 from pairtrack.pipeline import PipelineConfig, Variant
 from pairtrack.tracker import TrackerConfig
 
@@ -38,6 +38,47 @@ def test_simulate_track_det_eval(tmp_path):
     with open(report) as fh:
         row = next(csv.DictReader(fh))
     assert float(row["mota"]) > 0.9
+
+
+def test_det_on_gt_file_skips_occluded_rows(tmp_path):
+    # A ground-truth file given as detections feeds only its visible rows,
+    # the ones the snap denoiser sees when the same file is given as --gt.
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--out", str(scene_dir), "--objects", "6",
+                 "--frames", "20", "--occlusion", "0.6", "--seed", "3"]) == 0
+    gt = scene_dir / "gt.txt"
+    via_det, via_gt = tmp_path / "det.txt", tmp_path / "gt.txt"
+    assert main(["track", "--det", str(gt), "--out", str(via_det),
+                 "--n-test", "100", "--seed", "1"]) == 0
+    assert main(["track", "--gt", str(gt), "--denoiser", "snap", "--out",
+                 str(via_gt), "--n-test", "100", "--seed", "1"]) == 0
+    assert via_det.read_bytes() == via_gt.read_bytes()
+
+
+def test_detection_rows_keep_unknown_visibility(tmp_path):
+    # det.txt rows carry -1 in the visibility column; a frame whose rows are
+    # all occluded keeps its (empty) key.
+    det = tmp_path / "d.txt"
+    det.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n"
+                   "1,3,50,50,20,20,1,1,0.5\n"
+                   "2,3,52,50,20,20,1,1,0.0\n"
+                   "3,3,54,50,20,20,1,1,0.6\n")
+    dets = detections_from_rows(parse_motchallenge(det))
+    assert sorted(dets) == [1, 2, 3]
+    assert [conf for _, conf in dets[1]] == [0.9]
+    assert dets[2] == []
+    assert [box.cx for box, _ in dets[3]] == [64.0]
+
+
+def test_track_det_reads_sidecar_seqinfo(tmp_path):
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--out", str(scene_dir), "--objects", "3",
+                 "--frames", "5", "--image-size", "640x480", "--seed", "1"]) == 0
+    result = tmp_path / "result.txt"
+    assert main(["track", "--det", str(scene_dir / "gt.txt"), "--out",
+                 str(result), "--n-test", "32", "--seed", "1"]) == 0
+    manifest = json.loads(result.with_suffix(".manifest.json").read_text())
+    assert manifest["extra"]["image_size"] == [640, 480]
 
 
 def _simulate(tmp_path):

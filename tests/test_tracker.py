@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
 from pairtrack.geometry import BBox, iou
 from pairtrack.tracker import (
+    MOTION_MAT,
     GreedyIoUTracker,
-    KalmanBoxFilter,
-    Track,
     Tracker,
     associate,
     filter_duplicates,
+    kalman_initiate,
+    kalman_predict,
+    kalman_update,
 )
 
 
@@ -49,37 +51,120 @@ def boxes(*rows):
 
 class TestKalman:
     def test_zero_velocity_stationary(self):
-        kf = KalmanBoxFilter()
-        mean, cov = kf.initiate(np.array([100.0, 200.0, 0.5, 40.0]))
-        mean, cov = kf.predict(mean, cov)
-        assert np.allclose(mean[:4], [100, 200, 0.5, 40])
+        mean, cov = kalman_initiate(boxes((100.0, 200.0, 0.5, 40.0)))
+        mean, cov = kalman_predict(mean, cov)
+        assert np.allclose(mean[0, :4], [100, 200, 0.5, 40])
 
     def test_velocity_shifts_center(self):
-        kf = KalmanBoxFilter()
-        mean, cov = kf.initiate(np.array([100.0, 200.0, 0.5, 40.0]))
-        mean[4] = 5.0
-        mean, cov = kf.predict(mean, cov)
-        assert mean[0] == pytest.approx(105.0)
-        assert mean[1] == pytest.approx(200.0)
+        mean, cov = kalman_initiate(boxes((100.0, 200.0, 0.5, 40.0)))
+        mean[0, 4] = 5.0
+        mean, cov = kalman_predict(mean, cov)
+        assert mean[0, 0] == pytest.approx(105.0)
+        assert mean[0, 1] == pytest.approx(200.0)
 
     def test_double_step_matrix_identity(self):
-        kf = KalmanBoxFilter()
-        double = kf.motion_mat @ kf.motion_mat
+        double = MOTION_MAT @ MOTION_MAT
         interval2 = np.eye(8)
         for i in range(4):
             interval2[i, 4 + i] = 2.0
         assert np.allclose(double, interval2)
-        mean, _ = kf.initiate(np.array([10.0, 20.0, 1.0, 30.0]))
-        mean[4:6] = [3.0, -2.0]
-        stepped = kf.motion_mat @ (kf.motion_mat @ mean)
-        assert np.allclose(stepped, interval2 @ mean)
+        mean, _ = kalman_initiate(boxes((10.0, 20.0, 1.0, 30.0)))
+        mean[0, 4:6] = [3.0, -2.0]
+        stepped = MOTION_MAT @ (MOTION_MAT @ mean[0])
+        assert np.allclose(stepped, interval2 @ mean[0])
 
     def test_update_pulls_toward_measurement(self):
-        kf = KalmanBoxFilter()
-        mean, cov = kf.initiate(np.array([100.0, 100.0, 1.0, 40.0]))
-        mean, cov = kf.predict(mean, cov)
-        mean, cov = kf.update(mean, cov, np.array([110.0, 100.0, 1.0, 40.0]))
-        assert 100.0 < mean[0] <= 110.0
+        mean, cov = kalman_initiate(boxes((100.0, 100.0, 1.0, 40.0)))
+        mean, cov = kalman_predict(mean, cov)
+        mean, cov = kalman_update(mean, cov, boxes((110.0, 100.0, 1.0, 40.0)))
+        assert 100.0 < mean[0, 0] <= 110.0
+
+
+# Kalman stacks as a tracker holds them: started from (cx, cy, aspect,
+# height) measurements, given a velocity and predicted a few frames on.
+_xyah = st.tuples(st.floats(0, 2000), st.floats(0, 2000), st.floats(0.1, 5),
+                  st.floats(1e-6, 500))
+
+
+@st.composite
+def _kalman_stacks(draw):
+    k = draw(st.integers(1, 12))
+    means, covs = kalman_initiate(np.array(draw(st.lists(_xyah, min_size=k,
+                                                         max_size=k))))
+    means[:, 4:6] = draw(st.lists(st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
+                                  min_size=k, max_size=k))
+    for _ in range(draw(st.integers(0, 3))):
+        means, covs = kalman_predict(means, covs)
+    meas = np.array(draw(st.lists(_xyah, min_size=k, max_size=k)))
+    return means, covs, meas
+
+
+class TestStackedKalman:
+    """A stacked step treats each row as a stack of one would."""
+
+    @staticmethod
+    def check_rowwise(step, means, covs, *args):
+        got_means, got_covs = step(means, covs, *args)
+        for i in range(len(means)):
+            one_mean, one_cov = step(means[i:i + 1], covs[i:i + 1],
+                                     *(a[i:i + 1] for a in args))
+            assert np.array_equal(got_means[i], one_mean[0]), i
+            assert np.array_equal(got_covs[i], one_cov[0]), i
+
+    @given(stack=_kalman_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_predict_rowwise(self, stack):
+        means, covs, _ = stack
+        self.check_rowwise(kalman_predict, means, covs)
+
+    @given(stack=_kalman_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_update_rowwise(self, stack):
+        self.check_rowwise(kalman_update, *stack)
+
+    @given(stack=_kalman_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_per_track_filter(self, stack):
+        means, covs, meas = stack
+        init_means, init_covs = kalman_initiate(meas)
+        pred_means, pred_covs = kalman_predict(means, covs)
+        upd_means, upd_covs = kalman_update(means, covs, meas)
+        for i in range(len(means)):
+            mean, cov = _per_track_initiate(meas[i])
+            assert np.array_equal(init_means[i], mean), i
+            assert np.array_equal(init_covs[i], cov), i
+            mean, cov = _per_track_predict(means[i], covs[i])
+            assert np.array_equal(pred_means[i], mean), i
+            assert np.array_equal(pred_covs[i], cov), i
+            mean, cov = _per_track_update(means[i], covs[i], meas[i])
+            assert np.array_equal(upd_means[i], mean), i
+            assert np.array_equal(upd_covs[i], cov), i
+
+
+# The one-track filter the stacked steps replaced, kept as their reference.
+def _per_track_initiate(meas):
+    pos, vel = 2 * (1 / 20) * meas[3], 10 * (1 / 160) * meas[3]
+    mean = np.zeros(8)
+    mean[:4] = meas
+    return mean, np.diag(np.square([pos, pos, 1e-2, pos, vel, vel, 1e-5, vel]))
+
+
+def _per_track_predict(mean, cov):
+    pos, vel = 1 / 20 * mean[3], 1 / 160 * mean[3]
+    std = [pos, pos, 1e-2, pos, vel, vel, 1e-5, vel]
+    return MOTION_MAT @ mean, (
+        MOTION_MAT @ cov @ MOTION_MAT.T + np.diag(np.square(std))
+    )
+
+
+def _per_track_update(mean, cov, meas):
+    pos = 1 / 20 * mean[3]
+    update_mat = np.eye(4, 8)
+    std = [pos, pos, 1e-1, pos]
+    projected_cov = update_mat @ cov @ update_mat.T + np.diag(np.square(std))
+    gain = np.linalg.solve(projected_cov.T, (cov @ update_mat.T).T).T
+    mean = mean + gain @ (meas - update_mat @ mean)
+    return mean, cov - gain @ projected_cov @ gain.T
 
 
 def tracked(*pairs):
@@ -133,7 +218,7 @@ class TestSplitCandidates:
             cand(PADDED, (110, 100, 20, 20), (400, 400, 20, 20), 0.9),
         ])))
         assert [r.track_id for r in emitted[3]] == [2]
-        assert [t.track_id for t in tracker.lost] == [1]
+        assert tracker.lost.tolist() == [1]
 
     def test_zero_assoc_slots_all_new(self):
         tracker = Tracker()
@@ -146,33 +231,35 @@ class TestSplitCandidates:
 
 
 class TestAssociate:
-    def make_track(self, tid, box):
-        return Track.start(tid, 2, BBox(*box), BBox(*box), 0.9)
-
     def test_exact_overlap_matches(self):
-        t = self.make_track(1, (100, 100, 20, 20))
-        matches, un_t, un_b = associate([t], boxes((100, 100, 20, 20)), 0.3)
-        assert matches == [(0, 0)] and un_t == [] and un_b == []
+        matches, un_t, un_b = associate(
+            boxes((100, 100, 20, 20)), boxes((100, 100, 20, 20)), 0.3
+        )
+        assert matches.tolist() == [[0, 0]]
+        assert un_t.tolist() == [] and un_b.tolist() == []
 
     def test_no_overlap_no_match(self):
-        t = self.make_track(1, (100, 100, 20, 20))
-        matches, un_t, un_b = associate([t], boxes((500, 500, 20, 20)), 0.3)
-        assert matches == [] and un_t == [0] and un_b == [0]
+        matches, un_t, un_b = associate(
+            boxes((100, 100, 20, 20)), boxes((500, 500, 20, 20)), 0.3
+        )
+        assert matches.tolist() == [] and un_t.tolist() == [0]
+        assert un_b.tolist() == [0]
 
     def test_crossed_overlaps_maximize_total(self):
-        t1 = self.make_track(1, (100, 100, 20, 20))
-        t2 = self.make_track(2, (112, 100, 20, 20))
+        t1, t2 = BBox(100, 100, 20, 20), BBox(112, 100, 20, 20)
         b1, b2 = BBox(104, 100, 20, 20), BBox(114, 100, 20, 20)
         matches, _, _ = associate(
-            [t1, t2], np.stack([b1.as_array(), b2.as_array()]), 0.1
+            boxes(t1.as_array(), t2.as_array()),
+            boxes(b1.as_array(), b2.as_array()), 0.1,
         )
-        straight = iou(t1.last_box, b1) + iou(t2.last_box, b2)
-        crossed = iou(t1.last_box, b2) + iou(t2.last_box, b1)
+        straight = iou(t1, b1) + iou(t2, b2)
+        crossed = iou(t1, b2) + iou(t2, b1)
         expected = {(0, 0), (1, 1)} if straight >= crossed else {(0, 1), (1, 0)}
-        assert set(matches) == expected
+        assert set(map(tuple, matches.tolist())) == expected
 
     def test_empty_inputs(self):
-        assert associate([], np.zeros((0, 4)), 0.3) == ([], [], [])
+        out = associate(np.zeros((0, 4)), np.zeros((0, 4)), 0.3)
+        assert [a.tolist() for a in out] == [[], [], []]
 
 
 class TestFilterDuplicates:
@@ -217,7 +304,7 @@ class TestTrackerStep:
                                     (110, 100, 20, 20), 0.9)]))
         emitted = tracker.step(3, batch([]))
         assert emitted == []
-        assert tracker.activated == []
+        assert tracker.activated.tolist() == []
         assert len(tracker.lost) == 1
 
     def test_steady_object_keeps_one_id(self):
@@ -249,12 +336,12 @@ class TestTrackerStep:
                 cand(PADDED, (300, 300, 20, 20), (300, 300, 20, 20), 0.9),
             ]),
         )
-        first_ids = {t.track_id for t in tracker.activated}
+        first_ids = set(tracker.activated.tolist())
         tracker.step(
             3,
             batch([cand(PADDED, (600, 600, 20, 20), (600, 600, 20, 20), 0.9)]),
         )
-        new_ids = {t.track_id for t in tracker.activated} - first_ids
+        new_ids = set(tracker.activated.tolist()) - first_ids
         assert all(n > max(first_ids) for n in new_ids)
 
     def test_state_partition(self):
@@ -262,8 +349,8 @@ class TestTrackerStep:
         tracker.step(2, batch([cand(PADDED, (100, 100, 20, 20),
                                     (110, 100, 20, 20), 0.9)]))
         tracker.step(3, batch([]))
-        act = {id(t) for t in tracker.activated}
-        lost = {id(t) for t in tracker.lost}
+        act = set(tracker.activated.tolist())
+        lost = set(tracker.lost.tolist())
         assert act.isdisjoint(lost)
 
     def test_no_duplicate_ids_per_frame(self):
@@ -347,16 +434,29 @@ class TestStepProperties:
                 ids_at.setdefault(f, []).append(row.track_id)
                 assert all(math.isfinite(v) for v in row.box.as_array())
                 assert math.isfinite(row.score)
-            for t in tracker.activated + tracker.lost:
-                # Lost tracks' predicted boxes are never emitted, but they
-                # are matched against later discoveries.
-                assert np.isfinite(t.last_box.as_array()).all()
-            active = [t.track_id for t in tracker.activated]
-            lost = [t.track_id for t in tracker.lost]
+            # Lost tracks' predicted boxes are never emitted, but they are
+            # matched against later discoveries.
+            assert np.isfinite(tracker._tracks.boxes).all()
+            active = tracker.activated.tolist()
+            lost = tracker.lost.tolist()
             assert set(active).isdisjoint(lost)
             assert len(set(active)) == len(active)
         for f, ids in ids_at.items():
             assert len(ids) == len(set(ids)), f
+
+    @given(steps=_survivor_runs())
+    @settings(max_examples=50, deadline=None)
+    def test_state_sizes_match_emitted_rows(self, steps):
+        # perfbench's tracing hook reports len(tracker.activated) and
+        # len(tracker.lost) after each step as the active and lost counts.
+        tracker = Tracker()
+        for frame, rows in steps:
+            emitted = tracker.step(frame, batch(rows))
+            assert len(tracker.activated) == sum(f == frame for f, _ in emitted)
+            n_lost = len(tracker.lost)
+            assert isinstance(n_lost, int)
+            assert n_lost == len(set(tracker.lost.tolist()))
+            assert set(tracker.lost.tolist()).isdisjoint(tracker.activated.tolist())
 
     @given(steps=_survivor_runs(), back=st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
@@ -419,7 +519,7 @@ class TestHandTracedScenario:
             )
         )
         assert [r.track_id for r in emitted[4]] == [2]
-        assert [t.track_id for t in tracker.lost] == [1]
+        assert tracker.lost.tolist() == [1]
 
         # pair (4,5): A still occluded
         emitted = rows_by_frame(
@@ -445,8 +545,8 @@ class TestHandTracedScenario:
         assert sorted(r.track_id for r in emitted[6]) == [1, 2]
         assert [r.track_id for r in emitted[5]] == [1]
         assert emitted[5][0].box == BBox(140, 100, 20, 20)
-        assert tracker.lost == []
-        assert {t.track_id for t in tracker.activated} == {1, 2}
+        assert tracker.lost.tolist() == []
+        assert set(tracker.activated.tolist()) == {1, 2}
 
 
 class TestGreedyReference:
