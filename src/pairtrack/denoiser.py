@@ -16,7 +16,10 @@ Three implementations ship here:
 * ``IdentityDenoiser`` echoes its input (test stub).
 
 All denoisers are deterministic functions of their inputs and safe to call
-concurrently once constructed.
+concurrently once constructed. ``OracleDenoiser`` keeps one memo entry, the
+ground-truth targets of the last context it saw, and reuses it only for
+that same (frozen) context object; a call that misses rebuilds the targets,
+so concurrent calls cost more but still return the same outputs.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameContext:
     """Everything a concrete denoiser may condition on for one frame pair.
 
@@ -49,7 +52,8 @@ class FrameContext:
     engine in detection mode). Ground truth is a list of (identity, box)
     per frame; detections are (box, confidence). ``conditional`` marks a
     baseline pair built from priors, where only the current frame member
-    is denoised and the previous member acts as the condition.
+    is denoised and the previous member acts as the condition. Contexts are
+    frozen; derive a variant with ``dataclasses.replace``.
     """
 
     frame_prev: int
@@ -164,6 +168,11 @@ class OracleDenoiser:
     its target; rows whose output stays off every target are scored below
     any usable confidence gate, as is everything when no ground truth
     exists in either frame.
+
+    The targets depend on the frame context alone, and ``ddim_refine``
+    passes one context to every step of a pair, so they are built once per
+    pair: the instance keeps the last context object it saw with its
+    targets, and reuses them only for that same object.
     """
 
     def __init__(self, fidelity: float, config: OracleConfig | None = None):
@@ -171,8 +180,10 @@ class OracleDenoiser:
             raise ValueError("fidelity must lie in [0, 1]")
         self.fidelity = fidelity
         self.config = config or OracleConfig()
+        self._memo: tuple[FrameContext, tuple | None] | None = None
 
-    def _targets(self, ctx: FrameContext):
+    @staticmethod
+    def _targets(ctx: FrameContext):
         """Build per-identity target pairs from the two frames' ground truth.
 
         Identities visible in only one frame reuse that frame's box for the
@@ -181,26 +192,27 @@ class OracleDenoiser:
         prev = dict(ctx.gt_prev or [])
         cur = dict(ctx.gt_cur or [])
         ids = sorted(set(prev) | set(cur))
-        rows, in_prev, in_cur = [], [], []
+        if not ids:
+            return None
+        rows = []
         for i in ids:
             pb = prev.get(i, cur.get(i))
             cb = cur.get(i, prev.get(i))
-            rows.append(np.concatenate([pb.as_array(), cb.as_array()]))
-            in_prev.append(i in prev)
-            in_cur.append(i in cur)
-        if not rows:
-            return None
+            rows.append((pb.cx, pb.cy, pb.w, pb.h, cb.cx, cb.cy, cb.w, cb.h))
         return (
-            np.stack(rows),
-            np.asarray(in_prev, dtype=bool),
-            np.asarray(in_cur, dtype=bool),
+            np.array(rows, dtype=np.float64),
+            np.array([i in prev for i in ids], dtype=bool),
+            np.array([i in cur for i in ids], dtype=bool),
         )
 
     def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
         boxes = np.asarray(boxes, dtype=np.float64)
         n = boxes.shape[0]
         cfg = self.config
-        targets = self._targets(ctx)
+        memo = self._memo
+        if memo is None or memo[0] is not ctx:
+            memo = self._memo = (ctx, self._targets(ctx))
+        targets = memo[1]
         if targets is None:
             low = np.full(n, cfg.far_score)
             return DenoisedBatch(boxes.copy(), low.copy(), low.copy(), low.copy())
@@ -239,13 +251,16 @@ class OracleDenoiser:
 
         target_pix = gt_pix[snap]
         f = self.fidelity
+        # Blended members on the (n, 2, 4) member view: the current one
+        # alone for a conditional pair, both otherwise.
+        members = slice(1, 2) if ctx.conditional else slice(0, 2)
         out_pix = boxes.copy()
-        blended = (4,) if ctx.conditional else (0, 4)
-        for off in blended:
-            sl = slice(off, off + 4)
-            out_pix[:, sl] = f * target_pix[:, sl] + (1.0 - f) * boxes[:, sl]
+        out_pix.reshape(n, 2, 4)[:, members] = (
+            f * target_pix.reshape(n, 2, 4)[:, members]
+            + (1.0 - f) * boxes.reshape(n, 2, 4)[:, members]
+        )
         if f > 0.0:
-            out_pix = self._cap_residual(out_pix, target_pix, blended)
+            out_pix = self._cap_residual(out_pix, target_pix, members)
 
         # Fit of the emitted pair against its own target drives the scores;
         # a small input-fit bonus ranks well-placed proposals above noise
@@ -260,7 +275,14 @@ class OracleDenoiser:
         both = in_prev[snap] & in_cur[snap]
         assoc = np.where(both, assoc, assoc * cfg.missing_penalty)
 
-        off_target = self._off_target(out_pix, gt_pix)
+        # fit_out is bit for bit the (row, snap) entry of the output's full
+        # overlap matrix, so a row at or above far_floor on its own target
+        # overlaps a target and cannot be off-target; only the rest are
+        # tested against every target.
+        off_target = np.zeros(n, dtype=bool)
+        miss = np.flatnonzero(fit_out < cfg.far_floor)
+        if miss.size:
+            off_target[miss] = self._off_target(out_pix[miss], gt_pix)
         assoc = np.where(off_target, cfg.far_score, assoc)
 
         cls_prev = np.where(in_prev[snap], f, cfg.missing_cls)
@@ -270,25 +292,27 @@ class OracleDenoiser:
         return DenoisedBatch(out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
 
     def _cap_residual(
-        self, out_pix: np.ndarray, target_pix: np.ndarray, members: tuple[int, ...]
+        self, out_pix: np.ndarray, target_pix: np.ndarray, members: slice
     ) -> np.ndarray:
-        """Pull emitted boxes to within the snap radius of their target."""
+        """Pull emitted boxes to within the snap radius of their target.
+
+        ``members`` selects members of the (n, 2, 4) view of both arrays;
+        every selected member is capped in the same element-wise pass.
+        """
         cfg = self.config
+        n = out_pix.shape[0]
         out = out_pix.copy()
-        for off in members:
-            tw = target_pix[:, off + 2]
-            th = target_pix[:, off + 3]
-            radius = cfg.snap_cap * np.hypot(tw, th) / self.fidelity
-            delta_c = out[:, off : off + 2] - target_pix[:, off : off + 2]
-            norm = np.linalg.norm(delta_c, axis=1)
-            shrink = np.where(norm > radius, radius / np.maximum(norm, 1e-12), 1.0)
-            out[:, off : off + 2] = (
-                target_pix[:, off : off + 2] + delta_c * shrink[:, None]
-            )
-            delta_s = out[:, off + 2 : off + 4] - target_pix[:, off + 2 : off + 4]
-            out[:, off + 2 : off + 4] = target_pix[:, off + 2 : off + 4] + np.clip(
-                delta_s, -radius[:, None], radius[:, None]
-            )
+        o = out.reshape(n, 2, 4)[:, members]
+        t = target_pix.reshape(n, 2, 4)[:, members]
+        radius = cfg.snap_cap * np.hypot(t[..., 2], t[..., 3]) / self.fidelity
+        delta_c = o[..., :2] - t[..., :2]
+        norm = np.linalg.norm(delta_c, axis=-1)
+        shrink = np.where(norm > radius, radius / np.maximum(norm, 1e-12), 1.0)
+        o[..., :2] = t[..., :2] + delta_c * shrink[..., None]
+        delta_s = o[..., 2:] - t[..., 2:]
+        o[..., 2:] = t[..., 2:] + np.clip(
+            delta_s, -radius[..., None], radius[..., None]
+        )
         return out
 
     def _off_target(self, out_pix: np.ndarray, gt_pix: np.ndarray) -> np.ndarray:
@@ -325,10 +349,10 @@ class DetectionSnapDenoiser:
         det_arr = np.stack([d[0].as_array() for d in dets])
         confs = np.asarray([d[1] for d in dets], dtype=np.float64)
         overlaps = iou_matrix(boxes_pix, det_arr)
-        # Rank overlap first, then confidence, then lower index.
-        n_det = det_arr.shape[0]
-        rank = overlaps + confs[None, :] * 1e-9 - np.arange(n_det)[None, :] * 1e-12
-        pick = np.argmax(rank, axis=1)
+        # Highest overlap, then highest confidence among the detections
+        # sharing it, then the lowest index (argmax takes the first).
+        top = overlaps == overlaps.max(axis=1, keepdims=True)
+        pick = np.argmax(np.where(top, confs[None, :], -np.inf), axis=1)
         return det_arr[pick], confs[pick], pick
 
     def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:

@@ -56,13 +56,16 @@ class MetricsReport:
         )
 
 
+def _box_array(boxes) -> np.ndarray:
+    """The (n, 4) center-form array of ``boxes``, built in one call."""
+    return np.array(
+        [(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+
+
 def _grouped_result(result: TrackingResult, frame: int):
     rows = result.frames.get(frame, [])
-    ids = [r.track_id for r in rows]
-    boxes = (
-        np.stack([r.box.as_array() for r in rows]) if rows else np.zeros((0, 4))
-    )
-    return ids, boxes
+    return [r.track_id for r in rows], _box_array([r.box for r in rows])
 
 
 def evaluate(
@@ -86,11 +89,7 @@ def evaluate(
     for frame in frames:
         gt_rows = gt.visible(frame)
         gt_ids = [g for g, _ in gt_rows]
-        gt_boxes = (
-            np.stack([b.as_array() for _, b in gt_rows])
-            if gt_rows
-            else np.zeros((0, 4))
-        )
+        gt_boxes = _box_array([b for _, b in gt_rows])
         pred_ids, pred_boxes = _grouped_result(result, frame)
 
         gt_count += len(gt_ids)
@@ -158,9 +157,11 @@ def _idf1(
     gt_ids = sorted(gt_lengths)
     pred_ids = sorted(pred_lengths)
     if gt_ids and pred_ids:
+        gt_index = {g: i for i, g in enumerate(gt_ids)}
+        pred_index = {p: i for i, p in enumerate(pred_ids)}
         counts = np.zeros((len(gt_ids), len(pred_ids)))
         for (g, p), c in overlap_counts.items():
-            counts[gt_ids.index(g), pred_ids.index(p)] = c
+            counts[gt_index[g], pred_index[p]] = c
         rows, cols = linear_sum_assignment(-counts)
         idtp = counts[rows, cols].sum()
     else:

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairtrack.denoiser import (
     DetectionSnapDenoiser,
     FrameContext,
     IdentityDenoiser,
+    OracleConfig,
     OracleDenoiser,
 )
-from pairtrack.geometry import BBox, PairedBox, iou3d
+from pairtrack.diffusion import (
+    PaddingStrategy,
+    build_inference_proposals,
+    cosine_schedule,
+    ddim_refine,
+)
+from pairtrack.geometry import BBox, PairedBox, iou3d, iou3d_matrix, iou_matrix, overlap
 
 IMAGE = (1000, 800)
 
@@ -134,6 +147,218 @@ class TestOracleDenoiser:
         with pytest.raises(ValueError):
             OracleDenoiser(1.5)
 
+    def test_targets_built_once_per_pair(self, monkeypatch):
+        # ddim_refine hands every step the same context object.
+        built = []
+        targets = OracleDenoiser._targets
+        monkeypatch.setattr(
+            OracleDenoiser, "_targets",
+            staticmethod(lambda ctx: built.append(ctx) or targets(ctx)),
+        )
+        rng = np.random.default_rng(0)
+        props = build_inference_proposals(
+            [BBox(200, 200, 60, 100)], 20, 0.25, PaddingStrategy.CAT_GAUSSIAN,
+            rng, IMAGE, timestep=500,
+        )
+        ctx = self.ctx()
+        ddim_refine(props, 4, OracleDenoiser(0.9), ctx, cosine_schedule(1000))
+        assert len(built) == 1 and built[0] is ctx
+
+
+def _ctx_from_rows(gt_rows, conditional=False):
+    """A context whose ground truth holds one identity per (8,) row."""
+    gt_prev = [(i, BBox(*r[:4])) for i, r in enumerate(gt_rows)]
+    gt_cur = [(i, BBox(*r[4:])) for i, r in enumerate(gt_rows)]
+    return FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur,
+                        conditional=conditional)
+
+
+coord = st.floats(0.0, 1000.0, allow_nan=False)
+size = st.floats(1.0, 200.0, allow_nan=False)
+gt_box = st.tuples(coord, coord, size, size)
+gt_rows = st.lists(st.tuples(gt_box, gt_box).map(lambda t: t[0] + t[1]),
+                   min_size=1, max_size=6)
+
+
+class TestOraclePrunedOffTarget:
+    """Only rows below far_floor on their own target are tested against every
+    target; the decision must equal the full-matrix rule on every row."""
+
+    @given(
+        gt=gt_rows,
+        near=st.lists(st.tuples(st.integers(0, 5), st.lists(
+            st.floats(-30.0, 30.0, allow_nan=False), min_size=8, max_size=8)),
+            max_size=12),
+        far=st.lists(st.tuples(st.floats(1500.0, 3000.0), st.floats(1500.0, 3000.0),
+                               size, size), max_size=8),
+        inside=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 1.0),
+                                  st.floats(0.0, 1.0), st.floats(0.0, 2.0)),
+                        max_size=8),
+        fidelity=st.sampled_from([0.0, 0.02, 0.3, 0.9]),
+        conditional=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_matrix_rule(self, gt, near, far, inside, fidelity,
+                                      conditional):
+        gt_pix = np.array(gt, dtype=np.float64)
+        k = len(gt)
+        rows = []
+        # Jittered copies of a target.
+        for j, jitter in near:
+            rows.append(gt_pix[j % k] + np.array(jitter))
+        # Far from every target, in both members.
+        for cx, cy, w, h in far:
+            rows.append([cx, cy, w, h, cx, cy, w, h])
+        # Tiny (or zero-size) boxes whose centres sit inside a target: the
+        # overlap is below far_floor, yet the row is on target.
+        for j, u, v, side in inside:
+            t = gt_pix[j % k]
+            cx0, cy0 = t[0] + (u - 0.5) * t[2], t[1] + (v - 0.5) * t[3]
+            cx1, cy1 = t[4] + (u - 0.5) * t[6], t[5] + (v - 0.5) * t[7]
+            rows.append([cx0, cy0, side, side, cx1, cy1, side, side])
+        boxes = np.array(rows, dtype=np.float64).reshape(-1, 8)
+        dn = OracleDenoiser(fidelity)
+        out = dn.denoise_batch(boxes, 10, _ctx_from_rows(gt, conditional))
+        # f and missing_cls differ from far_score, so far_score in cls_prev
+        # marks exactly the off-target rows.
+        far_score = OracleConfig().far_score
+        flagged = out.cls_prev == far_score
+        expected = dn._off_target(out.pairs, gt_pix)
+        assert np.array_equal(flagged, expected)
+        assert np.array_equal(out.cls_cur == far_score, expected)
+
+    @given(gt=gt_rows, rows=st.lists(st.tuples(gt_box, gt_box).map(
+        lambda t: t[0] + t[1]), max_size=20), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_own_target_fit_is_the_matrix_entry(self, gt, rows, data):
+        # The premise of the pruning: the row-aligned fit against a row's
+        # own target is bit for bit that entry of the full matrix.
+        gt_pix = np.array(gt, dtype=np.float64)
+        out = np.array(rows, dtype=np.float64).reshape(-1, 8)
+        snap = np.array(data.draw(st.lists(
+            st.integers(0, len(gt) - 1), min_size=len(rows), max_size=len(rows))),
+            dtype=int)
+        full = iou3d_matrix(out, gt_pix)
+        assert np.array_equal(overlap(out, gt_pix[snap]),
+                              full[np.arange(len(rows)), snap])
+
+
+def _cap_residual_per_member(out_pix, target_pix, members, snap_cap, fidelity):
+    """Reference: the member-by-member residual cap (offsets 0 and/or 4)."""
+    out = out_pix.copy()
+    for off in members:
+        tw = target_pix[:, off + 2]
+        th = target_pix[:, off + 3]
+        radius = snap_cap * np.hypot(tw, th) / fidelity
+        delta_c = out[:, off : off + 2] - target_pix[:, off : off + 2]
+        norm = np.linalg.norm(delta_c, axis=1)
+        shrink = np.where(norm > radius, radius / np.maximum(norm, 1e-12), 1.0)
+        out[:, off : off + 2] = (
+            target_pix[:, off : off + 2] + delta_c * shrink[:, None]
+        )
+        delta_s = out[:, off + 2 : off + 4] - target_pix[:, off + 2 : off + 4]
+        out[:, off + 2 : off + 4] = target_pix[:, off + 2 : off + 4] + np.clip(
+            delta_s, -radius[:, None], radius[:, None]
+        )
+    return out
+
+
+class TestCapResidual:
+    value = st.floats(-2000.0, 2000.0, allow_nan=False)
+    row = st.lists(value, min_size=8, max_size=8)
+
+    @given(
+        pairs=st.lists(st.tuples(row, row), max_size=40),
+        conditional=st.booleans(),
+        fidelity=st.floats(0.01, 1.0),
+        snap_cap=st.sampled_from([0.0, 0.035, 0.5]),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_per_member_loop(self, pairs, conditional, fidelity,
+                                             snap_cap, exact):
+        out = np.array([p[0] for p in pairs], dtype=np.float64).reshape(-1, 8)
+        target = np.array([p[1] for p in pairs], dtype=np.float64).reshape(-1, 8)
+        if exact:
+            out[::2] = target[::2]  # zero residual: norm 0, shrink 1
+        dn = OracleDenoiser(fidelity, OracleConfig(snap_cap=snap_cap))
+        members, offsets = (slice(1, 2), (4,)) if conditional else (slice(0, 2), (0, 4))
+        got = dn._cap_residual(out, target, members)
+        want = _cap_residual_per_member(out, target, offsets, snap_cap, fidelity)
+        assert np.array_equal(got, want)
+
+
+class TestTargetMemo:
+    @given(
+        a=gt_rows, b=gt_rows,
+        rows=st.lists(st.tuples(gt_box, gt_box).map(lambda t: t[0] + t[1]),
+                      min_size=1, max_size=10),
+        conditional=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_alternating_contexts_match_fresh_instances(self, a, b, rows,
+                                                        conditional):
+        boxes = np.array(rows, dtype=np.float64)
+        ctx_a = _ctx_from_rows(a, conditional)
+        ctx_b = _ctx_from_rows(b, conditional)
+        shared = OracleDenoiser(0.9)
+        for ctx in (ctx_a, ctx_b, ctx_a):
+            got = shared.denoise_batch(boxes, 10, ctx)
+            want = OracleDenoiser(0.9).denoise_batch(boxes, 10, ctx)
+            for field in ("pairs", "cls_prev", "cls_cur", "assoc"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_equal_but_distinct_context_rebuilds(self):
+        # A memo hit needs the same object; an equal copy is rebuilt, not
+        # reused, and gives the same output.
+        gt = [(200.0, 200.0, 60.0, 100.0, 210.0, 205.0, 60.0, 100.0)]
+        boxes = np.array(gt)
+        dn = OracleDenoiser(0.9)
+        ctx = _ctx_from_rows(gt)
+        first = dn.denoise_batch(boxes, 10, ctx)
+        copy = dataclasses.replace(ctx)
+        again = dn.denoise_batch(boxes, 10, copy)
+        assert dn._memo[0] is copy
+        assert np.array_equal(first.pairs, again.pairs)
+
+    def test_concurrent_calls_on_one_instance(self):
+        # Threads share one instance and alternate contexts, so the memo
+        # is replaced under them; every output must still match a fresh
+        # instance's.
+        rng = np.random.default_rng(5)
+        contexts = [_ctx_from_rows(rng.uniform(50, 900, (k, 8))) for k in (1, 3, 5, 7)]
+        boxes = rng.uniform(50, 900, (60, 8))
+        want = [OracleDenoiser(0.9).denoise_batch(boxes, 10, c).pairs for c in contexts]
+        shared = OracleDenoiser(0.9)
+        bad = []
+
+        def work(offset):
+            for i in range(40):
+                j = (i + offset) % len(contexts)
+                got = shared.denoise_batch(boxes, 10, contexts[j]).pairs
+                if not np.array_equal(got, want[j]):
+                    bad.append(j)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_frame_context_is_frozen(self):
+        ctx = FrameContext(1, 2, IMAGE, gt_prev=[], gt_cur=[])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.gt_cur = [(1, BBox(10, 10, 5, 5))]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.conditional = True
+
 
 class TestDetectionSnapDenoiser:
     def test_single_detection_pair(self):
@@ -180,3 +405,32 @@ class TestDetectionSnapDenoiser:
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == 0.0
         assert np.allclose(out.pairs[0], [100, 100, 50, 50, 100, 100, 50, 50])
+
+    def test_equal_overlap_prefers_higher_confidence(self):
+        # Two identical detections: the 0.5005 one must win over the 0.5
+        # one at index 0, however small the confidence gap.
+        b = BBox(300, 300, 60, 60)
+        ctx = FrameContext(1, 2, IMAGE, det_prev=[(b, 1.0)],
+                           det_cur=[(b, 0.5), (b, 0.5005)])
+        boxes = np.array([[300, 300, 60, 60, 305, 300, 60, 60]], dtype=float)
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
+        assert out.cls_cur.tolist() == [0.5005]
+
+    def test_equal_overlap_and_confidence_prefers_lower_index(self):
+        b = BBox(300, 300, 60, 60)
+        boxes = np.array([[300, 300, 60, 60]], dtype=float)
+        _, confs, pick = DetectionSnapDenoiser._snap_frame(
+            boxes, [(b, 0.7), (b, 0.7), (b, 0.7)])
+        assert pick.tolist() == [0] and confs.tolist() == [0.7]
+
+    def test_higher_overlap_wins_by_less_than_1e9(self):
+        # The overlaps differ by less than 1e-9; the closer detection wins
+        # even though the other has the higher confidence.
+        close = BBox(300.0, 300.0, 60.0, 60.0)
+        shifted = BBox(300.0 + 1e-8, 300.0, 60.0, 60.0)
+        boxes = np.array([[300.0, 300.0, 60.0, 60.0]])
+        ov = iou_matrix(boxes, np.stack([close.as_array(), shifted.as_array()]))[0]
+        assert 0.0 < ov[0] - ov[1] < 1e-9
+        _, confs, pick = DetectionSnapDenoiser._snap_frame(
+            boxes, [(shifted, 0.9), (close, 0.1)])
+        assert pick.tolist() == [1] and confs.tolist() == [0.1]
