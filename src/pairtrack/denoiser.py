@@ -50,7 +50,8 @@ class FrameContext:
 
     ``frame_prev``/``frame_cur`` are time indices (equal indices put the
     engine in detection mode). Ground truth is a list of (identity, box)
-    per frame; detections are (box, confidence). ``conditional`` marks a
+    per frame; detections are one (n, 5) array per frame of center-form
+    pixel boxes and confidences (cx, cy, w, h, conf). ``conditional`` marks a
     baseline pair built from priors, where only the current frame member
     is denoised and the previous member acts as the condition. Contexts are
     frozen; derive a variant with ``dataclasses.replace``.
@@ -61,8 +62,8 @@ class FrameContext:
     image_size: tuple[int, int]
     gt_prev: Sequence[tuple[int, BBox]] | None = None
     gt_cur: Sequence[tuple[int, BBox]] | None = None
-    det_prev: Sequence[tuple[BBox, float]] | None = None
-    det_cur: Sequence[tuple[BBox, float]] | None = None
+    det_prev: np.ndarray | None = None
+    det_cur: np.ndarray | None = None
     conditional: bool = False
 
 
@@ -345,9 +346,8 @@ class DetectionSnapDenoiser:
     """
 
     @staticmethod
-    def _snap_frame(boxes_pix: np.ndarray, dets: Sequence[tuple[BBox, float]]):
-        det_arr = np.stack([d[0].as_array() for d in dets])
-        confs = np.asarray([d[1] for d in dets], dtype=np.float64)
+    def _snap_frame(boxes_pix: np.ndarray, dets: np.ndarray):
+        det_arr, confs = dets[:, :4], dets[:, 4]
         overlaps = iou_matrix(boxes_pix, det_arr)
         # Highest overlap, then highest confidence among the detections
         # sharing it, then the lowest index (argmax takes the first).
@@ -362,8 +362,8 @@ class DetectionSnapDenoiser:
         cls_prev = np.zeros(n)
         cls_cur = np.zeros(n)
 
-        have_prev = bool(ctx.det_prev)
-        have_cur = bool(ctx.det_cur)
+        have_prev = ctx.det_prev is not None and len(ctx.det_prev) > 0
+        have_cur = ctx.det_cur is not None and len(ctx.det_cur) > 0
         if have_prev and not ctx.conditional:
             snapped, confs, _ = self._snap_frame(boxes[:, :4], ctx.det_prev)
             out_pix[:, :4] = snapped

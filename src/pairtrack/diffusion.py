@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .denoiser import (
     FrameContext,
     ProposalOrigin,
 )
-from .geometry import BBox
 
 __all__ = [
     "NoiseSchedule",
@@ -195,7 +193,7 @@ class ProposalSet:
 
 
 def build_inference_proposals(
-    priors: Sequence[BBox],
+    priors: np.ndarray,
     n_test: int,
     proportion: float,
     strategy: PaddingStrategy,
@@ -203,7 +201,8 @@ def build_inference_proposals(
     image_size: tuple[int, int],
     timestep: int = 0,
 ) -> ProposalSet:
-    """Initialize a proposal batch from the previous frame's tracked boxes.
+    """Initialize a proposal batch from the previous frame's tracked boxes,
+    a (k, 4) center-form pixel array (k may be 0).
 
     ``round_half_up(proportion * n_test)`` leading rows duplicate the prior
     boxes into both pair slots, distributed round-robin; the remainder is
@@ -221,7 +220,7 @@ def build_inference_proposals(
     rows = np.zeros((n_test, 8))
     if n_tiled:
         w, h = image_size
-        arr = np.stack([b.as_array() for b in priors]) / [w, h, w, h]
+        arr = np.asarray(priors, dtype=np.float64) / [w, h, w, h]
         picks = arr[np.arange(n_tiled) % arr.shape[0]]
         rows[:n_tiled] = np.concatenate([picks, picks], axis=1)
     if n_test - n_tiled:

@@ -63,10 +63,6 @@ class BBox:
     def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "BBox":
         return cls(0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1)
 
-    @property
-    def area(self) -> float:
-        return max(self.w, 0.0) * max(self.h, 0.0)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 

@@ -12,6 +12,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..denoiser import DetectionSnapDenoiser, OracleDenoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
@@ -260,10 +262,10 @@ def _cmd_track(args) -> int:
     else:
         denoiser = DetectionSnapDenoiser()
         if detections is None:
-            detections = {
-                f: [(b, 1.0) for _, b in scene.visible(f)]
-                for f in range(1, scene.n_frames + 1)
-            }
+            detections = {}
+            for f in range(1, scene.n_frames + 1):
+                boxes = scene.visible_boxes(f)
+                detections[f] = np.column_stack([boxes, np.ones(len(boxes))])
 
     result = run_sequence(
         cfg, denoiser, scene=scene, detections=detections,

@@ -14,8 +14,8 @@ import numpy as np
 from ..denoiser import OracleConfig, OracleDenoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
-from ..pipeline import PipelineConfig, run_sequence
-from ..simulator import SceneGroundTruth, perturb_detections
+from ..pipeline import DetectionStream, PipelineConfig, run_sequence
+from ..simulator import SceneGroundTruth, perturb_boxes
 from ..tracker import GreedyIoUTracker, TrackingResult
 
 __all__ = ["ablate", "sweep", "robustness", "greedy_track", "write_csv"]
@@ -122,7 +122,7 @@ def sweep(
 
 
 def greedy_track(
-    detections: dict[int, list],
+    detections: DetectionStream,
     n_frames: int,
     iou_threshold: float = 0.3,
 ) -> TrackingResult:
@@ -130,7 +130,7 @@ def greedy_track(
     tracker = GreedyIoUTracker(iou_threshold=iou_threshold)
     result = TrackingResult()
     for frame in range(1, n_frames + 1):
-        for row in tracker.update(frame, detections.get(frame, [])):
+        for row in tracker.update(frame, detections.get(frame, np.zeros((0, 5)))):
             result.add(frame, row)
     return result
 
@@ -147,9 +147,8 @@ def robustness(
     greedy-IoU reference fed equally perturbed boxes."""
     rows = []
     seeds = list(seeds)
-    per_frame = {
-        f: scene.visible_boxes(f) for f in range(1, scene.n_frames + 1)
-    }
+    frames = range(1, scene.n_frames + 1)
+    visible = {f: scene.visible_boxes(f) for f in frames}
     for alpha in alphas:
         diff_motas, greedy_motas = [], []
         for seed in seeds:
@@ -160,10 +159,10 @@ def robustness(
             diff_motas.append(report.mota)
 
             rng = np.random.default_rng([seed, 2])
-            perturbed = perturb_detections(per_frame, alpha, rng, scene.image_size)
-            stream = {
-                f: [(b, 1.0) for b in boxes] for f, boxes in perturbed.items()
-            }
+            stream = {}
+            for f in frames:
+                boxes = perturb_boxes(visible[f], alpha, rng, scene.image_size)
+                stream[f] = np.column_stack([boxes, np.ones(len(boxes))])
             greedy = greedy_track(stream, scene.n_frames)
             greedy_motas.append(evaluate(scene, greedy).mota)
         rows.append(

@@ -5,7 +5,9 @@ conf,...``: ground-truth rows carry a class id and a visibility column,
 detection and result rows carry ``-1`` world coordinates. Frames are
 1-based; files may list frames out of order (sorted on load). Boxes are
 converted between the corner-origin file format and center-form on the
-way in and out.
+way in and out. Parsed rows hold a ``BBox`` each; ``detections_from_rows``
+turns them into the pipeline's detection stream, one (n, 5) array of
+(cx, cy, w, h, conf) per frame.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..geometry import BBox
 from ..simulator import GtEntry, SceneGroundTruth
@@ -28,7 +32,6 @@ __all__ = [
     "parse_results",
     "scene_from_gt",
     "detections_from_rows",
-    "write_detections",
     "write_seqinfo",
     "parse_seqinfo",
 ]
@@ -90,20 +93,16 @@ def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
     return {f: frames[f] for f in sorted(frames)}
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
-
-
 def write_gt(scene: SceneGroundTruth, path: str | Path) -> None:
     """Write a scene as GT rows; visibility encodes the occlusion flag."""
     with open(path, "w") as fh:
         for frame in sorted(scene.frames):
             for e in sorted(scene.frames[frame], key=lambda e: e.track_id):
-                x1, y1, _, _ = e.box.corners()
-                vis = 1.0 if e.visible else 0.0
+                b = e.box
                 fh.write(
-                    f"{frame},{e.track_id},{_fmt(x1)},{_fmt(y1)},"
-                    f"{_fmt(e.box.w)},{_fmt(e.box.h)},1,1,{vis:.1f}\n"
+                    f"{frame},{e.track_id},{b.cx - 0.5 * b.w:.6f},"
+                    f"{b.cy - 0.5 * b.h:.6f},{b.w:.6f},{b.h:.6f},1,1,"
+                    f"{1.0 if e.visible else 0.0:.1f}\n"
                 )
 
 
@@ -123,30 +122,22 @@ def scene_from_gt(
 
 def detections_from_rows(
     rows: dict[int, list[MotRow]]
-) -> dict[int, list[tuple[BBox, float]]]:
-    """Per-frame (box, confidence) detections, every frame key kept.
+) -> dict[int, np.ndarray]:
+    """Per-frame (n, 5) arrays of (cx, cy, w, h, conf), every frame key
+    kept (an empty frame gives (0, 5)).
 
     Rows with a visibility in [0, 0.5], which ``scene_from_gt`` counts as
     occluded, are dropped; detection files carry ``-1`` there and keep
     every row.
     """
     return {
-        f: [(r.box, r.conf) for r in rs if not 0.0 <= r.visibility <= 0.5]
+        f: np.array(
+            [(r.box.cx, r.box.cy, r.box.w, r.box.h, r.conf)
+             for r in rs if not 0.0 <= r.visibility <= 0.5],
+            dtype=np.float64,
+        ).reshape(-1, 5)
         for f, rs in rows.items()
     }
-
-
-def write_detections(
-    detections: dict[int, list[tuple[BBox, float]]], path: str | Path
-) -> None:
-    with open(path, "w") as fh:
-        for frame in sorted(detections):
-            for box, conf in detections[frame]:
-                x1, y1, _, _ = box.corners()
-                fh.write(
-                    f"{frame},-1,{_fmt(x1)},{_fmt(y1)},{_fmt(box.w)},"
-                    f"{_fmt(box.h)},{_fmt(conf)},-1,-1,-1\n"
-                )
 
 
 def write_results(result: TrackingResult, path: str | Path) -> None:
@@ -154,10 +145,11 @@ def write_results(result: TrackingResult, path: str | Path) -> None:
     with open(path, "w") as fh:
         for frame in sorted(result.frames):
             for row in sorted(result.frames[frame], key=lambda r: r.track_id):
-                x1, y1, _, _ = row.box.corners()
+                b = row.box
                 fh.write(
-                    f"{frame},{row.track_id},{_fmt(x1)},{_fmt(y1)},"
-                    f"{_fmt(row.box.w)},{_fmt(row.box.h)},{_fmt(row.score)},-1,-1,-1\n"
+                    f"{frame},{row.track_id},{b.cx - 0.5 * b.w:.6f},"
+                    f"{b.cy - 0.5 * b.h:.6f},{b.w:.6f},{b.h:.6f},"
+                    f"{row.score:.6f},-1,-1,-1\n"
                 )
 
 

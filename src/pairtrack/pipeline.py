@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +32,8 @@ from .diffusion import (
     ddim_refine,
     perturbation_timestep,
 )
-from .geometry import BBox, nms2d, nms3d
-from .simulator import SceneGroundTruth, mean_motion, perturb_detections
+from .geometry import nms2d, nms3d
+from .simulator import SceneGroundTruth, mean_motion, perturb_boxes
 from .tracker import Tracker, TrackerConfig, TrackingResult
 
 __all__ = [
@@ -45,7 +44,10 @@ __all__ = [
     "DetectionStream",
 ]
 
-DetectionStream = dict[int, list[tuple[BBox, float]]]
+# Per-frame detections: one (n, 5) array of center-form pixel boxes and
+# confidences (cx, cy, w, h, conf) per frame.
+DetectionStream = dict[int, np.ndarray]
+_NO_DETECTIONS = np.zeros((0, 5))
 
 
 class Variant(Enum):
@@ -108,14 +110,15 @@ def _gate_and_suppress(
 
 def run_pair(
     ctx: FrameContext,
-    priors: Sequence[BBox],
+    priors: np.ndarray,
     cfg: PipelineConfig,
     denoiser: Denoiser,
     sched: NoiseSchedule,
     rng: np.random.Generator,
     motion_x: float,
 ) -> tuple[CandidateBatch, int]:
-    """Produce gated candidates for one frame pair.
+    """Produce gated candidates for one frame pair from (k, 4) center-form
+    prior boxes.
 
     Returns the surviving rows (in proposal order, origins intact) and how
     many of them are prior-derived.
@@ -164,11 +167,15 @@ def run_sequence(
     ``scene`` provides ground truth for oracle denoisers; ``detections``
     provides per-frame external boxes, which then also serve as the prior
     source. With neither priors come from the tracker's own output.
-    ``prior_perturbation`` blends every prior box toward noise before
-    proposal construction (robustness protocol); it draws from a stream
-    independent of the pipeline's so a zero setting is byte-identical to
-    no perturbation.
+    ``prior_perturbation`` in [0, 1] blends every prior box toward noise
+    before proposal construction (robustness protocol); it draws from a
+    stream independent of the pipeline's so a zero setting is
+    byte-identical to no perturbation.
     """
+    if not 0.0 <= prior_perturbation <= 1.0:
+        raise ValueError(
+            f"prior_perturbation must lie in [0, 1], got {prior_perturbation!r}"
+        )
     if scene is None and detections is None:
         raise ValueError("need a scene or a detection stream")
     if scene is not None:
@@ -189,13 +196,13 @@ def run_sequence(
 
     for frame in range(2, n_frames + 1):
         if detections is not None:
-            priors = [b for b, _ in detections.get(frame - 1, [])]
+            det_prev = detections.get(frame - 1, _NO_DETECTIONS)
+            det_cur = detections.get(frame, _NO_DETECTIONS)
+            priors = det_prev[:, :4]
         else:
+            det_prev = det_cur = None
             priors = tracker.prior_boxes()
-        if prior_perturbation > 0.0 and priors:
-            priors = perturb_detections(
-                {0: priors}, prior_perturbation, perturb_rng, image_size
-            )[0]
+        priors = perturb_boxes(priors, prior_perturbation, perturb_rng, image_size)
 
         ctx = FrameContext(
             frame_prev=frame - 1,
@@ -203,8 +210,8 @@ def run_sequence(
             image_size=image_size,
             gt_prev=scene.visible(frame - 1) if scene is not None else None,
             gt_cur=scene.visible(frame) if scene is not None else None,
-            det_prev=detections.get(frame - 1) if detections is not None else None,
-            det_cur=detections.get(frame) if detections is not None else None,
+            det_prev=det_prev,
+            det_cur=det_cur,
         )
         motion_x = _tracked_motion(result, frame - 1, cfg.default_motion)
         cands, _ = run_pair(ctx, priors, cfg, denoiser, sched, rng, motion_x)

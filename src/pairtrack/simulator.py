@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,7 @@ __all__ = [
     "GtEntry",
     "SceneGroundTruth",
     "generate",
-    "perturb_detections",
+    "perturb_boxes",
     "mean_motion",
     "average_motion",
 ]
@@ -88,11 +87,12 @@ class SceneGroundTruth:
     def visible(self, frame: int) -> list[tuple[int, BBox]]:
         return [(e.track_id, e.box) for e in self.frames.get(frame, []) if e.visible]
 
-    def visible_boxes(self, frame: int) -> list[BBox]:
-        return [b for _, b in self.visible(frame)]
-
-    def gt_box_count(self) -> int:
-        return sum(len(self.visible(f)) for f in self.frames)
+    def visible_boxes(self, frame: int) -> np.ndarray:
+        """Center-form (k, 4) array of the frame's visible boxes."""
+        return np.array(
+            [(b.cx, b.cy, b.w, b.h) for _, b in self.visible(frame)],
+            dtype=np.float64,
+        ).reshape(-1, 4)
 
 
 def _clamp_center(c: np.ndarray, w: float, h: float, image: tuple[int, int]):
@@ -263,35 +263,28 @@ def generate(spec: SceneSpec) -> SceneGroundTruth:
     )
 
 
-def perturb_detections(
-    frames: dict[int, list[BBox]],
+def perturb_boxes(
+    boxes: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
     image_size: tuple[int, int],
-) -> dict[int, list[BBox]]:
-    """Blend each box toward Gaussian noise: B = (1-a)*B + a*B_noise.
+) -> np.ndarray:
+    """Blend each row of center-form (n, 4) boxes toward Gaussian noise:
+    B = (1-a)*B + a*B_noise.
 
     Runs in [0, 1]-normalized image coordinates so alpha is scale-free;
-    the noise matches the Gaussian padding distribution. Alpha 0 returns
-    the input unchanged without consuming randomness.
+    the noise matches the Gaussian padding distribution. Alpha 0 and an
+    empty set return the input unchanged without consuming randomness.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 0.0:
-        return frames
+    if alpha == 0.0 or not len(boxes):
+        return boxes
     w, h = image_size
     norm = np.array([w, h, w, h], dtype=np.float64)
-    out: dict[int, list[BBox]] = {}
-    for frame in sorted(frames):
-        boxes = frames[frame]
-        if not boxes:
-            out[frame] = []
-            continue
-        arr = np.stack([b.as_array() for b in boxes]) / norm
-        noise = rng.normal(GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD, size=arr.shape)
-        mixed = ((1.0 - alpha) * arr + alpha * noise) * norm
-        out[frame] = [BBox(*row) for row in mixed]
-    return out
+    arr = np.asarray(boxes, dtype=np.float64) / norm
+    noise = rng.normal(GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD, size=arr.shape)
+    return ((1.0 - alpha) * arr + alpha * noise) * norm
 
 
 def mean_motion(

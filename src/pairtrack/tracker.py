@@ -16,13 +16,13 @@ last frame a row was emitted for. Activated rows come first and have lost
 age 0; lost rows follow. The constant-velocity Kalman filter runs on
 stacks of rows, as ByteTrack's ``multi_predict`` does: each step predicts
 every track at once and updates every matched track at once. A ``BBox``
-is built only for an emitted result row and for ``prior_boxes``.
+is built only for an emitted result row; ``prior_boxes`` hands on a slice
+of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -265,10 +265,11 @@ class Tracker:
         """Ids of the lost tracks, in lifecycle order."""
         return self._tracks.ids[self._tracks.lost_age > 0]
 
-    def prior_boxes(self) -> list[BBox]:
-        """Current-frame boxes of the activated tracks, for proposal reuse."""
+    def prior_boxes(self) -> np.ndarray:
+        """Current-frame (k, 4) boxes of the activated tracks, for proposal
+        reuse."""
         t = self._tracks
-        return [BBox(*box) for box in t.boxes[t.lost_age == 0].tolist()]
+        return t.boxes[t.lost_age == 0]
 
     def step(
         self, frame: int, batch: CandidateBatch
@@ -359,9 +360,11 @@ class Tracker:
 class GreedyIoUTracker:
     """Plain greedy IoU tracker over per-frame detections (reference only).
 
-    Each detection, in descending score order, claims the unmatched track
-    with the highest overlap above the threshold; leftovers become new
-    tracks. Exists to contrast robustness against the diffusion pipeline.
+    Each detection, in descending score order (ties in input order),
+    claims the unmatched track with the highest overlap above the
+    threshold; leftovers become new tracks. A frame's detections are one
+    (n, 5) array of (cx, cy, w, h, conf) rows. Exists to contrast
+    robustness against the diffusion pipeline.
     """
 
     def __init__(self, iou_threshold: float = 0.3, max_lost_age: int = 30):
@@ -370,15 +373,12 @@ class GreedyIoUTracker:
         self._tracks: list[dict] = []
         self._next_id = 1
 
-    def update(self, frame: int, detections: Sequence[tuple[BBox, float]]
-               ) -> list[ResultRow]:
-        order = sorted(
-            range(len(detections)), key=lambda i: -detections[i][1]
-        )
+    def update(self, frame: int, detections: np.ndarray) -> list[ResultRow]:
         free = {id(t) for t in self._tracks}
         rows: list[ResultRow] = []
-        for di in order:
-            box, score = detections[di]
+        for di in np.argsort(-detections[:, 4], kind="stable"):
+            *xywh, score = detections[di].tolist()
+            box = BBox(*xywh)
             best, best_iou = None, self.iou_threshold
             for t in self._tracks:
                 if id(t) not in free:

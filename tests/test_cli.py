@@ -65,9 +65,9 @@ def test_detection_rows_keep_unknown_visibility(tmp_path):
                    "3,3,54,50,20,20,1,1,0.6\n")
     dets = detections_from_rows(parse_motchallenge(det))
     assert sorted(dets) == [1, 2, 3]
-    assert [conf for _, conf in dets[1]] == [0.9]
-    assert dets[2] == []
-    assert [box.cx for box, _ in dets[3]] == [64.0]
+    assert dets[1][:, 4].tolist() == [0.9]
+    assert dets[2].shape == (0, 5)
+    assert dets[3][:, 0].tolist() == [64.0]
 
 
 def test_track_det_reads_sidecar_seqinfo(tmp_path):

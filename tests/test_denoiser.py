@@ -157,7 +157,7 @@ class TestOracleDenoiser:
         )
         rng = np.random.default_rng(0)
         props = build_inference_proposals(
-            [BBox(200, 200, 60, 100)], 20, 0.25, PaddingStrategy.CAT_GAUSSIAN,
+            np.array([[200.0, 200, 60, 100]]), 20, 0.25, PaddingStrategy.CAT_GAUSSIAN,
             rng, IMAGE, timestep=500,
         )
         ctx = self.ctx()
@@ -364,8 +364,8 @@ class TestDetectionSnapDenoiser:
     def test_single_detection_pair(self):
         ctx = FrameContext(
             1, 2, IMAGE,
-            det_prev=[(BBox(300, 300, 60, 60), 0.9)],
-            det_cur=[(BBox(320, 300, 60, 60), 0.8)],
+            det_prev=np.array([[300.0, 300, 60, 60, 0.9]]),
+            det_cur=np.array([[320.0, 300, 60, 60, 0.8]]),
         )
         boxes = np.tile([500.0, 500, 80, 80, 500, 500, 80, 80], (3, 1))
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
@@ -377,8 +377,8 @@ class TestDetectionSnapDenoiser:
             assert out.cls_cur[i] == pytest.approx(0.8)
 
     def test_stationary_full_confidence(self):
-        b = BBox(300, 300, 60, 60)
-        ctx = FrameContext(1, 2, IMAGE, det_prev=[(b, 1.0)], det_cur=[(b, 1.0)])
+        b = np.array([[300.0, 300, 60, 60, 1.0]])
+        ctx = FrameContext(1, 2, IMAGE, det_prev=b, det_cur=b)
         boxes = np.array([[300, 300, 60, 60, 300, 300, 60, 60]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == pytest.approx(1.0)
@@ -386,21 +386,22 @@ class TestDetectionSnapDenoiser:
     def test_crossing_objects_resolved_by_overlap(self):
         # A at x=200 moving right, B at x=600 moving left; proposals near
         # A's prior must produce the (A_prev, A_cur) pairing.
-        a_prev, a_cur = BBox(200, 300, 60, 60), BBox(260, 300, 60, 60)
-        b_prev, b_cur = BBox(600, 300, 60, 60), BBox(540, 300, 60, 60)
+        a_prev, a_cur = [200.0, 300, 60, 60], [260.0, 300, 60, 60]
+        b_prev, b_cur = [600.0, 300, 60, 60], [540.0, 300, 60, 60]
         ctx = FrameContext(
             1, 2, IMAGE,
-            det_prev=[(a_prev, 0.9), (b_prev, 0.9)],
-            det_cur=[(a_cur, 0.9), (b_cur, 0.9)],
+            det_prev=np.array([a_prev + [0.9], b_prev + [0.9]]),
+            det_cur=np.array([a_cur + [0.9], b_cur + [0.9]]),
         )
         boxes = np.array([[210, 300, 60, 60, 230, 300, 60, 60]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         pix = out.pairs[0]
-        assert np.allclose(pix[:4], a_prev.as_array())
-        assert np.allclose(pix[4:], a_cur.as_array())
+        assert np.allclose(pix[:4], a_prev)
+        assert np.allclose(pix[4:], a_cur)
 
     def test_no_detections_zero_scores(self):
-        ctx = FrameContext(1, 2, IMAGE, det_prev=[], det_cur=[])
+        ctx = FrameContext(1, 2, IMAGE, det_prev=np.zeros((0, 5)),
+                           det_cur=np.zeros((0, 5)))
         boxes = np.array([[100, 100, 50, 50, 100, 100, 50, 50]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == 0.0
@@ -409,28 +410,27 @@ class TestDetectionSnapDenoiser:
     def test_equal_overlap_prefers_higher_confidence(self):
         # Two identical detections: the 0.5005 one must win over the 0.5
         # one at index 0, however small the confidence gap.
-        b = BBox(300, 300, 60, 60)
-        ctx = FrameContext(1, 2, IMAGE, det_prev=[(b, 1.0)],
-                           det_cur=[(b, 0.5), (b, 0.5005)])
+        b = [300.0, 300, 60, 60]
+        ctx = FrameContext(1, 2, IMAGE, det_prev=np.array([b + [1.0]]),
+                           det_cur=np.array([b + [0.5], b + [0.5005]]))
         boxes = np.array([[300, 300, 60, 60, 305, 300, 60, 60]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.cls_cur.tolist() == [0.5005]
 
     def test_equal_overlap_and_confidence_prefers_lower_index(self):
-        b = BBox(300, 300, 60, 60)
         boxes = np.array([[300, 300, 60, 60]], dtype=float)
         _, confs, pick = DetectionSnapDenoiser._snap_frame(
-            boxes, [(b, 0.7), (b, 0.7), (b, 0.7)])
+            boxes, np.array([[300.0, 300, 60, 60, 0.7]] * 3))
         assert pick.tolist() == [0] and confs.tolist() == [0.7]
 
     def test_higher_overlap_wins_by_less_than_1e9(self):
         # The overlaps differ by less than 1e-9; the closer detection wins
         # even though the other has the higher confidence.
-        close = BBox(300.0, 300.0, 60.0, 60.0)
-        shifted = BBox(300.0 + 1e-8, 300.0, 60.0, 60.0)
-        boxes = np.array([[300.0, 300.0, 60.0, 60.0]])
-        ov = iou_matrix(boxes, np.stack([close.as_array(), shifted.as_array()]))[0]
+        close = [300.0, 300.0, 60.0, 60.0]
+        shifted = [300.0 + 1e-8, 300.0, 60.0, 60.0]
+        boxes = np.array([close])
+        ov = iou_matrix(boxes, np.array([close, shifted]))[0]
         assert 0.0 < ov[0] - ov[1] < 1e-9
         _, confs, pick = DetectionSnapDenoiser._snap_frame(
-            boxes, [(shifted, 0.9), (close, 0.1)])
+            boxes, np.array([shifted + [0.9], close + [0.1]]))
         assert pick.tolist() == [1] and confs.tolist() == [0.1]

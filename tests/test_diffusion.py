@@ -107,7 +107,7 @@ class TestSingleStepNoise:
 
 class TestBuildProposals:
     def priors(self, n):
-        return [BBox(100 + 50 * i, 200, 40, 80) for i in range(n)]
+        return np.array([(100 + 50 * i, 200, 40, 80) for i in range(n)], dtype=float)
 
     def test_proportion_split(self):
         rng = np.random.default_rng(0)
@@ -135,7 +135,7 @@ class TestBuildProposals:
         w, h = IMAGE
         counts = []
         for b in self.priors(7):
-            unit = b.as_array() / [w, h, w, h]
+            unit = b / [w, h, w, h]
             signal = (np.concatenate([unit, unit]) * 2 - 1) * 2.0
             counts.append(int(np.sum(np.all(np.isclose(p.pairs, signal), axis=1))))
         assert sum(counts) == 500
@@ -161,7 +161,7 @@ class TestBuildProposals:
         # REPEAT keeps cycling the priors through the padded slots; with no
         # prior slot to repeat it pads with full-image rows.
         w, h = IMAGE
-        units = [b.as_array() / [w, h, w, h] for b in self.priors(3)]
+        units = self.priors(3) / [w, h, w, h]
         p = build_inference_proposals(
             self.priors(3), 10, 0.5, PaddingStrategy.REPEAT,
             np.random.default_rng(0), IMAGE,
@@ -233,7 +233,7 @@ class TestCorruptProposals:
     def make(self):
         rng = np.random.default_rng(0)
         return build_inference_proposals(
-            [BBox(500, 500, 100, 100)], 16, 0.5, PaddingStrategy.CAT_GAUSSIAN, rng, IMAGE
+            np.array([[500.0, 500, 100, 100]]), 16, 0.5, PaddingStrategy.CAT_GAUSSIAN, rng, IMAGE
         )
 
     def test_alpha_zero_identity(self):
@@ -290,7 +290,7 @@ class TestDdimRefine:
     def proposals(self, n=8, t=500):
         rng = np.random.default_rng(0)
         p = build_inference_proposals(
-            [BBox(500, 500, 100, 100)], n, 0.5, PaddingStrategy.CAT_GAUSSIAN,
+            np.array([[500.0, 500, 100, 100]]), n, 0.5, PaddingStrategy.CAT_GAUSSIAN,
             rng, IMAGE, timestep=t,
         )
         return corrupt_proposals(p, 0.4, rng)

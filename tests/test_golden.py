@@ -12,7 +12,13 @@ import hashlib
 import pytest
 
 import pairtrack as pt
-from pairtrack.harness.io import write_results
+from pairtrack.harness.experiments import robustness
+from pairtrack.harness.io import (
+    detections_from_rows,
+    parse_motchallenge,
+    write_gt,
+    write_results,
+)
 
 GOLDEN = {
     # NonLinearMotion, 10 objects x 20 frames, 30% occlusion, scene seed 5;
@@ -43,9 +49,64 @@ def _scene_and_config(name):
 def test_result_file_bytes_pinned(name, tmp_path):
     scene, cfg, seed = _scene_and_config(name)
     result = pt.run_sequence(cfg, pt.OracleDenoiser(0.9), scene=scene, seed=seed)
+    assert _digest(result, tmp_path) == GOLDEN[name]
+
+
+def _digest(result, tmp_path):
+    """SHA-256 and row count of the result file ``write_results`` emits."""
     path = tmp_path / "result.txt"
     write_results(result, path)
     data = path.read_bytes()
-    digest, n_rows = GOLDEN[name]
-    assert len(data.splitlines()) == n_rows
-    assert hashlib.sha256(data).hexdigest() == digest
+    return hashlib.sha256(data).hexdigest(), len(data.splitlines())
+
+
+def test_snap_run_from_written_gt_pinned(tmp_path):
+    # NonLinearMotion, 8 objects x 15 frames, 30% occlusion, scene seed 3,
+    # written as a GT file and read back as detections (occluded rows
+    # dropped); snap denoiser, n_test=100, two steps, run seed 4.
+    spec = pt.SceneSpec(n_objects=8, duration=15, motion=pt.NonLinearMotion(),
+                        occlusion_rate=0.3, seed=3)
+    scene = pt.generate(spec)
+    write_gt(scene, tmp_path / "gt.txt")
+    assert hashlib.sha256((tmp_path / "gt.txt").read_bytes()).hexdigest() == (
+        "4c2503269435454a5367cfdcff545f054c5524540663c57bf7611d27bf5bec15"
+    )
+    detections = detections_from_rows(parse_motchallenge(tmp_path / "gt.txt"))
+    result = pt.run_sequence(
+        pt.PipelineConfig(n_test=100, steps=2), pt.DetectionSnapDenoiser(),
+        detections=detections, image_size=scene.image_size, seed=4,
+    )
+    assert _digest(result, tmp_path) == (
+        "1216781ed67b92e2eff47aaa52b5801f3dc909de1d3ca0ecafea21651a26d36a", 106,
+    )
+
+
+def test_perturbed_prior_run_pinned(tmp_path):
+    # CrowdedMotion(0.35), 8 objects x 15 frames, 30% occlusion, scene seed
+    # 7; oracle, n_test=100, two steps, run seed 3, priors perturbed at 0.3.
+    spec = pt.SceneSpec(n_objects=8, duration=15, motion=pt.CrowdedMotion(0.35),
+                        occlusion_rate=0.3, seed=7)
+    result = pt.run_sequence(
+        pt.PipelineConfig(n_test=100, steps=2), pt.OracleDenoiser(0.9),
+        scene=pt.generate(spec), seed=3, prior_perturbation=0.3,
+    )
+    assert _digest(result, tmp_path) == (
+        "a2c9776247c44aec47ca2bb0f810ab13f03cd9c5f288fa32b4fcd864be9dd674", 114,
+    )
+
+
+def test_robustness_rows_pinned():
+    # LinearMotion, 5 objects x 12 frames, 30% occlusion, scene seed 2;
+    # n_test=50, fidelity 0.9, seeds 0 and 1.
+    scene = pt.generate(pt.SceneSpec(n_objects=5, duration=12,
+                                     occlusion_rate=0.3, seed=2))
+    rows = robustness(scene, pt.PipelineConfig(n_test=50), 0.9,
+                      alphas=[0.0, 0.02, 0.05, 0.5], seeds=[0, 1])
+    assert rows == [
+        {"alpha": 0.0, "seeds": 2, "diffusion_mota": 0.973684, "greedy_mota": 1.0},
+        {"alpha": 0.02, "seeds": 2, "diffusion_mota": 0.973684,
+         "greedy_mota": 0.701754},
+        {"alpha": 0.05, "seeds": 2, "diffusion_mota": 0.973684,
+         "greedy_mota": -0.684211},
+        {"alpha": 0.5, "seeds": 2, "diffusion_mota": 0.964912, "greedy_mota": -1.0},
+    ]

@@ -13,7 +13,6 @@ from pairtrack.denoiser import (
     ProposalOrigin,
 )
 from pairtrack.diffusion import cosine_schedule
-from pairtrack.geometry import BBox
 from pairtrack.metrics import evaluate
 from pairtrack.pipeline import (
     PipelineConfig,
@@ -129,7 +128,7 @@ class TestRunPair:
         ctx = FrameContext(3, 3, scene.image_size, gt_prev=gt, gt_cur=gt)
         cfg = PipelineConfig(n_test=64)
         cands, _ = run_pair(
-            ctx, [b for _, b in gt], cfg, OracleDenoiser(1.0), cfg.schedule(),
+            ctx, scene.visible_boxes(3), cfg, OracleDenoiser(1.0), cfg.schedule(),
             np.random.default_rng(0), 0.25,
         )
         assert cands
@@ -234,16 +233,30 @@ class TestRunSequence:
             rb = [(r.track_id, tuple(r.box.as_array())) for r in b.frames[f]]
             assert ra == rb
 
+    @pytest.mark.parametrize("alpha", [-0.3, 1.5])
+    def test_prior_perturbation_range_checked_before_any_pair(self, alpha):
+        calls = []
+
+        class Spy(OracleDenoiser):
+            def denoise_batch(self, boxes, s, ctx):
+                calls.append(s)
+                return super().denoise_batch(boxes, s, ctx)
+
+        with pytest.raises(ValueError, match="prior_perturbation"):
+            run_sequence(PipelineConfig(n_test=16), Spy(0.9),
+                         scene=small_scene(duration=4), prior_perturbation=alpha)
+        assert calls == []
+
     def test_requires_source(self):
         with pytest.raises(ValueError):
             run_sequence(PipelineConfig(), OracleDenoiser(1.0))
 
     def test_detection_stream_mode(self):
         scene = small_scene(duration=6)
-        detections = {
-            f: [(b, 0.95) for b in scene.visible_boxes(f)]
-            for f in range(1, 7)
-        }
+        detections = {}
+        for f in range(1, 7):
+            boxes = scene.visible_boxes(f)
+            detections[f] = np.column_stack([boxes, np.full(len(boxes), 0.95)])
         from pairtrack.denoiser import DetectionSnapDenoiser
 
         res = run_sequence(

@@ -15,7 +15,7 @@ from pairtrack.simulator import (
     SceneSpec,
     average_motion,
     generate,
-    perturb_detections,
+    perturb_boxes,
 )
 
 
@@ -115,38 +115,47 @@ class TestGenerate:
             generate(SceneSpec(n_objects=1, duration=1))
 
 
-class TestPerturbDetections:
+class TestPerturbBoxes:
     IMG = (1000, 1000)
 
     def frames(self):
         rng = np.random.default_rng(0)
         return {
-            f: [BBox(*rng.uniform(200, 800, 2), 50, 80) for _ in range(10)]
+            f: np.column_stack([rng.uniform(200, 800, (10, 2)),
+                                np.tile([50.0, 80.0], (10, 1))])
             for f in range(1, 6)
         }
 
     def test_alpha_zero_identity(self):
-        frames = self.frames()
-        out = perturb_detections(frames, 0.0, np.random.default_rng(1), self.IMG)
-        assert out is frames
+        boxes = self.frames()[1]
+        out = perturb_boxes(boxes, 0.0, np.random.default_rng(1), self.IMG)
+        assert out is boxes
+
+    def test_empty_set_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        empty = np.zeros((0, 4))
+        assert perturb_boxes(empty, 0.5, rng, self.IMG) is empty
+        assert rng.random() == np.random.default_rng(1).random()
 
     def test_alpha_one_pure_noise(self):
         frames = self.frames()
-        out = perturb_detections(frames, 1.0, np.random.default_rng(1), self.IMG)
+        rng = np.random.default_rng(1)
         expected_rng = np.random.default_rng(1)
         for f in sorted(frames):
-            arr = np.stack([b.as_array() for b in frames[f]]) / 1000.0
-            noise = expected_rng.normal(0.5, 1 / 6, size=arr.shape)
-            got = np.stack([b.as_array() for b in out[f]])
+            got = perturb_boxes(frames[f], 1.0, rng, self.IMG)
+            noise = expected_rng.normal(0.5, 1 / 6, size=frames[f].shape)
             assert np.allclose(got, noise * 1000.0)
+
+    def test_alpha_range_checked(self):
+        with pytest.raises(ValueError, match="alpha"):
+            perturb_boxes(self.frames()[1], 1.5, np.random.default_rng(1), self.IMG)
 
     def test_mean_displacement_scales_with_alpha(self):
         rng = np.random.default_rng(3)
-        boxes = {1: [BBox(400, 600, 60, 90) for _ in range(20000)]}
+        boxes = np.tile([400.0, 600, 60, 90], (20000, 1))
         alpha = 0.2
-        out = perturb_detections(boxes, alpha, rng, self.IMG)
-        base = boxes[1][0].as_array() / 1000.0
-        got = np.stack([b.as_array() for b in out[1]]) / 1000.0
+        got = perturb_boxes(boxes, alpha, rng, self.IMG) / 1000.0
+        base = boxes[0] / 1000.0
         measured = np.abs(got - base).mean(axis=0)
         noise = np.random.default_rng(99).normal(0.5, 1 / 6, size=(200000, 4))
         expected = alpha * np.abs(noise - base).mean(axis=0)

@@ -556,10 +556,10 @@ class TestGreedyReference:
         for k in range(1, 6):
             rows = g.update(
                 k,
-                [
-                    (BBox(100 + 5 * k, 100, 20, 20), 0.9),
-                    (BBox(300, 300 + 5 * k, 20, 20), 0.8),
-                ],
+                np.array([
+                    [100 + 5 * k, 100, 20, 20, 0.9],
+                    [300, 300 + 5 * k, 20, 20, 0.8],
+                ]),
             )
             ids |= {r.track_id for r in rows}
             assert len(rows) == 2
@@ -567,7 +567,14 @@ class TestGreedyReference:
 
     def test_new_id_after_jump(self):
         g = GreedyIoUTracker(max_lost_age=0)
-        first = g.update(1, [(BBox(100, 100, 20, 20), 0.9)])
-        g.update(2, [])
-        second = g.update(3, [(BBox(100, 100, 20, 20), 0.9)])
+        first = g.update(1, np.array([[100.0, 100, 20, 20, 0.9]]))
+        g.update(2, np.zeros((0, 5)))
+        second = g.update(3, np.array([[100.0, 100, 20, 20, 0.9]]))
         assert second[0].track_id != first[0].track_id
+
+    def test_visits_by_descending_confidence_ties_in_input_order(self):
+        dets = np.array([[100.0 * k, 100, 20, 20, c]
+                         for k, c in enumerate([0.5, 0.9, 0.5, 0.7], start=1)])
+        rows = GreedyIoUTracker().update(1, dets)
+        assert [r.box.cx for r in rows] == [200.0, 400.0, 100.0, 300.0]
+        assert [r.score for r in rows] == [0.9, 0.7, 0.5, 0.5]
