@@ -19,7 +19,7 @@ from .diffusion import (
     PerturbationSchedule,
     cosine_schedule,
 )
-from .geometry import BBox, PairedBox, giou, giou3d, iou, iou3d, nms2d, nms3d
+from .geometry import BBox, giou, nms2d, nms3d
 from .metrics import MetricsReport, evaluate
 from .pipeline import PipelineConfig, Variant, run_pair, run_sequence
 from .simulator import (
@@ -36,11 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBox",
-    "PairedBox",
-    "iou",
     "giou",
-    "iou3d",
-    "giou3d",
     "nms2d",
     "nms3d",
     "NoiseSchedule",

@@ -29,7 +29,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import BBox, iou3d_matrix, iou_matrix, overlap
+from .geometry import BBox, iou_matrix, overlap
 
 __all__ = [
     "FrameContext",
@@ -225,7 +225,7 @@ class OracleDenoiser:
             # alone.
             overlaps = iou_matrix(boxes[:, 4:], gt_pix[:, 4:])
         else:
-            overlaps = iou3d_matrix(boxes, gt_pix)
+            overlaps = iou_matrix(boxes, gt_pix)
         snap = np.argmax(overlaps, axis=1)
         # Weakly overlapping rows (oversized or far noise boxes) snap by
         # center distance; pure area-argmax would starve small objects.
@@ -319,7 +319,7 @@ class OracleDenoiser:
     def _off_target(self, out_pix: np.ndarray, gt_pix: np.ndarray) -> np.ndarray:
         """True for rows whose output overlaps no target and whose centers
         fall outside every target's extent in both frames."""
-        best = iou3d_matrix(out_pix, gt_pix).max(axis=1)
+        best = iou_matrix(out_pix, gt_pix).max(axis=1)
         inside_any = np.zeros(out_pix.shape[0], dtype=bool)
         for off in (0, 4):
             cx, cy = out_pix[:, off], out_pix[:, off + 1]
@@ -341,8 +341,9 @@ class DetectionSnapDenoiser:
     Previous members snap to frame t-1 detections, current members to
     frame t detections (independently, ties broken by higher confidence
     then lower index). Class scores copy the detection confidences; the
-    association score blends the snapped pair's geometric consistency
-    iou(prev_det, cur_det) with min(conf_prev, conf_cur).
+    association score blends the snapped pair's geometric consistency,
+    the row-aligned ``overlap`` of its previous and current members, with
+    min(conf_prev, conf_cur).
     """
 
     @staticmethod

@@ -1,22 +1,30 @@
 """Box algebra for paired-box tracking.
 
-Boxes are center-parameterized (cx, cy, w, h); corner form is computed on
-demand. A PairedBox holds the same object's boxes in two adjacent frames
-and flattens to 8 scalars. Overlap measures come in the plain 2D flavor
-and a paired ("3D") flavor that sums areas over both frames.
+Boxes are center-form rows (cx, cy, w, h); corners are computed on demand.
+A paired box, the same object's boxes in two adjacent frames, is one
+8-wide row: the previous-frame box, then the current-frame one. ``BBox``
+is the record a parsed file row holds.
 
-One vectorized kernel, ``overlap``, computes every array-valued overlap:
-row-aligned, as the ``iou_matrix``/``iou3d_matrix`` matrices, and inside
-suppression. It computes corners and areas once per side and broadcasts
-only the intersection and union.
+Two vectorized kernels share one pass over the rows' 4-wide members,
+which computes corners and areas once per side and broadcasts only the
+per-member terms:
+
+- ``overlap`` is IoU. Intersection and union are summed over the members
+  before dividing, so 4-wide rows give plain IoU and 8-wide rows the
+  paired-box ("3D") IoU. It backs ``iou_matrix`` and suppression.
+- ``giou`` adds the enclosing box: IoU minus |E - U| / E, where E and U
+  are the enclosure and union areas summed over the members. The single
+  absolute value wraps the summed difference, not each frame's. 4-wide
+  rows give plain GIoU (arXiv 1902.09630) and 8-wide rows the paired-box
+  GIoU of the DiffusionTrack loss.
 
 Suppression (``nms2d``, ``nms3d``) works on row arrays: it ranks the rows
 once and settles them in fixed-size chunks, each with one ``overlap``
 matrix of the chunk's rows and one ``overlap`` of the rows it keeps
 against the rows still pending. No n x n matrix is built.
 
-Degenerate (zero-area) boxes are legal inputs; every ratio involving an
-empty union or enclosure is defined to 0 by convention.
+Degenerate (zero-area) boxes are legal inputs. IoU is 0 where the summed
+union is empty, and GIoU is 0 where the summed enclosure is <= 0.
 """
 
 from __future__ import annotations
@@ -28,15 +36,10 @@ import numpy as np
 
 __all__ = [
     "BBox",
-    "PairedBox",
-    "iou",
     "giou",
-    "iou3d",
-    "giou3d",
     "nms2d",
     "nms3d",
     "iou_matrix",
-    "iou3d_matrix",
     "overlap",
 ]
 
@@ -65,98 +68,6 @@ class BBox:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class PairedBox:
-    """Same-identity boxes in two adjacent frames; the 8-scalar sample unit."""
-
-    prev: BBox
-    cur: BBox
-
-    def flatten(self) -> np.ndarray:
-        """Flatten to [prev.cx, prev.cy, prev.w, prev.h, cur.cx, cur.cy, cur.w, cur.h]."""
-        return np.concatenate([self.prev.as_array(), self.cur.as_array()])
-
-    @classmethod
-    def from_flat(cls, row: Sequence[float]) -> "PairedBox":
-        r = np.asarray(row, dtype=np.float64)
-        if r.shape != (8,):
-            raise ValueError(f"paired box row must have 8 scalars, got shape {r.shape}")
-        return cls(BBox(*r[:4]), BBox(*r[4:]))
-
-
-def _corner_area(box: BBox) -> float:
-    # Derived from corner form so intersections never exceed it in float.
-    x1, y1, x2, y2 = box.corners()
-    return max(x2 - x1, 0.0) * max(y2 - y1, 0.0)
-
-
-def _intersection_area(a: BBox, b: BBox) -> float:
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    return iw * ih
-
-
-def _enclosing_area(a: BBox, b: BBox) -> float:
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    return (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    inter = _intersection_area(a, b)
-    union = _corner_area(a) + _corner_area(b) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU: iou minus (enclosure - union) / enclosure; in (-1, 1]."""
-    inter = _intersection_area(a, b)
-    union = _corner_area(a) + _corner_area(b) - inter
-    enclosing = _enclosing_area(a, b)
-    if enclosing <= 0.0:
-        return 0.0
-    if union <= 0.0:
-        return -(enclosing - union) / enclosing
-    return inter / union - (enclosing - union) / enclosing
-
-
-def _paired_union(d: PairedBox, g: PairedBox) -> float:
-    return (
-        _corner_area(d.prev) + _corner_area(g.prev) - _intersection_area(d.prev, g.prev)
-        + _corner_area(d.cur) + _corner_area(g.cur) - _intersection_area(d.cur, g.cur)
-    )
-
-
-def iou3d(d: PairedBox, g: PairedBox) -> float:
-    """Paired-box IoU: summed per-frame intersection over summed per-frame union."""
-    inter = _intersection_area(d.prev, g.prev) + _intersection_area(d.cur, g.cur)
-    union = _paired_union(d, g)
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def giou3d(d: PairedBox, g: PairedBox) -> float:
-    """Paired-box GIoU.
-
-    The penalty wraps the summed per-frame difference in a single absolute
-    value: |sum_i (enclosure_i - union_i)| / |sum_i enclosure_i|, where i
-    ranges over the two frames.
-    """
-    enclosure = _enclosing_area(d.prev, g.prev) + _enclosing_area(d.cur, g.cur)
-    if enclosure <= 0.0:
-        return 0.0
-    union = _paired_union(d, g)
-    return iou3d(d, g) - abs(enclosure - union) / abs(enclosure)
 
 
 # Ranked rows settled per suppression step: enough that few steps are
@@ -216,14 +127,12 @@ def nms2d(boxes: np.ndarray, scores: Sequence[float], threshold: float) -> list[
 
 
 def nms3d(pairs: np.ndarray, scores: Sequence[float], threshold: float) -> list[int]:
-    """Greedy paired-box suppression on iou3d over flattened pairs (n, 8);
+    """Greedy paired-box suppression on paired-box IoU over flattened pairs (n, 8);
     returns kept indices in score order."""
     return _nms(pairs, scores, threshold, 8)
 
 
-# Vectorized counterparts on raw arrays. Rows are center-form boxes (n, 4)
-# or flattened pairs (n, 8); used by the denoisers on full proposal
-# batches.
+# The kernels. Rows are center-form boxes (n, 4) or flattened pairs (n, 8).
 
 
 def _members(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,27 +148,19 @@ def _members(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, side[:, 0] * side[:, 1]
 
 
-def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU between broadcast-aligned rows of center-form arrays.
-
-    Each row is split into 4-wide boxes; intersection and union are summed
-    over those members before dividing, so 4-wide rows give plain IoU and
-    8-wide rows paired-box IoU. Shapes (n, w) and (n, w) give (n,), and
-    (n, 1, w) against (1, m, w) gives the (n, m) matrix. 0 where the union
-    is empty.
-
-    Corners and member areas are computed once per side in its own shape;
-    only the per-member intersection and union are broadcast. The result
-    is symmetric: overlap(a, b) equals overlap(b, a) bit for bit.
-    """
+def _sums(a: np.ndarray, b: np.ndarray):
+    """Members of broadcast-aligned center-form rows ``a`` and ``b`` (as
+    ``_members`` gives them), with the intersection and union areas summed
+    over the members."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"rows must have equal width, got {a.shape} and {b.shape}")
     # The member and coordinate axes go first, so align the row axes here.
     nd = max(a.ndim, b.ndim)
-    lo_a, hi_a, area_a = _members(a.reshape((1,) * (nd - a.ndim) + a.shape))
-    lo_b, hi_b, area_b = _members(b.reshape((1,) * (nd - b.ndim) + b.shape))
+    side_a = _members(a.reshape((1,) * (nd - a.ndim) + a.shape))
+    side_b = _members(b.reshape((1,) * (nd - b.ndim) + b.shape))
+    (lo_a, hi_a, area_a), (lo_b, hi_b, area_b) = side_a, side_b
     inter = union = None
     for m in range(len(area_a)):
         wh = np.minimum(hi_a[m], hi_b[m])
@@ -273,16 +174,53 @@ def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             inter += inter_m
             union += union_m
+    return side_a, side_b, inter, union
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU between broadcast-aligned rows of center-form arrays.
+
+    Each row is split into 4-wide boxes; intersection and union are summed
+    over those members before dividing, so 4-wide rows give plain IoU and
+    8-wide rows paired-box IoU. Shapes (n, w) and (n, w) give (n,), and
+    (n, 1, w) against (1, m, w) gives the (n, m) matrix. 0 where the union
+    is empty.
+
+    Corners and member areas are computed once per side in its own shape;
+    only the per-member intersection and union are broadcast. The result
+    is symmetric: overlap(a, b) equals overlap(b, a) bit for bit.
+    """
+    _, _, inter, union = _sums(a, b)
     out = np.zeros(np.shape(inter))
     np.divide(inter, union, out=out, where=union > 0)
     return out
 
 
+def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Generalized IoU between broadcast-aligned rows of center-form arrays.
+
+    Shapes and the IoU term are ``overlap``'s. The penalty is
+    |E - U| / E, with the enclosing-box areas E and the union areas U
+    each summed over the rows' 4-wide members: 4-wide rows give plain GIoU
+    in (-1, 1], and 8-wide rows the paired-box GIoU, whose one absolute
+    value wraps the difference summed over both frames. 0 where E <= 0.
+    Symmetric bit for bit, like ``overlap``.
+    """
+    (lo_a, hi_a, _), (lo_b, hi_b, _), inter, union = _sums(a, b)
+    enclosure = None
+    for m in range(len(lo_a)):
+        wh = np.maximum(hi_a[m], hi_b[m])
+        wh -= np.minimum(lo_a[m], lo_b[m])
+        enclosure_m = wh[0] * wh[1]
+        enclosure = enclosure_m if enclosure is None else enclosure + enclosure_m
+    iou = np.zeros(np.shape(inter))
+    np.divide(inter, union, out=iou, where=union > 0)
+    penalty = np.zeros(np.shape(enclosure))
+    np.divide(np.abs(enclosure - union), enclosure, out=penalty, where=enclosure > 0)
+    return np.where(enclosure > 0, iou - penalty, 0.0)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between center-form box arrays of shape (n, 4) and (m, 4)."""
-    return overlap(np.asarray(a)[:, None, :], np.asarray(b)[None, :, :])
-
-
-def iou3d_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise paired-box IoU between flattened-pair arrays (n, 8) and (m, 8)."""
+    """Pairwise IoU between center-form row arrays (n, w) and (m, w): boxes
+    (w = 4) give plain IoU, flattened pairs (w = 8) paired-box IoU."""
     return overlap(np.asarray(a)[:, None, :], np.asarray(b)[None, :, :])

@@ -247,13 +247,10 @@ def _cmd_track(args) -> int:
         denoiser_kind = args.denoiser or "oracle"
     else:
         rows = parse_motchallenge(args.det)
-        # The snap denoiser scores with these confidences.
-        for frame, conf in ((f, r.conf) for f, rs in rows.items() for r in rs):
-            if not 0.0 <= conf <= 1.0:
-                raise MotFormatError(
-                    f"{args.det}: frame {frame}: confidence {conf} outside [0, 1]"
-                )
-        detections = detections_from_rows(rows)
+        try:
+            detections = detections_from_rows(rows)
+        except MotFormatError as exc:
+            raise MotFormatError(f"{args.det}: {exc}") from exc
         denoiser_kind = args.denoiser or "snap"
     if denoiser_kind == "oracle":
         if scene is None:

@@ -128,8 +128,14 @@ def detections_from_rows(
 
     Rows with a visibility in [0, 0.5], which ``scene_from_gt`` counts as
     occluded, are dropped; detection files carry ``-1`` there and keep
-    every row.
+    every row. A confidence outside [0, 1], which the snap denoiser would
+    pass on as a score, raises ``MotFormatError`` naming the frame and the
+    value.
     """
+    for f, rs in rows.items():
+        for r in rs:
+            if not 0.0 <= r.conf <= 1.0:
+                raise MotFormatError(f"frame {f}: confidence {r.conf} outside [0, 1]")
     return {
         f: np.array(
             [(r.box.cx, r.box.cy, r.box.w, r.box.h, r.conf)

@@ -6,19 +6,19 @@ sqrt(class_score * association_score) per frame, L1 regression in
 image-normalized coordinates, and the paired-box GIoU complement. Term
 weights are (2, 5, 2) and the sum is normalized by the positive-match
 count. Unmatched predictions contribute background focal terms only.
-Predictions are the rows of a ``CandidateBatch``.
+Predictions are the rows of a ``CandidateBatch``; ground truth is a (k, 8)
+array of flattened pixel pairs in the same layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .denoiser import CandidateBatch
-from .geometry import PairedBox, giou3d
+from .geometry import giou
 
 __all__ = [
     "MatchSet",
@@ -91,26 +91,37 @@ def _fused_scores(preds: CandidateBatch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _l1_normalized(
-    pairs: np.ndarray, gt: PairedBox, image_size: tuple[int, int]
+    pairs: np.ndarray, gts: np.ndarray, image_size: tuple[int, int]
 ) -> np.ndarray:
-    """L1 distance of (..., 8) pixel rows to ``gt``, image-normalized."""
+    """L1 distance between broadcast-aligned (..., 8) pixel rows,
+    image-normalized."""
     w, h = image_size
     norm = np.tile([w, h, w, h], 2)
-    return np.abs(pairs / norm - gt.flatten() / norm).sum(axis=-1)
+    diff = pairs / norm - gts / norm
+    return np.abs(diff, out=diff).sum(axis=-1)
+
+
+def _gt_rows(gts: np.ndarray) -> np.ndarray:
+    """Ground truth as a float (k, 8) array; any other shape raises."""
+    gts = np.asarray(gts, dtype=np.float64)
+    if gts.shape[1:] != (8,):
+        raise ValueError(f"need (k, 8) ground-truth rows, got shape {gts.shape}")
+    return gts
 
 
 def match_cost(
-    preds: CandidateBatch, gt: PairedBox, image_size: tuple[int, int] = (1, 1)
+    preds: CandidateBatch, gts: np.ndarray, image_size: tuple[int, int] = (1, 1)
 ) -> np.ndarray:
-    """Assignment cost of each prediction row against ``gt``, mirroring the
-    loss terms; lower is better."""
+    """(n, k) assignment cost of each prediction row against each (k, 8)
+    ground-truth row, mirroring the loss terms; lower is better."""
+    gts = _gt_rows(gts)
     fp, fc = _fused_scores(preds)
     cls_cost = focal_loss(fp, 1) + focal_loss(fc, 1)
-    reg_cost = _l1_normalized(preds.pairs, gt, image_size)
-    giou_cost = 1.0 - np.array(
-        [giou3d(PairedBox.from_flat(row), gt) for row in preds.pairs]
-    )
-    return LAMBDA_CLS * cls_cost + LAMBDA_REG * reg_cost + LAMBDA_GIOU * giou_cost
+    pairs, targets = preds.pairs[:, None], gts[None]
+    reg_cost = _l1_normalized(pairs, targets, image_size)
+    giou_cost = 1.0 - giou(pairs, targets)
+    return (LAMBDA_CLS * cls_cost[:, None] + LAMBDA_REG * reg_cost
+            + LAMBDA_GIOU * giou_cost)
 
 
 @dataclass(frozen=True)
@@ -127,32 +138,26 @@ class LossBreakdown:
 
 def detection_loss(
     preds: CandidateBatch,
-    gts: Sequence[PairedBox],
+    gts: np.ndarray,
     image_size: tuple[int, int] = (1, 1),
 ) -> LossBreakdown:
-    """Forward evaluation of the three-term training objective.
+    """Forward evaluation of the three-term training objective against
+    (k, 8) ground-truth rows.
 
     Ground-truth class scores are 1 (single-class tracking). Unmatched
     predictions enter the classification sum as background (label 0) on
     their fused scores; unmatched ground truth contributes nothing here.
     """
+    gts = _gt_rows(gts)
     fp, fc = _fused_scores(preds)
-    if not gts:
-        matches = MatchSet((), tuple(range(len(preds))), ())
-        cls = float(np.sum(focal_loss(fp, 0) + focal_loss(fc, 0)))
-        total = LAMBDA_CLS * cls / 1.0
-        return LossBreakdown(cls, 0.0, 0.0, total, 1, matches)
+    matches = hungarian(match_cost(preds, gts, image_size))
+    pi, gi = np.array(matches.pairs, dtype=np.intp).reshape(-1, 2).T
+    bg = np.array(matches.unmatched_predictions, dtype=np.intp)
 
-    cost = np.stack([match_cost(preds, g, image_size) for g in gts], axis=1)
-    matches = hungarian(cost)
-
-    cls = reg = giou_term = 0.0
-    for pi, gi in matches.pairs:
-        cls += focal_loss(fp[pi], 1) + focal_loss(fc[pi], 1)
-        reg += _l1_normalized(preds.pairs[pi], gts[gi], image_size)
-        giou_term += 1.0 - giou3d(PairedBox.from_flat(preds.pairs[pi]), gts[gi])
-    for pi in matches.unmatched_predictions:
-        cls += focal_loss(fp[pi], 0) + focal_loss(fc[pi], 0)
+    cls = float(np.sum(focal_loss(fp[pi], 1) + focal_loss(fc[pi], 1))
+                + np.sum(focal_loss(fp[bg], 0) + focal_loss(fc[bg], 0)))
+    reg = float(np.sum(_l1_normalized(preds.pairs[pi], gts[gi], image_size)))
+    giou_term = float(np.sum(1.0 - giou(preds.pairs[pi], gts[gi])))
 
     n_pos = max(matches.n_pos, 1)
     total = (LAMBDA_CLS * cls + LAMBDA_REG * reg + LAMBDA_GIOU * giou_term) / n_pos

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .denoiser import CandidateBatch, ProposalOrigin
-from .geometry import BBox, iou, iou_matrix
+from .geometry import BBox, iou_matrix
 
 __all__ = [
     "TrackerConfig",
@@ -361,42 +361,53 @@ class GreedyIoUTracker:
     """Plain greedy IoU tracker over per-frame detections (reference only).
 
     Each detection, in descending score order (ties in input order),
-    claims the unmatched track with the highest overlap above the
-    threshold; leftovers become new tracks. A frame's detections are one
-    (n, 5) array of (cx, cy, w, h, conf) rows. Exists to contrast
-    robustness against the diffusion pipeline.
+    claims the free track with the highest overlap at or above the
+    threshold, the later track on equal overlap; leftovers become new
+    tracks, which no detection of the same frame can claim. A frame's
+    detections are one (n, 5) array of (cx, cy, w, h, conf) rows. Exists
+    to contrast robustness against the diffusion pipeline.
     """
 
     def __init__(self, iou_threshold: float = 0.3, max_lost_age: int = 30):
         self.iou_threshold = iou_threshold
         self.max_lost_age = max_lost_age
-        self._tracks: list[dict] = []
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._boxes = np.zeros((0, 4))
+        self._age = np.zeros(0, dtype=np.int64)
         self._next_id = 1
 
     def update(self, frame: int, detections: np.ndarray) -> list[ResultRow]:
-        free = {id(t) for t in self._tracks}
-        rows: list[ResultRow] = []
-        for di in np.argsort(-detections[:, 4], kind="stable"):
-            *xywh, score = detections[di].tolist()
-            box = BBox(*xywh)
-            best, best_iou = None, self.iou_threshold
-            for t in self._tracks:
-                if id(t) not in free:
-                    continue
-                overlap = iou(t["box"], box)
-                if overlap >= best_iou:
-                    best, best_iou = t, overlap
-            if best is not None:
-                free.discard(id(best))
-                best.update(box=box, age=0, score=score)
+        boxes = detections[:, :4]
+        # Against the tracks of the frame's start only: a track born this
+        # frame is never free to claim.
+        fit = iou_matrix(boxes, self._boxes)
+        owner = np.full(len(self._ids), -1)
+        last = len(self._ids) - 1
+        order = np.argsort(-detections[:, 4], kind="stable")
+        ids = np.zeros(len(detections), dtype=np.int64)
+        for di in order:
+            free_fit = np.where(owner < 0, fit[di], -np.inf)
+            # Over the reversed row, argmax takes the later of equal overlaps.
+            j = last - int(np.argmax(free_fit[::-1])) if last >= 0 else -1
+            if j >= 0 and free_fit[j] >= self.iou_threshold:
+                owner[j] = di
+                ids[di] = self._ids[j]
             else:
-                best = {"id": self._next_id, "box": box, "age": 0, "score": score}
+                ids[di] = self._next_id
                 self._next_id += 1
-                self._tracks.append(best)
-            rows.append(ResultRow(best["id"], box, score))
-        for t in self._tracks:
-            if id(t) in free:
-                t["age"] += 1
-        self._tracks = [t for t in self._tracks if t["age"] <= self.max_lost_age]
-        return rows
-
+        hit = owner >= 0
+        self._boxes[hit] = boxes[owner[hit]]
+        self._age[hit] = 0
+        self._age[~hit] += 1
+        born = order[np.isin(order, owner, invert=True)]
+        self._ids = np.concatenate([self._ids, ids[born]])
+        self._boxes = np.concatenate([self._boxes, boxes[born]])
+        self._age = np.concatenate([self._age, np.zeros(len(born), dtype=np.int64)])
+        keep = self._age <= self.max_lost_age
+        self._ids, self._boxes, self._age = (
+            self._ids[keep], self._boxes[keep], self._age[keep]
+        )
+        return [
+            ResultRow(int(ids[di]), BBox(*boxes[di].tolist()), float(detections[di, 4]))
+            for di in order
+        ]

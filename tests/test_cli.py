@@ -6,6 +6,8 @@ import csv
 import json
 from dataclasses import replace
 
+import pytest
+
 from pairtrack.denoiser import OracleConfig
 from pairtrack.diffusion import PaddingStrategy, PerturbationSchedule
 from pairtrack.harness.cli import main
@@ -14,7 +16,11 @@ from pairtrack.harness.config import (
     resolve_oracle,
     resolve_pipeline_config,
 )
-from pairtrack.harness.io import detections_from_rows, parse_motchallenge
+from pairtrack.harness.io import (
+    MotFormatError,
+    detections_from_rows,
+    parse_motchallenge,
+)
 from pairtrack.pipeline import PipelineConfig, Variant
 from pairtrack.tracker import TrackerConfig
 
@@ -261,6 +267,17 @@ def test_out_of_range_detection_confidence_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "data error" in err and f"{det}: frame 2" in err and "5.0" in err
     assert not result.exists()
+
+
+def test_reader_rejects_out_of_range_confidence(tmp_path):
+    # A library caller meets a bad confidence where the file is read, not
+    # inside the first pair that scores with it.
+    det = tmp_path / "d.txt"
+    det.write_text("1,-1,10,10,20,20,0.9,-1,-1,-1\n"
+                   "2,-1,10,10,20,20,5.0,-1,-1,-1\n")
+    rows = parse_motchallenge(det)
+    with pytest.raises(MotFormatError, match=r"frame 2: confidence 5\.0 outside"):
+        detections_from_rows(rows)
 
 
 def test_config_round_trip():

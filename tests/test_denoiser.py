@@ -24,7 +24,7 @@ from pairtrack.diffusion import (
     cosine_schedule,
     ddim_refine,
 )
-from pairtrack.geometry import BBox, PairedBox, iou3d, iou3d_matrix, iou_matrix, overlap
+from pairtrack.geometry import BBox, iou_matrix, overlap
 
 IMAGE = (1000, 800)
 
@@ -84,17 +84,16 @@ class TestOracleDenoiser:
             [900, 700, 120, 120, 900, 700, 120, 120],
             size=(40, 8),
         )
-        targets = [
-            PairedBox(BBox(200, 200, 60, 100), BBox(210, 205, 60, 100)),
-            PairedBox(BBox(600, 400, 80, 80), BBox(590, 400, 80, 80)),
-        ]
+        targets = np.array([
+            [200, 200, 60, 100, 210, 205, 60, 100],
+            [600, 400, 80, 80, 590, 400, 80, 80],
+        ], dtype=np.float64)
         out = OracleDenoiser(1.0).denoise_batch(rows, 100, ctx)
         for i, row in enumerate(rows):
-            row_pair = PairedBox.from_flat(row)
-            overlaps = [iou3d(row_pair, t) for t in targets]
+            overlaps = [overlap(row, t) for t in targets]
             if max(overlaps) > 0:
                 expected = targets[int(np.argmax(overlaps))]
-                assert np.allclose(out.pairs[i], expected.flatten())
+                assert np.allclose(out.pairs[i], expected)
 
     def test_missing_in_one_frame_penalized(self):
         gt_prev = [(1, BBox(200, 200, 60, 100))]
@@ -238,7 +237,7 @@ class TestOraclePrunedOffTarget:
         snap = np.array(data.draw(st.lists(
             st.integers(0, len(gt) - 1), min_size=len(rows), max_size=len(rows))),
             dtype=int)
-        full = iou3d_matrix(out, gt_pix)
+        full = iou_matrix(out, gt_pix)
         assert np.array_equal(overlap(out, gt_pix[snap]),
                               full[np.arange(len(rows)), snap])
 

@@ -23,10 +23,14 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
 
 
-def test_scalar_geometry_exported():
-    for name in ("giou", "giou3d", "iou3d"):
-        assert name in pairtrack.__all__
-        assert name in pairtrack.geometry.__all__
+def test_array_giou_exported():
+    # One array GIoU kernel serves plain and paired rows; the scalar box
+    # geometry it replaced is gone.
+    assert "giou" in pairtrack.__all__
+    assert "giou" in pairtrack.geometry.__all__
+    for name in ("PairedBox", "iou", "iou3d", "giou3d", "iou3d_matrix"):
+        assert name not in pairtrack.__all__
+        assert not hasattr(pairtrack.geometry, name)
 
 
 def test_signal_space_owned_by_diffusion():

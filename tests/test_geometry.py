@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from pairtrack.geometry import (
     BBox,
-    PairedBox,
     giou,
-    giou3d,
-    iou,
-    iou3d,
-    iou3d_matrix,
     iou_matrix,
     nms2d,
     nms3d,
@@ -80,116 +75,135 @@ def raster_giou(a: BBox, b: BBox) -> float:
     return base - (enclosing - union) / enclosing
 
 
-def raster_iou3d(d: PairedBox, g: PairedBox) -> float:
-    ip, up, _ = raster_areas(d.prev, g.prev)
-    ic, uc, _ = raster_areas(d.cur, g.cur)
+def raster_iou3d(d: tuple[BBox, BBox], g: tuple[BBox, BBox]) -> float:
+    """Paired-box IoU of (prev, cur) boxes by cell counting."""
+    ip, up, _ = raster_areas(d[0], g[0])
+    ic, uc, _ = raster_areas(d[1], g[1])
     return 0.0 if up + uc == 0 else (ip + ic) / (up + uc)
 
 
-def raster_giou3d(d: PairedBox, g: PairedBox) -> float:
-    ip, up, ep = raster_areas(d.prev, g.prev)
-    ic, uc, ec = raster_areas(d.cur, g.cur)
+def raster_giou3d(d: tuple[BBox, BBox], g: tuple[BBox, BBox]) -> float:
+    ip, up, ep = raster_areas(d[0], g[0])
+    ic, uc, ec = raster_areas(d[1], g[1])
     if ep + ec == 0:
         return 0.0
     base = 0.0 if up + uc == 0 else (ip + ic) / (up + uc)
     return base - abs((ep + ec) - (up + uc)) / abs(ep + ec)
 
 
+def row(*boxes: BBox) -> np.ndarray:
+    """One center-form row: a box gives 4 scalars, a (prev, cur) pair 8."""
+    return np.concatenate([b.as_array() for b in boxes])
+
+
 class TestIoU:
     def test_identical_unit_squares(self):
-        a = BBox(0.5, 0.5, 1, 1)
-        assert iou(a, a) == 1.0
+        a = row(BBox(0.5, 0.5, 1, 1))
+        assert overlap(a, a) == 1.0
 
     def test_disjoint(self):
-        assert iou(BBox(0.5, 0.5, 1, 1), BBox(5, 5, 1, 1)) == 0.0
+        assert overlap(row(BBox(0.5, 0.5, 1, 1)), row(BBox(5, 5, 1, 1))) == 0.0
 
     def test_known_overlap(self):
         # corners (0,0,2,2) vs (1,1,3,3): inter 1, union 7
         a = BBox.from_corners(0, 0, 2, 2)
         b = BBox.from_corners(1, 1, 3, 3)
-        assert iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert overlap(row(a), row(b)) == pytest.approx(1 / 7, abs=1e-12)
         assert raster_iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_degenerate_zero(self):
-        z = BBox(1, 1, 0, 0)
-        assert iou(z, z) == 0.0
+        z = row(BBox(1, 1, 0, 0))
+        assert overlap(z, z) == 0.0
 
 
 class TestGIoU:
     def test_identical(self):
-        a = BBox(3, 4, 2, 5)
+        a = row(BBox(3, 4, 2, 5))
         assert giou(a, a) == 1.0
 
     def test_known_value(self):
         # 1/7 - 2/9: enclosing 9, union 7
         a = BBox.from_corners(0, 0, 2, 2)
         b = BBox.from_corners(1, 1, 3, 3)
-        assert giou(a, b) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
+        assert giou(row(a), row(b)) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
         assert raster_giou(a, b) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
 
     def test_far_separated_sign(self):
-        a = BBox(0.5, 0.5, 1, 1)
-        b = BBox(10.5, 0.5, 1, 1)
-        v = giou(a, b)
+        v = giou(row(BBox(0.5, 0.5, 1, 1)), row(BBox(10.5, 0.5, 1, 1)))
         assert -1.0 < v < 0.0
+
+    def test_empty_enclosure_is_zero(self):
+        # Zero-size boxes: 0 where the enclosure is empty, and -1 where only
+        # the union is (the enclosure of two distinct points has area).
+        point = BBox(1, 1, 0, 0)
+        assert giou(row(point), row(point)) == 0.0
+        assert giou(row(point), row(BBox(3, 2, 0, 0))) == -1.0
+        assert giou(row(point, point), row(point, point)) == 0.0
 
 
 class TestIoU3D:
     def test_identical_pairs(self):
-        p = PairedBox(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
-        assert iou3d(p, p) == 1.0
+        p = row(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
+        assert overlap(p, p) == 1.0
 
     def test_half_overlap(self):
         # prev identical unit squares, cur disjoint: (1+0)/(1+2) = 1/3
-        d = PairedBox(BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
-        g = PairedBox(BBox(0.5, 0.5, 1, 1), BBox(3.5, 0.5, 1, 1))
-        assert iou3d(d, g) == pytest.approx(1 / 3, abs=1e-12)
+        d = row(BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
+        g = row(BBox(0.5, 0.5, 1, 1), BBox(3.5, 0.5, 1, 1))
+        assert overlap(d, g) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_both_disjoint(self):
-        d = PairedBox(BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
-        g = PairedBox(BBox(5, 5, 1, 1), BBox(7, 7, 1, 1))
-        assert iou3d(d, g) == 0.0
+        d = row(BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
+        g = row(BBox(5, 5, 1, 1), BBox(7, 7, 1, 1))
+        assert overlap(d, g) == 0.0
 
 
 class TestGIoU3D:
     def test_identical(self):
-        p = PairedBox(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
-        assert giou3d(p, p) == 1.0
+        p = row(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
+        assert giou(p, p) == 1.0
 
     def test_collapses_to_2d(self):
         # prev == cur in both pairs: equals the 2D giou of the shared boxes
         a = BBox.from_corners(0, 0, 2, 2)
         b = BBox.from_corners(1, 1, 3, 3)
-        assert giou3d(PairedBox(a, a), PairedBox(b, b)) == pytest.approx(
-            giou(a, b), abs=1e-12
+        assert giou(row(a, a), row(b, b)) == pytest.approx(
+            giou(row(a), row(b)), abs=1e-12
         )
 
     def test_known_value(self):
         # prev identical unit squares; cur unit squares offset by 2:
         # iou3d = 1/3, penalty = |(1+3) - (1+2)| / (1+3) = 1/4
-        d = PairedBox(BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
-        g = PairedBox(BBox(0.5, 0.5, 1, 1), BBox(2.5, 0.5, 1, 1))
-        assert giou3d(d, g) == pytest.approx(1 / 3 - 1 / 4, abs=1e-12)
+        d = (BBox(0.5, 0.5, 1, 1), BBox(0.5, 0.5, 1, 1))
+        g = (BBox(0.5, 0.5, 1, 1), BBox(2.5, 0.5, 1, 1))
+        assert giou(row(*d), row(*g)) == pytest.approx(1 / 3 - 1 / 4, abs=1e-12)
         assert raster_giou3d(d, g) == pytest.approx(1 / 3 - 1 / 4, abs=1e-12)
 
 
 class TestRasterOracle:
-    """Random-lattice agreement between the closed forms and cell counting."""
+    """Random-lattice agreement between the kernels and cell counting, one
+    row-aligned kernel call per width."""
 
     def test_iou_and_giou_agree(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            a, b = lattice_box(rng), lattice_box(rng)
-            assert iou(a, b) == pytest.approx(raster_iou(a, b), abs=1e-3)
-            assert giou(a, b) == pytest.approx(raster_giou(a, b), abs=1e-3)
+        cases = [(lattice_box(rng), lattice_box(rng)) for _ in range(300)]
+        a = np.stack([row(d) for d, _ in cases])
+        b = np.stack([row(g) for _, g in cases])
+        ious, gious = overlap(a, b), giou(a, b)
+        for i, (d, g) in enumerate(cases):
+            assert ious[i] == pytest.approx(raster_iou(d, g), abs=1e-3)
+            assert gious[i] == pytest.approx(raster_giou(d, g), abs=1e-3)
 
     def test_paired_agree(self):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            d = PairedBox(lattice_box(rng), lattice_box(rng))
-            g = PairedBox(lattice_box(rng), lattice_box(rng))
-            assert iou3d(d, g) == pytest.approx(raster_iou3d(d, g), abs=1e-3)
-            assert giou3d(d, g) == pytest.approx(raster_giou3d(d, g), abs=1e-3)
+        cases = [((lattice_box(rng), lattice_box(rng)),
+                  (lattice_box(rng), lattice_box(rng))) for _ in range(300)]
+        a = np.stack([row(*d) for d, _ in cases])
+        b = np.stack([row(*g) for _, g in cases])
+        ious, gious = overlap(a, b), giou(a, b)
+        for i, (d, g) in enumerate(cases):
+            assert ious[i] == pytest.approx(raster_iou3d(d, g), abs=1e-3)
+            assert gious[i] == pytest.approx(raster_giou3d(d, g), abs=1e-3)
 
 
 finite_box = st.builds(
@@ -205,19 +219,20 @@ class TestProperties:
     @given(a=finite_box, b=finite_box)
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_bound(self, a, b):
-        assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-12)
+        a, b = row(a), row(b)
+        assert overlap(a, b) == pytest.approx(overlap(b, a), abs=1e-12)
         assert giou(a, b) == pytest.approx(giou(b, a), abs=1e-12)
-        assert giou(a, b) <= iou(a, b) + 1e-12
-        assert 0.0 <= iou(a, b) <= 1.0
+        assert giou(a, b) <= overlap(a, b) + 1e-12
+        assert 0.0 <= overlap(a, b) <= 1.0
         assert -1.0 < giou(a, b) <= 1.0
 
     @given(a=finite_box, b=finite_box, c=finite_box, d=finite_box)
     @settings(max_examples=100, deadline=None)
     def test_paired_symmetry(self, a, b, c, d):
-        p, q = PairedBox(a, b), PairedBox(c, d)
-        assert iou3d(p, q) == pytest.approx(iou3d(q, p), abs=1e-12)
-        assert giou3d(p, q) == pytest.approx(giou3d(q, p), abs=1e-12)
-        assert giou3d(p, q) <= iou3d(p, q) + 1e-12
+        p, q = row(a, b), row(c, d)
+        assert overlap(p, q) == pytest.approx(overlap(q, p), abs=1e-12)
+        assert giou(p, q) == pytest.approx(giou(q, p), abs=1e-12)
+        assert giou(p, q) <= overlap(p, q) + 1e-12
 
     @given(
         a=finite_box,
@@ -228,24 +243,25 @@ class TestProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_translation_and_scale_invariance(self, a, b, dx, dy, scale):
-        shift = lambda v: BBox(v.cx + dx, v.cy + dy, v.w, v.h)
-        grow = lambda v: BBox(v.cx * scale, v.cy * scale, v.w * scale, v.h * scale)
-        for ref, moved in ((iou, iou), (giou, giou)):
-            assert ref(a, b) == pytest.approx(moved(shift(a), shift(b)), abs=1e-9)
-            assert ref(a, b) == pytest.approx(moved(grow(a), grow(b)), abs=1e-9)
+        shift = lambda v: row(BBox(v.cx + dx, v.cy + dy, v.w, v.h))
+        grow = lambda v: row(BBox(v.cx * scale, v.cy * scale, v.w * scale, v.h * scale))
+        for kernel in (overlap, giou):
+            ref = kernel(row(a), row(b))
+            assert ref == pytest.approx(kernel(shift(a), shift(b)), abs=1e-9)
+            assert ref == pytest.approx(kernel(grow(a), grow(b)), abs=1e-9)
 
     @given(a=finite_box)
     @settings(max_examples=100, deadline=None)
     def test_identity(self, a):
-        assert giou(a, a) == pytest.approx(1.0, abs=1e-12)
-        p = PairedBox(a, a)
-        assert giou3d(p, p) == pytest.approx(1.0, abs=1e-12)
+        assert giou(row(a), row(a)) == pytest.approx(1.0, abs=1e-12)
+        p = row(a, a)
+        assert giou(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
 def _rows(boxes) -> np.ndarray:
-    """Stack BBox or PairedBox objects into the arrays suppression takes."""
-    return np.stack([b.flatten() if isinstance(b, PairedBox) else b.as_array()
-                     for b in boxes])
+    """Stack boxes, or (prev, cur) tuples of them, into the arrays
+    suppression takes."""
+    return np.stack([row(*b) if isinstance(b, tuple) else row(b) for b in boxes])
 
 
 class TestNMS:
@@ -263,7 +279,7 @@ class TestNMS:
         # (0,0,20,13) vs (0,0,20,20) roughly; construct iou = 13/20 = 0.65
         a = BBox.from_corners(0, 0, 20, 20)
         b = BBox.from_corners(0, 0, 20, 13)  # inter 260, union 400
-        assert iou(a, b) == pytest.approx(0.65, abs=1e-12)
+        assert overlap(row(a), row(b)) == pytest.approx(0.65, abs=1e-12)
         assert nms2d(_rows([a, b]), [0.9, 0.8], 0.6) == [0]
         # at threshold equal to overlap the pair survives (strict inequality)
         assert nms2d(_rows([a, b]), [0.9, 0.8], 0.65) == [0, 1]
@@ -278,26 +294,27 @@ class TestNMS:
         assert nms3d(np.zeros((0, 8)), [], 0.5) == []
 
     def test_nms3d_pairs(self):
-        p = PairedBox(BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
+        p = (BBox(1, 1, 2, 2), BBox(2, 1, 2, 2))
         kept = nms3d(_rows([p, p]), [0.9, 0.5], 0.6)
         assert kept == [0]
 
     def test_nms3d_single_frame_overlap_kept(self):
         # overlap in one frame only: iou3d = (4+0)/(4+8) = 1/3 < 0.6
-        a = PairedBox(BBox(1, 1, 2, 2), BBox(1, 1, 2, 2))
-        b = PairedBox(BBox(1, 1, 2, 2), BBox(9, 9, 2, 2))
-        assert iou3d(a, b) == pytest.approx(1 / 3, abs=1e-12)
+        a = (BBox(1, 1, 2, 2), BBox(1, 1, 2, 2))
+        b = (BBox(1, 1, 2, 2), BBox(9, 9, 2, 2))
+        assert overlap(row(*a), row(*b)) == pytest.approx(1 / 3, abs=1e-12)
         assert nms3d(_rows([a, b]), [0.9, 0.8], 0.6) == [0, 1]
 
     def test_no_kept_pair_exceeds_threshold(self):
         rng = np.random.default_rng(3)
         boxes = [lattice_box(rng, hi=6.0, max_size=3.0) for _ in range(40)]
         scores = rng.uniform(0, 1, size=40).tolist()
-        kept = nms2d(_rows(boxes), scores, 0.4)
+        rows = _rows(boxes)
+        kept = nms2d(rows, scores, 0.4)
         for i in kept:
             for j in kept:
                 if i != j:
-                    assert iou(boxes[i], boxes[j]) <= 0.4
+                    assert overlap(rows[i], rows[j]) <= 0.4
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -357,7 +374,7 @@ def _check_nms2d(rows, data):
 def _check_nms3d(rows, data):
     pairs = np.array([a + b for a, b, _ in rows]).reshape(-1, 8)
     scores = [s for _, _, s in rows]
-    mat = iou3d_matrix(pairs, pairs)
+    mat = iou_matrix(pairs, pairs)
     threshold = _draw_threshold(data, mat)
     assert nms3d(pairs, scores, threshold) == _greedy_reference(mat, scores, threshold)
 
@@ -399,23 +416,30 @@ class TestChunkedNMSEquivalence:
 
 
 class TestMatrices:
+    """Each ``iou_matrix`` entry is the kernel's value for that one pair of
+    rows, and the exact cell count of the raster oracle."""
+
     def test_matches_scalar(self):
         rng = np.random.default_rng(5)
         boxes = [lattice_box(rng) for _ in range(12)]
-        arr = np.stack([b.as_array() for b in boxes])
+        arr = _rows(boxes)
         mat = iou_matrix(arr, arr)
         for i in range(12):
             for j in range(12):
-                assert mat[i, j] == pytest.approx(iou(boxes[i], boxes[j]), abs=1e-12)
+                assert mat[i, j] == overlap(arr[i], arr[j])
+                assert mat[i, j] == pytest.approx(raster_iou(boxes[i], boxes[j]),
+                                                  abs=1e-12)
 
     def test_iou3d_matrix_matches_scalar(self):
         rng = np.random.default_rng(6)
-        pairs = [PairedBox(lattice_box(rng), lattice_box(rng)) for _ in range(10)]
-        arr = np.stack([p.flatten() for p in pairs])
-        mat = iou3d_matrix(arr, arr)
+        pairs = [(lattice_box(rng), lattice_box(rng)) for _ in range(10)]
+        arr = _rows(pairs)
+        mat = iou_matrix(arr, arr)
         for i in range(10):
             for j in range(10):
-                assert mat[i, j] == pytest.approx(iou3d(pairs[i], pairs[j]), abs=1e-12)
+                assert mat[i, j] == overlap(arr[i], arr[j])
+                assert mat[i, j] == pytest.approx(raster_iou3d(pairs[i], pairs[j]),
+                                                  abs=1e-12)
 
 
 # Center-form rows whose widths and heights may be exactly zero.
@@ -427,38 +451,37 @@ box_row = st.tuples(
 
 
 class TestOverlapKernel:
-    """Row-aligned overlap against the matrix kernels and the scalar forms."""
+    """Row-aligned kernels against their matrix forms and their one-pair
+    calls, zero-size boxes included."""
+
+    @staticmethod
+    def check(a, b):
+        for kernel in (overlap, giou):
+            got = kernel(a, b)
+            assert got.shape == (len(a),)
+            assert np.array_equal(got, np.diagonal(kernel(a[:, None], b[None])))
+            for i in range(len(a)):
+                assert got[i] == kernel(a[i], b[i])
+        assert np.all(giou(a, b) <= overlap(a, b))
 
     @given(rows=st.lists(st.tuples(box_row, box_row), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_plain_rows(self, rows):
-        a = np.array([r[0] for r in rows])
-        b = np.array([r[1] for r in rows])
-        got = overlap(a, b)
-        assert got.shape == (len(rows),)
-        assert np.array_equal(got, np.diagonal(iou_matrix(a, b)))
-        for i, (ra, rb) in enumerate(rows):
-            assert got[i] == pytest.approx(iou(BBox(*ra), BBox(*rb)), abs=1e-12)
+        self.check(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
 
     @given(rows=st.lists(st.tuples(box_row, box_row, box_row, box_row),
                          min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_paired_rows(self, rows):
-        a = np.array([r[0] + r[1] for r in rows])
-        b = np.array([r[2] + r[3] for r in rows])
-        got = overlap(a, b)
-        assert got.shape == (len(rows),)
-        assert np.array_equal(got, np.diagonal(iou3d_matrix(a, b)))
-        for i, r in enumerate(rows):
-            d = PairedBox(BBox(*r[0]), BBox(*r[1]))
-            g = PairedBox(BBox(*r[2]), BBox(*r[3]))
-            assert got[i] == pytest.approx(iou3d(d, g), abs=1e-12)
+        self.check(np.array([r[0] + r[1] for r in rows]),
+                   np.array([r[2] + r[3] for r in rows]))
 
 
-def _broadcast_overlap(a, b) -> np.ndarray:
-    """The broadcast-first overlap formula, kept apart from the kernel as
-    its reference: corners, clips and areas are computed on the broadcast
-    (..., members, 2) shape and the members summed with ``sum``."""
+def _broadcast_reference(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and GIoU by the broadcast-first formula, kept apart from the
+    kernels as their reference: corners, clips and areas are computed on
+    the broadcast (..., members, 2) shape and the members summed with
+    ``sum``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     a = a.reshape(a.shape[:-1] + (a.shape[-1] // 4, 4))
@@ -471,11 +494,15 @@ def _broadcast_overlap(a, b) -> np.ndarray:
     side_a = np.clip(hi_a - lo_a, 0, None)
     side_b = np.clip(hi_b - lo_b, 0, None)
     union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
+    hull = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
+    enclosure = (hull[..., 0] * hull[..., 1]).sum(axis=-1)
     inter = inter.sum(axis=-1)
     union = union.sum(axis=-1)
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    iou = np.zeros_like(inter)
+    np.divide(inter, union, out=iou, where=union > 0)
+    penalty = np.zeros_like(enclosure)
+    np.divide(np.abs(enclosure - union), enclosure, out=penalty, where=enclosure > 0)
+    return iou, np.where(enclosure > 0, iou - penalty, 0.0)
 
 
 # Free boxes (zero sizes included), free boxes packed into a small area,
@@ -494,7 +521,7 @@ def _draw_rows(data, n: int, width: int) -> np.ndarray:
 
 
 class TestKernelAgainstBroadcastReference:
-    """The member-first kernel equals the broadcast-first formula bit for
+    """The member-first kernels equal the broadcast-first formulas bit for
     bit, empty operands included."""
 
     @given(width=st.sampled_from([4, 8]), n=st.integers(0, 8),
@@ -502,37 +529,35 @@ class TestKernelAgainstBroadcastReference:
     @settings(max_examples=200, deadline=None)
     def test_matrix_form(self, width, n, m, data):
         a, b = _draw_rows(data, n, width), _draw_rows(data, m, width)
-        got = (iou_matrix if width == 4 else iou3d_matrix)(a, b)
+        ref_iou, ref_giou = _broadcast_reference(a[:, None], b[None])
+        got = iou_matrix(a, b)
         assert got.shape == (n, m)
-        assert np.array_equal(got, _broadcast_overlap(a[:, None], b[None]))
+        assert np.array_equal(got, ref_iou)
+        assert np.array_equal(giou(a[:, None], b[None]), ref_giou)
 
     @given(width=st.sampled_from([4, 8]), n=st.integers(0, 12), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_row_aligned_form(self, width, n, data):
         a, b = _draw_rows(data, n, width), _draw_rows(data, n, width)
-        got = overlap(a, b)
-        assert got.shape == (n,)
-        assert np.array_equal(got, _broadcast_overlap(a, b))
         one = _draw_rows(data, 1, width)[0]
-        assert np.array_equal(overlap(a, one), _broadcast_overlap(a, one))
+        for other in (b, one):
+            ref_iou, ref_giou = _broadcast_reference(a, other)
+            got = overlap(a, other)
+            assert got.shape == (n,)
+            assert np.array_equal(got, ref_iou)
+            assert np.array_equal(giou(a, other), ref_giou)
 
     def test_empty_operands(self):
-        for width, matrix in ((4, iou_matrix), (8, iou3d_matrix)):
-            assert matrix(np.zeros((0, width)), np.ones((3, width))).shape == (0, 3)
-            assert matrix(np.ones((3, width)), np.zeros((0, width))).shape == (3, 0)
-            assert matrix(np.zeros((0, width)), np.zeros((0, width))).shape == (0, 0)
-            assert overlap(np.zeros((0, width)), np.zeros((0, width))).shape == (0,)
+        for width in (4, 8):
+            none, some = np.zeros((0, width)), np.ones((3, width))
+            assert iou_matrix(none, some).shape == (0, 3)
+            assert iou_matrix(some, none).shape == (3, 0)
+            assert iou_matrix(none, none).shape == (0, 0)
+            assert overlap(none, none).shape == (0,)
+            assert giou(none[:, None], some[None]).shape == (0, 3)
+            assert giou(none, none).shape == (0,)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            overlap(np.zeros((2, 4)), np.zeros((2, 8)))
-
-
-class TestFlatten:
-    def test_roundtrip(self):
-        p = PairedBox(BBox(1, 2, 3, 4), BBox(5, 6, 7, 8))
-        assert PairedBox.from_flat(p.flatten()) == p
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            PairedBox.from_flat([1, 2, 3])
+        for kernel in (overlap, giou):
+            with pytest.raises(ValueError, match="width"):
+                kernel(np.zeros((2, 4)), np.zeros((2, 8)))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
-from pairtrack.geometry import BBox, PairedBox
 from pairtrack.matching import (
     LAMBDA_CLS,
     LAMBDA_GIOU,
@@ -108,10 +107,10 @@ class TestFocalLoss:
         assert focal_loss(0.0, 1) >= 0
 
 
-def candidate(pair: PairedBox, cls_prev, cls_cur, assoc) -> CandidateBatch:
-    """One prediction as a one-row batch."""
+def candidate(pair: np.ndarray, cls_prev, cls_cur, assoc) -> CandidateBatch:
+    """One prediction, an (8,) pixel row, as a one-row batch."""
     return CandidateBatch(
-        pairs=pair.flatten()[None],
+        pairs=np.asarray(pair, dtype=np.float64)[None],
         cls_prev=np.array([cls_prev], dtype=np.float64),
         cls_cur=np.array([cls_cur], dtype=np.float64),
         assoc=np.array([assoc], dtype=np.float64),
@@ -126,12 +125,13 @@ def stacked(preds: list[CandidateBatch]) -> CandidateBatch:
     ))
 
 
-def perfect_candidate(gt: PairedBox) -> CandidateBatch:
+def perfect_candidate(gt: np.ndarray) -> CandidateBatch:
     return candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=1.0)
 
 
-def gt_pair(cx=100.0, cy=100.0, w=40.0, h=40.0, dx=10.0) -> PairedBox:
-    return PairedBox(BBox(cx, cy, w, h), BBox(cx + dx, cy, w, h))
+def gt_pair(cx=100.0, cy=100.0, w=40.0, h=40.0, dx=10.0) -> np.ndarray:
+    """A ground-truth pair as an (8,) pixel row: previous box, current box."""
+    return np.array([cx, cy, w, h, cx + dx, cy, w, h])
 
 
 class TestMatchCost:
@@ -141,19 +141,21 @@ class TestMatchCost:
         off = candidate(
             pair=gt_pair(cx=130.0), cls_prev=0.8, cls_cur=0.7, assoc=0.6
         )
-        assert match_cost(perfect, gt, (1000, 1000)) < match_cost(off, gt, (1000, 1000))
+        assert (match_cost(perfect, gt[None], (1000, 1000))
+                < match_cost(off, gt[None], (1000, 1000)))
 
     def test_overlapping_beats_disjoint(self):
         gt = gt_pair()
         near = candidate(pair=gt_pair(cx=105.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
         far = candidate(pair=gt_pair(cx=800.0), cls_prev=0.9, cls_cur=0.9, assoc=0.9)
-        assert match_cost(near, gt, (1000, 1000)) < match_cost(far, gt, (1000, 1000))
+        assert (match_cost(near, gt[None], (1000, 1000))
+                < match_cost(far, gt[None], (1000, 1000)))
 
     def test_hand_value(self):
         # Single pred/GT with all three terms evaluated by direct arithmetic.
-        gt = PairedBox(BBox(0.3, 0.3, 0.2, 0.2), BBox(0.35, 0.3, 0.2, 0.2))
+        gt = np.array([[0.3, 0.3, 0.2, 0.2, 0.35, 0.3, 0.2, 0.2]])
         pred = candidate(
-            pair=PairedBox(BBox(0.32, 0.3, 0.2, 0.2), BBox(0.35, 0.32, 0.2, 0.2)),
+            pair=[0.32, 0.3, 0.2, 0.2, 0.35, 0.32, 0.2, 0.2],
             cls_prev=0.9,
             cls_cur=0.8,
             assoc=0.81,
@@ -162,18 +164,44 @@ class TestMatchCost:
         fused_cur = math.sqrt(0.8 * 0.81)
         cls = focal_loss(fused_prev, 1) + focal_loss(fused_cur, 1)
         reg = 0.02 + 0.02
-        from pairtrack.geometry import giou3d
-
-        giou_term = 1.0 - giou3d(PairedBox.from_flat(pred.pairs[0]), gt)
+        # Each frame: offset 0.02 along one axis, inter 0.18 * 0.2, union
+        # and enclosure both 0.22 * 0.2, so the penalty vanishes.
+        giou_term = 1.0 - (2 * 0.18 * 0.2) / (2 * 0.22 * 0.2)
         expected = LAMBDA_CLS * cls + LAMBDA_REG * reg + LAMBDA_GIOU * giou_term
-        assert match_cost(pred, gt, (1, 1)) == pytest.approx(expected, abs=1e-12)
+        cost = match_cost(pred, gt, (1, 1))
+        assert cost.shape == (1, 1)
+        assert cost[0, 0] == pytest.approx(expected, abs=1e-12)
+
+    def test_matrix_of_single_pair_costs(self):
+        # Entry (i, j) is row i's cost against ground-truth row j alone.
+        rng = np.random.default_rng(3)
+        gts = np.stack([gt_pair(cx=float(c)) for c in rng.uniform(100, 900, 4)])
+        preds = stacked([
+            candidate(pair=gt_pair(cx=float(c)), cls_prev=0.9, cls_cur=0.7,
+                      assoc=0.8)
+            for c in rng.uniform(100, 900, 5)
+        ])
+        cost = match_cost(preds, gts, (1000, 1000))
+        assert cost.shape == (5, 4)
+        for i in range(5):
+            for j in range(4):
+                one = match_cost(preds.take(np.array([i])), gts[j:j + 1], (1000, 1000))
+                assert cost[i, j] == one[0, 0]
+
+    def test_ground_truth_shape_checked(self):
+        pred = perfect_candidate(gt_pair())
+        for bad in (gt_pair(), np.zeros((2, 4)), np.zeros((1, 2, 8))):
+            with pytest.raises(ValueError, match=r"\(k, 8\)"):
+                match_cost(pred, bad)
+            with pytest.raises(ValueError, match=r"\(k, 8\)"):
+                detection_loss(pred, bad)
 
 
 class TestDetectionLoss:
     IMG = (1000, 1000)
 
     def test_perfect_predictions(self):
-        gts = [gt_pair(), gt_pair(cx=500.0, cy=400.0)]
+        gts = np.stack([gt_pair(), gt_pair(cx=500.0, cy=400.0)])
         preds = stacked([perfect_candidate(g) for g in gts])
         out = detection_loss(preds, gts, self.IMG)
         assert out.reg == 0.0
@@ -185,19 +213,19 @@ class TestDetectionLoss:
         # C = 1, S = 0.25 -> fused 0.5 enters the positive focal term.
         gt = gt_pair()
         pred = candidate(pair=gt, cls_prev=1.0, cls_cur=1.0, assoc=0.25)
-        out = detection_loss(pred, [gt], self.IMG)
+        out = detection_loss(pred, gt[None], self.IMG)
         expected_cls = 2 * focal_loss(0.5, 1)
         assert out.cls == pytest.approx(expected_cls, rel=1e-12)
 
     def test_single_pair_hand_computed(self):
-        gt = PairedBox(BBox(300, 300, 200, 200), BBox(350, 300, 200, 200))
+        gt = np.array([300, 300, 200, 200, 350, 300, 200, 200], dtype=np.float64)
         pred = candidate(
-            pair=PairedBox(BBox(320, 300, 200, 200), BBox(350, 320, 200, 200)),
+            pair=[320, 300, 200, 200, 350, 320, 200, 200],
             cls_prev=0.9,
             cls_cur=0.8,
             assoc=0.81,
         )
-        out = detection_loss(pred, [gt], self.IMG)
+        out = detection_loss(pred, gt[None], self.IMG)
 
         cls = focal_loss(math.sqrt(0.9 * 0.81), 1) + focal_loss(math.sqrt(0.8 * 0.81), 1)
         reg = (20 / 1000) + (20 / 1000)
@@ -216,10 +244,10 @@ class TestDetectionLoss:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        gts = [
+        gts = np.stack([
             gt_pair(cx=float(rng.uniform(100, 900)), cy=float(rng.uniform(100, 900)))
             for _ in range(6)
-        ]
+        ])
         preds = stacked([
             candidate(
                 pair=gt_pair(
@@ -235,15 +263,41 @@ class TestDetectionLoss:
         for seed in range(5):
             r = np.random.default_rng(seed)
             pp = preds.take(r.permutation(len(preds)))
-            gg = [gts[i] for i in r.permutation(len(gts))]
+            gg = gts[r.permutation(len(gts))]
             out = detection_loss(pp, gg, self.IMG)
             assert out.total == pytest.approx(base.total, abs=1e-9)
             assert out.cls == pytest.approx(base.cls, abs=1e-9)
             assert out.reg == pytest.approx(base.reg, abs=1e-9)
 
+    def test_seeded_case_pinned(self):
+        # 40 rows against 6 ground-truth pairs, a third of the rows random.
+        # The pins were recorded with a per-row scalar paired GIoU, before
+        # the array kernel replaced it.
+        rng = np.random.default_rng(21)
+        gts = np.column_stack([rng.uniform(100, 900, (6, 2)),
+                               rng.uniform(30, 90, (6, 2))])
+        gts = np.hstack([gts, gts + rng.normal(0, 6, (6, 4))])
+        pairs = gts[rng.integers(0, 6, 40)] + rng.normal(0, 12, (40, 8))
+        pairs[::3] = rng.uniform(50, 950, (14, 8))
+        preds = CandidateBatch(
+            pairs=pairs,
+            cls_prev=rng.uniform(0, 1, 40),
+            cls_cur=rng.uniform(0, 1, 40),
+            assoc=rng.uniform(0, 1, 40),
+            origin=np.full(40, ProposalOrigin.PADDED, dtype=np.int8),
+        )
+        out = detection_loss(preds, gts, self.IMG)
+        assert out.matches.pairs == ((2, 0), (17, 5), (25, 2), (28, 4), (29, 3),
+                                     (35, 1))
+        assert out.n_pos == 6
+        assert out.total == pytest.approx(5.88483245434606, abs=1e-9)
+        assert out.cls == pytest.approx(13.713002225477553, abs=1e-9)
+        assert out.reg == pytest.approx(0.3788475823768376, abs=1e-9)
+        assert out.giou_term == pytest.approx(2.994376181618533, abs=1e-9)
+
     def test_empty_gt_background_only(self):
         pred = candidate(pair=gt_pair(), cls_prev=0.5, cls_cur=0.5, assoc=0.5)
-        out = detection_loss(pred, [], self.IMG)
+        out = detection_loss(pred, np.zeros((0, 8)), self.IMG)
         assert out.reg == 0.0 and out.giou_term == 0.0
         assert out.cls > 0
         assert out.n_pos == 1
@@ -255,13 +309,13 @@ class TestDetectionLoss:
             pred = candidate(
                 pair=gt_pair(cx=100.0 + shift), cls_prev=1.0, cls_cur=1.0, assoc=1.0
             )
-            totals.append(detection_loss(pred, [gt], self.IMG).total)
+            totals.append(detection_loss(pred, gt[None], self.IMG).total)
         assert all(b >= a - 1e-12 for a, b in zip(totals, totals[1:]))
 
     def test_total_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            gts = [gt_pair(cx=float(rng.uniform(100, 900)))]
+            gts = gt_pair(cx=float(rng.uniform(100, 900)))[None]
             preds = stacked([
                 candidate(
                     pair=gt_pair(cx=float(rng.uniform(100, 900))),

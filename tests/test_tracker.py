@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
-from pairtrack.geometry import BBox, iou
+from pairtrack.geometry import BBox, iou_matrix
 from pairtrack.tracker import (
     MOTION_MAT,
     GreedyIoUTracker,
@@ -246,14 +246,12 @@ class TestAssociate:
         assert un_b.tolist() == [0]
 
     def test_crossed_overlaps_maximize_total(self):
-        t1, t2 = BBox(100, 100, 20, 20), BBox(112, 100, 20, 20)
-        b1, b2 = BBox(104, 100, 20, 20), BBox(114, 100, 20, 20)
-        matches, _, _ = associate(
-            boxes(t1.as_array(), t2.as_array()),
-            boxes(b1.as_array(), b2.as_array()), 0.1,
-        )
-        straight = iou(t1, b1) + iou(t2, b2)
-        crossed = iou(t1, b2) + iou(t2, b1)
+        tracks = boxes((100, 100, 20, 20), (112, 100, 20, 20))
+        dets = boxes((104, 100, 20, 20), (114, 100, 20, 20))
+        matches, _, _ = associate(tracks, dets, 0.1)
+        fit = iou_matrix(tracks, dets)
+        straight = fit[0, 0] + fit[1, 1]
+        crossed = fit[0, 1] + fit[1, 0]
         expected = {(0, 0), (1, 1)} if straight >= crossed else {(0, 1), (1, 0)}
         assert set(map(tuple, matches.tolist())) == expected
 
@@ -279,7 +277,8 @@ class TestFilterDuplicates:
         # iou((0,0,20,20), (0,0,20,14)) = 280/400 = 0.7 exactly
         a = BBox.from_corners(0, 0, 20, 20)
         b = BBox.from_corners(0, 0, 20, 14)
-        assert iou(a, b) == pytest.approx(0.7, abs=1e-12)
+        assert iou_matrix(boxes(a.as_array()), boxes(b.as_array()))[0, 0] == (
+            pytest.approx(0.7, abs=1e-12))
         keep = filter_duplicates(boxes(b.as_array()), boxes(a.as_array()), 0.7)
         assert keep.tolist() == [True]
 
@@ -578,3 +577,31 @@ class TestGreedyReference:
         rows = GreedyIoUTracker().update(1, dets)
         assert [r.box.cx for r in rows] == [200.0, 400.0, 100.0, 300.0]
         assert [r.score for r in rows] == [0.9, 0.7, 0.5, 0.5]
+
+    def test_equal_overlap_goes_to_later_track(self):
+        g = GreedyIoUTracker()
+        g.update(1, np.array([[100.0, 100, 20, 20, 0.9], [120.0, 100, 20, 20, 0.8]]))
+        # Midway between the two tracks: overlap 1/3 with each, bit for bit.
+        det = np.array([[110.0, 100, 20, 20, 0.9]])
+        fit = iou_matrix(det[:, :4], boxes((100, 100, 20, 20), (120, 100, 20, 20)))
+        assert fit[0, 0] == fit[0, 1] == pytest.approx(1 / 3, abs=1e-12)
+        assert [r.track_id for r in g.update(2, det)] == [2]
+
+    def test_overlap_at_threshold_claims(self):
+        # Corners (0,0,20,20) and (0,0,20,14): overlap 280/400 = 0.7 exactly.
+        first = np.array([[10.0, 10, 20, 20, 0.9]])
+        second = np.array([[10.0, 7, 20, 14, 0.9]])
+        assert iou_matrix(first[:, :4], second[:, :4])[0, 0] == 0.7
+        at = GreedyIoUTracker(iou_threshold=0.7)
+        above = GreedyIoUTracker(iou_threshold=float(np.nextafter(0.7, 1.0)))
+        for g in (at, above):
+            g.update(1, first)
+        assert [r.track_id for r in at.update(2, second)] == [1]
+        assert [r.track_id for r in above.update(2, second)] == [2]
+
+    def test_track_born_this_frame_not_claimed(self):
+        g = GreedyIoUTracker()
+        g.update(1, np.array([[500.0, 500, 20, 20, 0.9]]))
+        rows = g.update(2, np.array([[100.0, 100, 20, 20, 0.9],
+                                     [100.0, 100, 20, 20, 0.8]]))
+        assert [r.track_id for r in rows] == [2, 3]
