@@ -29,7 +29,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .geometry import BBox, iou_matrix, overlap
+from .geometry import BBox, iou_matrix, overlap, overlap_ceiling
 
 __all__ = [
     "FrameContext",
@@ -125,6 +125,13 @@ class IdentityDenoiser:
         return DenoisedBatch(boxes.copy(), ones.copy(), ones.copy(), ones.copy())
 
 
+# Relative margin by which a row's overlap ceiling must lie below basin_floor
+# for the row to count as weak without its row of the snap matrix. The
+# ceiling and the computed overlaps are each off by at most a few units in
+# the last place (about 1e-16), far inside it.
+_CEILING_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Score model of the ground-truth oracle (test instrumentation).
@@ -163,12 +170,17 @@ class OracleDenoiser:
     """Snaps rows to the nearest ground-truth pair with configurable fidelity.
 
     Each input row picks the ground-truth pair maximizing paired-box IoU
-    (ties to the lower identity; center distance decides when nothing
-    overlaps). The emitted pair is ``fidelity * gt + (1 - fidelity) * input``.
-    Scores scale with fidelity and with how well the emitted pair lands on
-    its target; rows whose output stays off every target are scored below
-    any usable confidence gate, as is everything when no ground truth
-    exists in either frame.
+    (ties to the lower identity). A row whose best overlap is below
+    ``basin_floor`` picks the pair with the nearest center instead, the
+    closer of its two members deciding. Most noise rows are known to be
+    that weak from areas alone: where ``geometry.overlap_ceiling`` puts a
+    row's best overlap below ``basin_floor`` by a relative margin of 1e-6,
+    the row snaps by distance without its row of the overlap matrix, and
+    the outputs are the same bits as with it. The emitted pair is
+    ``fidelity * gt + (1 - fidelity) * input``. Scores scale with fidelity
+    and with how well the emitted pair lands on its target; rows whose
+    output stays off every target are scored below any usable confidence
+    gate, as is everything when no ground truth exists in either frame.
 
     The targets depend on the frame context alone, and ``ddim_refine``
     passes one context to every step of a pair, so they are built once per
@@ -219,36 +231,38 @@ class OracleDenoiser:
             return DenoisedBatch(boxes.copy(), low.copy(), low.copy(), low.copy())
         gt_pix, in_prev, in_cur = targets
 
-        if ctx.conditional:
-            # Baseline head: the previous-frame member is the condition and
-            # is left untouched; identity is decided by the current member
-            # alone.
-            overlaps = iou_matrix(boxes[:, 4:], gt_pix[:, 4:])
-        else:
-            overlaps = iou_matrix(boxes, gt_pix)
-        snap = np.argmax(overlaps, axis=1)
+        # A conditional pair is a baseline head's: the previous member is the
+        # condition and is left untouched, and identity is decided by the
+        # current member alone.
+        offsets = (4,) if ctx.conditional else (0, 4)
+        cols = slice(offsets[0], 8)
+        rows, gt_rows = boxes[:, cols], gt_pix[:, cols]
         # Weakly overlapping rows (oversized or far noise boxes) snap by
-        # center distance; pure area-argmax would starve small objects.
-        weak = overlaps.max(axis=1) < cfg.basin_floor
+        # center distance; pure area-argmax would starve small objects. A
+        # row whose overlap ceiling is already below basin_floor is weak
+        # without its row of the matrix; only the rest get one.
+        weak = overlap_ceiling(rows, gt_rows) < cfg.basin_floor * (
+            1.0 - _CEILING_MARGIN)
+        snap = np.zeros(n, dtype=np.intp)
+        rest = np.flatnonzero(~weak)
+        if rest.size:
+            overlaps = iou_matrix(rows[rest], gt_rows)
+            best = np.argmax(overlaps, axis=1)
+            snap[rest] = best
+            weak[rest] = overlaps[np.arange(rest.size), best] < cfg.basin_floor
         if np.any(weak):
-            centers = boxes[weak][:, [0, 1, 4, 5]]
-            gt_centers = gt_pix[:, [0, 1, 4, 5]]
-            if ctx.conditional:
-                dist = np.linalg.norm(
-                    centers[:, None, 2:] - gt_centers[None, :, 2:], axis=2
-                )
-            else:
-                # The closer of the two members decides: a noise pair is
-                # pulled onto whichever object either member sits nearest.
-                dist = np.minimum(
-                    np.linalg.norm(
-                        centers[:, None, :2] - gt_centers[None, :, :2], axis=2
-                    ),
-                    np.linalg.norm(
-                        centers[:, None, 2:] - gt_centers[None, :, 2:], axis=2
-                    ),
-                )
-            snap[weak] = np.argmin(dist, axis=1)
+            # The closer of the members decides: a noise pair is pulled onto
+            # whichever object either member sits nearest. Squared distances
+            # take one sqrt after the minimum, the same bits as comparing
+            # norms, since sqrt is monotone and correctly rounded.
+            picked = boxes[weak]
+            sq = None
+            for off in offsets:
+                dx = picked[:, off, None] - gt_pix[:, off]
+                dy = picked[:, off + 1, None] - gt_pix[:, off + 1]
+                d = dx * dx + dy * dy
+                sq = d if sq is None else np.minimum(sq, d)
+            snap[weak] = np.argmin(np.sqrt(sq), axis=1)
 
         target_pix = gt_pix[snap]
         f = self.fidelity
@@ -265,9 +279,10 @@ class OracleDenoiser:
 
         # Fit of the emitted pair against its own target drives the scores;
         # a small input-fit bonus ranks well-placed proposals above noise
-        # rows that merely get pulled onto the same target.
+        # rows that merely get pulled onto the same target. fit_in is bit for
+        # bit the (row, snap) entry of the snap matrix.
         fit_out = overlap(out_pix, target_pix)
-        fit_in = overlaps[np.arange(n), snap]
+        fit_in = overlap(rows, target_pix[:, cols])
         assoc = (
             f
             * (cfg.score_floor + (1.0 - cfg.score_floor) * fit_out)
@@ -307,7 +322,9 @@ class OracleDenoiser:
         t = target_pix.reshape(n, 2, 4)[:, members]
         radius = cfg.snap_cap * np.hypot(t[..., 2], t[..., 3]) / self.fidelity
         delta_c = o[..., :2] - t[..., :2]
-        norm = np.linalg.norm(delta_c, axis=-1)
+        # sqrt of the summed squares, as np.linalg.norm computes it.
+        dx, dy = delta_c[..., 0], delta_c[..., 1]
+        norm = np.sqrt(dx * dx + dy * dy)
         shrink = np.where(norm > radius, radius / np.maximum(norm, 1e-12), 1.0)
         o[..., :2] = t[..., :2] + delta_c * shrink[..., None]
         delta_s = o[..., 2:] - t[..., 2:]

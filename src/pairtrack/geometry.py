@@ -18,6 +18,10 @@ per-member terms:
   rows give plain GIoU (arXiv 1902.09630) and 8-wide rows the paired-box
   GIoU of the DiffusionTrack loss.
 
+``overlap_ceiling`` bounds, from member areas alone, the best ``overlap``
+a row can reach against any of a set of targets, so a caller can settle
+rows that overlap nothing well without building their row of the matrix.
+
 Suppression (``nms2d``, ``nms3d``) works on row arrays: it ranks the rows
 once and settles them in fixed-size chunks, each with one ``overlap``
 matrix of the chunk's rows and one ``overlap`` of the rows it keeps
@@ -41,6 +45,7 @@ __all__ = [
     "nms3d",
     "iou_matrix",
     "overlap",
+    "overlap_ceiling",
 ]
 
 
@@ -224,3 +229,44 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between center-form row arrays (n, w) and (m, w): boxes
     (w = 4) give plain IoU, flattened pairs (w = 8) paired-box IoU."""
     return overlap(np.asarray(a)[:, None, :], np.asarray(b)[None, :, :])
+
+
+def overlap_ceiling(rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Upper bound on each row's best ``overlap`` against any target.
+
+    Rows (n, w) and targets (m, w) are center-form, w a multiple of 4. With
+    A_m a row's member areas and B_tm target t's, both computed as
+    ``_members`` computes them, the bound is
+
+        sum_m min(A_m, max_t B_tm) / sum_m A_m.
+
+    Why it bounds the exact ratio: a member's intersection is at most the
+    smaller of the two member areas, and its union is at least the row's
+    own member area, so inter / union <= sum_m min(A_m, B_tm) / sum_m A_m.
+
+    Why it holds for the computed ``overlap`` too: rounding is monotone, so
+    a computed intersection width never exceeds either box's computed
+    width, and a computed intersection never exceeds either computed member
+    area, the same areas that enter the bound. Past that point only the
+    sums, the union subtraction (its result is at least half of A + B, so
+    cancellation costs at most one bit) and the divisions remain, each off
+    by a few units in the last place, relative. A caller comparing the
+    bound with a threshold keeps a relative margin far above that.
+
+    No bound (inf) is given for a row with a non-finite value or zero total
+    area. Targets with non-finite areas give NaN, which compares false, and
+    an empty target set bounds every other row at 0.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if rows.shape[-1] != targets.shape[-1]:
+        raise ValueError(
+            f"rows must have equal width, got {rows.shape} and {targets.shape}")
+    _, _, area = _members(rows)
+    _, _, target_area = _members(targets)
+    top = target_area.max(axis=1, initial=0.0)[:, None]
+    total = area.sum(axis=0)
+    ceiling = np.full(total.shape, np.inf)
+    ok = (total > 0) & np.isfinite(rows).all(axis=-1)
+    np.divide(np.minimum(area, top).sum(axis=0), total, out=ceiling, where=ok)
+    return ceiling

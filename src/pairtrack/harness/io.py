@@ -146,17 +146,23 @@ def detections_from_rows(
     }
 
 
+# One result line: frame, id, corner-form box, score and the three -1
+# world coordinates.
+_RESULT_LINE = "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
+
+
 def write_results(result: TrackingResult, path: str | Path) -> None:
-    """Emit result rows, deterministically ordered by (frame, id)."""
+    """Emit result rows, deterministically ordered by (frame, id), with one
+    ``%`` format over every row's values."""
+    values: list = []
+    for frame in sorted(result.frames):
+        for row in sorted(result.frames[frame], key=lambda r: r.track_id):
+            b = row.box
+            values += (frame, row.track_id, b.cx - 0.5 * b.w, b.cy - 0.5 * b.h,
+                       b.w, b.h, row.score)
     with open(path, "w") as fh:
-        for frame in sorted(result.frames):
-            for row in sorted(result.frames[frame], key=lambda r: r.track_id):
-                b = row.box
-                fh.write(
-                    f"{frame},{row.track_id},{b.cx - 0.5 * b.w:.6f},"
-                    f"{b.cy - 0.5 * b.h:.6f},{b.w:.6f},{b.h:.6f},"
-                    f"{row.score:.6f},-1,-1,-1\n"
-                )
+        n_rows = sum(map(len, result.frames.values()))
+        fh.write(_RESULT_LINE * n_rows % tuple(values))
 
 
 def parse_results(path: str | Path) -> TrackingResult:

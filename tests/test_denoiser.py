@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairtrack.denoiser import (
+    _CEILING_MARGIN,
     DetectionSnapDenoiser,
     FrameContext,
     IdentityDenoiser,
@@ -240,6 +241,136 @@ class TestOraclePrunedOffTarget:
         full = iou_matrix(out, gt_pix)
         assert np.array_equal(overlap(out, gt_pix[snap]),
                               full[np.arange(len(rows)), snap])
+
+
+def _full_matrix_denoise(dn, boxes, ctx):
+    """Reference: the oracle with every row's snap-matrix row. Each row takes
+    the argmax of its matrix row; a row whose max is below basin_floor
+    snaps to the target whose center, by two norms, lies nearest."""
+    cfg = dn.config
+    gt_pix, in_prev, in_cur = dn._targets(ctx)
+    n = boxes.shape[0]
+    if ctx.conditional:
+        overlaps = iou_matrix(boxes[:, 4:], gt_pix[:, 4:])
+    else:
+        overlaps = iou_matrix(boxes, gt_pix)
+    snap = np.argmax(overlaps, axis=1)
+    weak = overlaps.max(axis=1) < cfg.basin_floor
+    if np.any(weak):
+        centers = boxes[weak][:, [0, 1, 4, 5]]
+        gt_centers = gt_pix[:, [0, 1, 4, 5]]
+        dist = np.linalg.norm(centers[:, None, 2:] - gt_centers[None, :, 2:], axis=2)
+        if not ctx.conditional:
+            dist = np.minimum(np.linalg.norm(
+                centers[:, None, :2] - gt_centers[None, :, :2], axis=2), dist)
+        snap[weak] = np.argmin(dist, axis=1)
+    target_pix = gt_pix[snap]
+    f = dn.fidelity
+    members = slice(1, 2) if ctx.conditional else slice(0, 2)
+    out_pix = boxes.copy()
+    out_pix.reshape(n, 2, 4)[:, members] = (
+        f * target_pix.reshape(n, 2, 4)[:, members]
+        + (1.0 - f) * boxes.reshape(n, 2, 4)[:, members]
+    )
+    if f > 0.0:
+        out_pix = dn._cap_residual(out_pix, target_pix, members)
+    fit_out = overlap(out_pix, target_pix)
+    fit_in = overlaps[np.arange(n), snap]
+    assoc = (
+        f
+        * (cfg.score_floor + (1.0 - cfg.score_floor) * fit_out)
+        * (1.0 - cfg.tie_margin * (1.0 - fit_in))
+    )
+    assoc = np.where(in_prev[snap] & in_cur[snap], assoc, assoc * cfg.missing_penalty)
+    off_target = dn._off_target(out_pix, gt_pix)
+    assoc = np.where(off_target, cfg.far_score, assoc)
+    cls_prev = np.where(in_prev[snap], f, cfg.missing_cls)
+    cls_cur = np.where(in_cur[snap], f, cfg.missing_cls)
+    cls_prev = np.where(off_target, cfg.far_score, cls_prev)
+    cls_cur = np.where(off_target, cfg.far_score, cls_cur)
+    return out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0)
+
+
+# Targets may be degenerate here: zero sizes are drawn too. Nested targets,
+# smaller ones inside a drawn one, put a small target's center nearest to
+# rows that overlap the big one well.
+maybe_size = st.one_of(st.just(0.0), size)
+target_rows = st.lists(
+    st.tuples(coord, coord, maybe_size, maybe_size, coord, coord, maybe_size,
+              maybe_size), min_size=1, max_size=6)
+nested = st.lists(st.tuples(st.integers(0, 5), st.floats(-0.4, 0.4),
+                            st.floats(-0.4, 0.4), st.floats(0.1, 0.6)), max_size=3)
+# Row kinds: (kind, target index, three draws whose meaning depends on kind).
+row_kind = st.tuples(
+    st.sampled_from(["padding", "jitter", "toward", "zero", "edge"]),
+    st.integers(0, 5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.integers(-4, 4),
+)
+
+
+def _with_nested(gt, inner):
+    gt = np.array(gt, dtype=np.float64)
+    for j, ox, oy, shrink in inner:
+        t = gt[j % len(gt)].copy()
+        t[[0, 4]] += ox * t[[2, 6]]
+        t[[1, 5]] += oy * t[[3, 7]]
+        t[[2, 3, 6, 7]] *= shrink
+        gt = np.vstack([gt, t])
+    return gt
+
+
+def _row(kind, gt_pix, j, u, v, k, basin_floor):
+    """One input row of the given kind near target row ``j``."""
+    t = gt_pix[j % len(gt_pix)]
+    if kind == "padding":
+        # About half the image wide, anywhere near it, like padded noise.
+        cx, cy = 500.0 + 800.0 * u, 400.0 + 600.0 * v
+        w, h = 500.0 * (1.5 + u), 400.0 * (1.5 + v)
+        return np.array([cx, cy, w, h, cx + 20.0 * v, cy - 20.0 * u, w, h])
+    if kind == "jitter":
+        return t + 30.0 * np.array([u, v, u * v, -v, v, u, -u, u * v])
+    if kind == "toward":
+        # Target j moved part of the way toward another target's centers.
+        other = gt_pix[k % len(gt_pix)]
+        row = t.copy()
+        row[[0, 1, 4, 5]] += (0.5 + 0.5 * abs(u)) * (other - t)[[0, 1, 4, 5]]
+        return row
+    if kind == "zero":
+        return np.array([t[0] + 50.0 * u, t[1] + 50.0 * v, 0.0, 10.0,
+                         t[4] + 50.0 * v, t[5] + 50.0 * u, 10.0 * abs(u), 0.0])
+    # The target grown about its centers until its own overlap, its overlap
+    # ceiling when it is the largest target, sits within a few units in the
+    # last place of basin_floor or of the certification threshold.
+    level = basin_floor * (1.0 - _CEILING_MARGIN) if u < 0 else basin_floor
+    row = t.copy()
+    row[[2, 3, 6, 7]] *= np.sqrt(1.0 / level)
+    for _ in range(abs(k)):
+        row[2] = np.nextafter(row[2], np.inf if k > 0 else -np.inf)
+    return row
+
+
+class TestCertifiedWeakRows:
+    """Rows certified weak from the overlap ceiling skip the snap matrix;
+    every output must equal the full-matrix oracle's bit for bit."""
+
+    @given(gt=target_rows, inner=nested,
+           kinds=st.lists(row_kind, min_size=1, max_size=24),
+           fidelity=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+           conditional=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_matrix_oracle(self, gt, inner, kinds, fidelity,
+                                        conditional):
+        gt_pix = _with_nested(gt, inner)
+        dn = OracleDenoiser(fidelity)
+        boxes = np.array([
+            _row(kind, gt_pix, j, u, v, k, dn.config.basin_floor)
+            for kind, j, u, v, k in kinds
+        ])
+        ctx = _ctx_from_rows(gt_pix, conditional)
+        out = dn.denoise_batch(boxes, 10, ctx)
+        want = _full_matrix_denoise(dn, boxes, ctx)
+        for got, ref in zip((out.pairs, out.cls_prev, out.cls_cur, out.assoc), want):
+            assert np.array_equal(got, ref)
 
 
 def _cap_residual_per_member(out_pix, target_pix, members, snap_cap, fidelity):

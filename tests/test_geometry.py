@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairtrack.denoiser import _CEILING_MARGIN, OracleConfig
 from pairtrack.geometry import (
     BBox,
     giou,
@@ -20,6 +21,7 @@ from pairtrack.geometry import (
     nms2d,
     nms3d,
     overlap,
+    overlap_ceiling,
 )
 
 CELL = 0.125
@@ -561,3 +563,62 @@ class TestKernelAgainstBroadcastReference:
         for kernel in (overlap, giou):
             with pytest.raises(ValueError, match="width"):
                 kernel(np.zeros((2, 4)), np.zeros((2, 8)))
+
+
+# Boxes anywhere within 1e6, zero sizes included.
+far_box = st.tuples(
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+)
+
+
+class TestOverlapCeiling:
+    """overlap_ceiling bounds each row's best overlap over the targets, so a
+    row the oracle certifies weak from it is below basin_floor."""
+
+    @given(width=st.sampled_from([4, 8]), m=st.integers(1, 6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_the_best_overlap(self, width, m, data):
+        box = st.one_of(far_box, any_box)
+        targets = np.array(data.draw(st.lists(
+            st.tuples(*[box] * (width // 4)).map(lambda r: sum(r, ())),
+            min_size=m, max_size=m)), dtype=np.float64)
+        rows = []
+        for kind in data.draw(st.lists(st.sampled_from(["free", "around"]),
+                                       min_size=1, max_size=10)):
+            if kind == "free":
+                rows.append(sum(data.draw(st.tuples(*[box] * (width // 4))), ()))
+            else:
+                # A target grown about its center (and shifted): the overlap
+                # is then close to the ceiling.
+                t = targets[data.draw(st.integers(0, m - 1))].reshape(-1, 4)
+                grow = data.draw(st.floats(1.0, 4.0))
+                shift = data.draw(st.floats(-0.5, 0.5))
+                rows.append(np.concatenate(
+                    [t[:, :2] + shift * t[:, 2:], t[:, 2:] * grow], axis=1
+                ).ravel())
+        rows = np.array(rows, dtype=np.float64).reshape(-1, width)
+        ceiling = overlap_ceiling(rows, targets)
+        best = iou_matrix(rows, targets).max(axis=1)
+        bounded = np.isfinite(ceiling)
+        assert np.all(best[bounded] <= ceiling[bounded] * (1.0 + 1e-12))
+        basin_floor = OracleConfig().basin_floor
+        certified = ceiling < basin_floor * (1.0 - _CEILING_MARGIN)
+        assert np.all(best[certified] < basin_floor)
+
+    def test_unbounded_rows(self):
+        targets = np.array([[10.0, 10.0, 4.0, 4.0]])
+        rows = np.array([
+            [0.0, 0.0, 0.0, 5.0],        # zero area
+            [0.0, 0.0, np.inf, 5.0],     # non-finite
+            [np.nan, 0.0, 50.0, 50.0],
+            [10.0, 10.0, 40.0, 40.0],    # area 100x the target's
+        ])
+        got = overlap_ceiling(rows, targets)
+        assert np.all(np.isinf(got[:3]))
+        assert got[3] == 16.0 / 1600.0
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            overlap_ceiling(np.zeros((2, 4)), np.zeros((2, 8)))
