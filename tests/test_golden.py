@@ -33,6 +33,18 @@ GOLDEN = {
     ),
 }
 
+# ``evaluate`` of each GOLDEN run against its own scene, every field exact.
+GOLDEN_REPORTS = {
+    "diffusion_n500_s4": pt.MetricsReport(
+        mota=0.9846938775510204, idf1=0.9922879177377892, idsw=0, frag=2, fp=0,
+        fn=3, gt_count=196,
+    ),
+    "baseline_n100_s1": pt.MetricsReport(
+        mota=0.9191919191919192, idf1=0.9578947368421052, idsw=0, frag=0, fp=0,
+        fn=16, gt_count=198,
+    ),
+}
+
 
 def _scene_and_config(name):
     if name == "diffusion_n500_s4":
@@ -50,6 +62,18 @@ def test_result_file_bytes_pinned(name, tmp_path):
     scene, cfg, seed = _scene_and_config(name)
     result = pt.run_sequence(cfg, pt.OracleDenoiser(0.9), scene=scene, seed=seed)
     assert _digest(result, tmp_path) == GOLDEN[name]
+    assert pt.evaluate(scene, result) == GOLDEN_REPORTS[name]
+
+
+def test_crowd_gt_file_bytes_pinned(tmp_path):
+    # The baseline GOLDEN scene: CrowdedMotion(0.35), 10 objects x 20 frames,
+    # 30% occlusion, scene seed 6, written as a GT file.
+    scene, _, _ = _scene_and_config("baseline_n100_s1")
+    write_gt(scene, tmp_path / "gt.txt")
+    data = (tmp_path / "gt.txt").read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data.splitlines())) == (
+        "7fec82d5a288bbd2fc4cec83962a95187f790322cee600c9ba880a464e2329ef", 200,
+    )
 
 
 def _digest(result, tmp_path):
