@@ -25,11 +25,11 @@ so concurrent calls cost more but still return the same outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .geometry import BBox, iou_matrix, overlap, overlap_ceiling
+from .geometry import iou_matrix, overlap, overlap_ceiling
 
 __all__ = [
     "FrameContext",
@@ -49,9 +49,11 @@ class FrameContext:
     """Everything a concrete denoiser may condition on for one frame pair.
 
     ``frame_prev``/``frame_cur`` are time indices (equal indices put the
-    engine in detection mode). Ground truth is a list of (identity, box)
-    per frame; detections are one (n, 5) array per frame of center-form
-    pixel boxes and confidences (cx, cy, w, h, conf). ``conditional`` marks a
+    engine in detection mode). Ground truth is (ids (k,), center-form boxes
+    (k, 4)) per frame, ids ascending and each listed once, as
+    ``SceneGroundTruth.visible`` gives it; detections are one (n, 5) array
+    per frame of center-form pixel boxes and confidences (cx, cy, w, h,
+    conf). ``conditional`` marks a
     baseline pair built from priors, where only the current frame member
     is denoised and the previous member acts as the condition. Contexts are
     frozen; derive a variant with ``dataclasses.replace``.
@@ -60,8 +62,8 @@ class FrameContext:
     frame_prev: int
     frame_cur: int
     image_size: tuple[int, int]
-    gt_prev: Sequence[tuple[int, BBox]] | None = None
-    gt_cur: Sequence[tuple[int, BBox]] | None = None
+    gt_prev: tuple[np.ndarray, np.ndarray] | None = None
+    gt_cur: tuple[np.ndarray, np.ndarray] | None = None
     det_prev: np.ndarray | None = None
     det_cur: np.ndarray | None = None
     conditional: bool = False
@@ -123,6 +125,18 @@ class IdentityDenoiser:
         n = boxes.shape[0]
         ones = np.ones(n)
         return DenoisedBatch(boxes.copy(), ones.copy(), ones.copy(), ones.copy())
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_BOXES = np.zeros((0, 4))
+
+
+def _member(ids: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """Mask over the ascending ``union`` of the entries found in ``ids``, an
+    ascending subset of it."""
+    found = np.zeros(union.size, dtype=bool)
+    found[np.searchsorted(union, ids)] = True
+    return found
 
 
 # Relative margin by which a row's overlap ceiling must lie below basin_floor
@@ -199,24 +213,25 @@ class OracleDenoiser:
     def _targets(ctx: FrameContext):
         """Build per-identity target pairs from the two frames' ground truth.
 
-        Identities visible in only one frame reuse that frame's box for the
-        missing slot and are flagged so their scores can be reduced.
+        One (prev box, cur box) row per identity of either frame, ids
+        ascending. Identities visible in only one frame reuse that frame's
+        box for the missing slot and are flagged so their scores can be
+        reduced.
         """
-        prev = dict(ctx.gt_prev or [])
-        cur = dict(ctx.gt_cur or [])
-        ids = sorted(set(prev) | set(cur))
-        if not ids:
-            return None
-        rows = []
-        for i in ids:
-            pb = prev.get(i, cur.get(i))
-            cb = cur.get(i, prev.get(i))
-            rows.append((pb.cx, pb.cy, pb.w, pb.h, cb.cx, cb.cy, cb.w, cb.h))
-        return (
-            np.array(rows, dtype=np.float64),
-            np.array([i in prev for i in ids], dtype=bool),
-            np.array([i in cur for i in ids], dtype=bool),
+        (ids_p, boxes_p), (ids_c, boxes_c) = (
+            gt if gt is not None else (_NO_IDS, _NO_BOXES)
+            for gt in (ctx.gt_prev, ctx.gt_cur)
         )
+        ids = np.union1d(ids_p, ids_c)
+        if not ids.size:
+            return None
+        in_prev, in_cur = _member(ids_p, ids), _member(ids_c, ids)
+        rows = np.empty((ids.size, 8))
+        rows[in_prev, :4] = boxes_p
+        rows[in_cur, 4:] = boxes_c
+        rows[~in_prev, :4] = rows[~in_prev, 4:]
+        rows[~in_cur, 4:] = rows[~in_cur, :4]
+        return rows, in_prev, in_cur
 
     def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
         boxes = np.asarray(boxes, dtype=np.float64)

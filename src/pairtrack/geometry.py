@@ -3,7 +3,8 @@
 Boxes are center-form rows (cx, cy, w, h); corners are computed on demand.
 A paired box, the same object's boxes in two adjacent frames, is one
 8-wide row: the previous-frame box, then the current-frame one. ``BBox``
-is the record a parsed file row holds.
+is the record a parsed file row, or one row of a result's object view,
+holds.
 
 Two vectorized kernels share one pass over the rows' 4-wide members,
 which computes corners and areas once per side and broadcasts only the
@@ -57,22 +58,6 @@ class BBox:
     cy: float
     w: float
     h: float
-
-    def corners(self) -> tuple[float, float, float, float]:
-        """Return (x1, y1, x2, y2) with x1 <= x2 and y1 <= y2."""
-        return (
-            self.cx - 0.5 * self.w,
-            self.cy - 0.5 * self.h,
-            self.cx + 0.5 * self.w,
-            self.cy + 0.5 * self.h,
-        )
-
-    @classmethod
-    def from_corners(cls, x1: float, y1: float, x2: float, y2: float) -> "BBox":
-        return cls(0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
 
 # Ranked rows settled per suppression step: enough that few steps are

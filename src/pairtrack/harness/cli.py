@@ -227,10 +227,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _load_scene(path, image_size: tuple[int, int]):
+    """The scene of a GT file; a bad file raises ``MotFormatError`` naming it."""
+    rows = parse_motchallenge(path)
+    try:
+        return scene_from_gt(rows, image_size)
+    except MotFormatError as exc:
+        raise MotFormatError(f"{path}: {exc}") from exc
+
+
 def _load_scene_args(args):
     image_size = _resolve_image_size(args)
-    rows = parse_motchallenge(args.gt)
-    return scene_from_gt(rows, image_size), image_size
+    return _load_scene(args.gt, image_size), image_size
 
 
 def _cmd_track(args) -> int:
@@ -243,7 +251,7 @@ def _cmd_track(args) -> int:
     scene = None
     detections = None
     if args.gt:
-        scene = scene_from_gt(parse_motchallenge(args.gt), image_size)
+        scene = _load_scene(args.gt, image_size)
         denoiser_kind = args.denoiser or "oracle"
     else:
         rows = parse_motchallenge(args.det)
@@ -288,7 +296,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_eval(args) -> int:
     image_size = _parse_image_size(args.image_size)
-    scene = scene_from_gt(parse_motchallenge(args.gt), image_size)
+    scene = _load_scene(args.gt, image_size)
     result = parse_results(args.result)
     report = evaluate(scene, result)
     print(report.to_text())

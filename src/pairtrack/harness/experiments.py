@@ -130,8 +130,8 @@ def greedy_track(
     tracker = GreedyIoUTracker(iou_threshold=iou_threshold)
     result = TrackingResult()
     for frame in range(1, n_frames + 1):
-        for row in tracker.update(frame, detections.get(frame, np.zeros((0, 5)))):
-            result.add(frame, row)
+        boxes = detections.get(frame, np.zeros((0, 5)))
+        result.add(frame, tracker.update(frame, boxes))
     return result
 
 

@@ -5,9 +5,11 @@ conf,...``: ground-truth rows carry a class id and a visibility column,
 detection and result rows carry ``-1`` world coordinates. Frames are
 1-based; files may list frames out of order (sorted on load). Boxes are
 converted between the corner-origin file format and center-form on the
-way in and out. Parsed rows hold a ``BBox`` each; ``detections_from_rows``
-turns them into the pipeline's detection stream, one (n, 5) array of
-(cx, cy, w, h, conf) per frame.
+way in and out. Parsed rows hold a ``BBox`` each; ``scene_from_gt``,
+``parse_results`` and ``detections_from_rows`` turn them into per-frame
+arrays: a scene's ``GtFrame``s, a result's ``FrameRows`` and the
+pipeline's detection stream, one (n, 5) array of (cx, cy, w, h, conf) per
+frame.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ..geometry import BBox
-from ..simulator import GtEntry, SceneGroundTruth
-from ..tracker import ResultRow, TrackingResult
+from ..simulator import GtFrame, SceneGroundTruth
+from ..tracker import FrameRows, TrackingResult
 
 __all__ = [
     "MotRow",
@@ -93,29 +96,63 @@ def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
     return {f: frames[f] for f in sorted(frames)}
 
 
-def write_gt(scene: SceneGroundTruth, path: str | Path) -> None:
-    """Write a scene as GT rows; visibility encodes the occlusion flag."""
+# One GT line: frame, id, corner-form box, then conf 1, class 1 and the
+# visibility flag.
+_GT_LINE = "%s,%s,%.6f,%.6f,%.6f,%.6f,1,1,%.1f\n"
+
+
+def _write_rows(path, line: str, frames: list[int], parts: list) -> None:
+    """Write one ``line`` per row with one ``%`` format, ordered by (frame,
+    id); rows sharing both keep their order.
+
+    ``parts`` holds, for each of ``frames``, its (ids (k,), center-form
+    boxes (k, 4), last column (k,)) arrays. Values are formatted from
+    ``.tolist()`` values, so ids print as ints.
+    """
+    if parts:
+        ids, boxes, last = map(np.concatenate, zip(*parts))
+    else:
+        ids, boxes, last = np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0)
+    sizes = [len(p[0]) for p in parts]
+    frame_col = np.repeat(np.asarray(frames, dtype=np.int64), sizes)
+    order = np.lexsort((ids, frame_col))
+    boxes = boxes[order]
+    left_top = boxes[:, :2] - 0.5 * boxes[:, 2:]
+    columns = (frame_col[order], ids[order], left_top[:, 0], left_top[:, 1],
+               boxes[:, 2], boxes[:, 3], last[order])
+    values = chain.from_iterable(zip(*(c.tolist() for c in columns)))
     with open(path, "w") as fh:
-        for frame in sorted(scene.frames):
-            for e in sorted(scene.frames[frame], key=lambda e: e.track_id):
-                b = e.box
-                fh.write(
-                    f"{frame},{e.track_id},{b.cx - 0.5 * b.w:.6f},"
-                    f"{b.cy - 0.5 * b.h:.6f},{b.w:.6f},{b.h:.6f},1,1,"
-                    f"{1.0 if e.visible else 0.0:.1f}\n"
-                )
+        fh.write(line * len(ids) % tuple(values))
+
+
+def write_gt(scene: SceneGroundTruth, path: str | Path) -> None:
+    """Write a scene as GT rows ordered by (frame, id); visibility encodes
+    the occlusion flag."""
+    frames = sorted(scene.frames)
+    _write_rows(path, _GT_LINE, frames, [
+        (gt.ids, gt.boxes, gt.visible.astype(np.float64))
+        for gt in map(scene.frames.get, frames)
+    ])
 
 
 def scene_from_gt(
     rows: dict[int, list[MotRow]], image_size: tuple[int, int]
 ) -> SceneGroundTruth:
-    frames = {
-        f: [
-            GtEntry(r.track_id, r.box, r.visibility > 0.5)
-            for r in sorted(rs, key=lambda r: r.track_id)
-        ]
-        for f, rs in rows.items()
-    }
+    """A scene from parsed GT rows; a row with visibility above 0.5 is
+    visible. A frame listing one track id twice raises ``MotFormatError``
+    naming the frame and the id."""
+    frames = {}
+    for f, rs in rows.items():
+        ids = np.array([r.track_id for r in rs], dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        twice = ids[1:][ids[1:] == ids[:-1]]
+        if twice.size:
+            raise MotFormatError(f"frame {f}: track id {twice[0]} listed twice")
+        boxes = np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
+                         dtype=np.float64).reshape(-1, 4)
+        visible = np.array([r.visibility > 0.5 for r in rs], dtype=bool)
+        frames[f] = GtFrame(ids, boxes[order], visible[order])
     n_frames = max(frames) if frames else 0
     return SceneGroundTruth(image_size=image_size, n_frames=n_frames, frames=frames)
 
@@ -154,23 +191,20 @@ _RESULT_LINE = "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
 def write_results(result: TrackingResult, path: str | Path) -> None:
     """Emit result rows, deterministically ordered by (frame, id), with one
     ``%`` format over every row's values."""
-    values: list = []
-    for frame in sorted(result.frames):
-        for row in sorted(result.frames[frame], key=lambda r: r.track_id):
-            b = row.box
-            values += (frame, row.track_id, b.cx - 0.5 * b.w, b.cy - 0.5 * b.h,
-                       b.w, b.h, row.score)
-    with open(path, "w") as fh:
-        n_rows = sum(map(len, result.frames.values()))
-        fh.write(_RESULT_LINE * n_rows % tuple(values))
+    frames = sorted(result.frame_numbers())
+    _write_rows(path, _RESULT_LINE, frames, [result.rows(f) for f in frames])
 
 
 def parse_results(path: str | Path) -> TrackingResult:
-    rows = parse_motchallenge(path)
+    """A result file's rows, per frame in file order."""
     result = TrackingResult()
-    for frame, rs in rows.items():
-        for r in rs:
-            result.add(frame, ResultRow(r.track_id, r.box, r.conf))
+    for frame, rs in parse_motchallenge(path).items():
+        result.add(frame, FrameRows(
+            np.array([r.track_id for r in rs], dtype=np.int64),
+            np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
+                     dtype=np.float64),
+            np.array([r.conf for r in rs], dtype=np.float64),
+        ))
     return result
 
 

@@ -56,23 +56,11 @@ class MetricsReport:
         )
 
 
-def _box_array(boxes) -> np.ndarray:
-    """The (n, 4) center-form array of ``boxes``, built in one call."""
-    return np.array(
-        [(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64
-    ).reshape(-1, 4)
-
-
-def _grouped_result(result: TrackingResult, frame: int):
-    rows = result.frames.get(frame, [])
-    return [r.track_id for r in rows], _box_array([r.box for r in rows])
-
-
 def evaluate(
     gt: SceneGroundTruth, result: TrackingResult, iou_gate: float = 0.5
 ) -> MetricsReport:
     """Score a tracking result against ground truth (visible entries only)."""
-    frames = sorted(set(gt.frames) | set(result.frames))
+    frames = sorted(set(gt.frames) | set(result.frame_numbers()))
 
     fp = fn = idsw = frag = 0
     gt_count = 0
@@ -87,10 +75,10 @@ def evaluate(
     overlap_counts: dict[tuple[int, int], int] = {}
 
     for frame in frames:
-        gt_rows = gt.visible(frame)
-        gt_ids = [g for g, _ in gt_rows]
-        gt_boxes = _box_array([b for _, b in gt_rows])
-        pred_ids, pred_boxes = _grouped_result(result, frame)
+        gt_ids, gt_boxes = gt.visible(frame)
+        gt_ids = gt_ids.tolist()
+        pred_ids, pred_boxes, _ = result.rows(frame)
+        pred_ids = pred_ids.tolist()
 
         gt_count += len(gt_ids)
         for g in gt_ids:

@@ -148,9 +148,8 @@ def _tracked_motion(
 ) -> float:
     """``mean_motion`` of ids tracked across the previous two frames; the
     default covers missing history."""
-    a = {r.track_id: r.box for r in result.frames.get(frame_prev - 1, [])}
-    b = {r.track_id: r.box for r in result.frames.get(frame_prev, [])}
-    return mean_motion(a, b, default)
+    a, b = result.rows(frame_prev - 1), result.rows(frame_prev)
+    return mean_motion((a.ids, a.boxes), (b.ids, b.boxes), default)
 
 
 def run_sequence(
@@ -215,6 +214,7 @@ def run_sequence(
         )
         motion_x = _tracked_motion(result, frame - 1, cfg.default_motion)
         cands, _ = run_pair(ctx, priors, cfg, denoiser, sched, rng, motion_x)
-        for f, row in tracker.step(frame, cands):
-            result.add(f, row)
+        prev_rows, cur_rows = tracker.step(frame, cands)
+        result.add(frame - 1, prev_rows)
+        result.add(frame, cur_rows)
     return result

@@ -1,11 +1,11 @@
 """Synthetic scene generation and detection perturbation.
 
 Scenes are deterministic given their seed: per-frame identity-labeled
-boxes with visibility flags. Three motion families cover the benchmark
-regimes: straight constant-velocity motion, non-linear curving motion
-with scheduled identity crossovers, and dense crowds packed into a small
-region. Occlusions hide objects for contiguous spans without deleting
-them.
+boxes with visibility flags, one ``GtFrame`` of arrays per frame. Three
+motion families cover the benchmark regimes: straight constant-velocity
+motion, non-linear curving motion with scheduled identity crossovers, and
+dense crowds packed into a small region. Occlusions hide objects for
+contiguous spans without deleting them.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import GAUSSIAN_PAD_MEAN, GAUSSIAN_PAD_STD
-from .geometry import BBox
 
 __all__ = [
     "LinearMotion",
     "NonLinearMotion",
     "CrowdedMotion",
     "SceneSpec",
-    "GtEntry",
+    "GtFrame",
     "SceneGroundTruth",
     "generate",
     "perturb_boxes",
@@ -69,11 +68,32 @@ class SceneSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class GtEntry:
-    track_id: int
-    box: BBox
-    visible: bool
+@dataclass(frozen=True, eq=False)
+class GtFrame:
+    """One frame's ground truth: ids (k,) int64 in ascending order, each
+    listed once, center-form boxes (k, 4) float64 and visibility (k,) bool.
+
+    Two frames are equal when their arrays are equal element for element.
+    """
+
+    ids: np.ndarray
+    boxes: np.ndarray
+    visible: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GtFrame):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.boxes, other.boxes)
+            and np.array_equal(self.visible, other.visible)
+        )
+
+    __hash__ = None
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_BOXES = np.zeros((0, 4))
 
 
 @dataclass
@@ -82,17 +102,19 @@ class SceneGroundTruth:
 
     image_size: tuple[int, int]
     n_frames: int
-    frames: dict[int, list[GtEntry]]
+    frames: dict[int, GtFrame]
 
-    def visible(self, frame: int) -> list[tuple[int, BBox]]:
-        return [(e.track_id, e.box) for e in self.frames.get(frame, []) if e.visible]
+    def visible(self, frame: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids (k,) and center-form boxes (k, 4) of the frame's visible
+        objects, ids ascending; empty for a frame without ground truth."""
+        gt = self.frames.get(frame)
+        if gt is None:
+            return _NO_IDS, _NO_BOXES
+        return gt.ids[gt.visible], gt.boxes[gt.visible]
 
     def visible_boxes(self, frame: int) -> np.ndarray:
         """Center-form (k, 4) array of the frame's visible boxes."""
-        return np.array(
-            [(b.cx, b.cy, b.w, b.h) for _, b in self.visible(frame)],
-            dtype=np.float64,
-        ).reshape(-1, 4)
+        return self.visible(frame)[1]
 
 
 def _clamp_center(c: np.ndarray, w: float, h: float, image: tuple[int, int]):
@@ -244,20 +266,19 @@ def generate(spec: SceneSpec) -> SceneGroundTruth:
             start = int(rng.integers(1, max(spec.duration - span, 2)))
             visible[i, start : start + span] = False
 
-    frames: dict[int, list[GtEntry]] = {}
-    for k in range(spec.duration):
-        entries = []
-        for i in range(spec.n_objects):
-            w, h = sizes[i]
-            cx, cy = centers[i][k]
-            entries.append(
-                GtEntry(
-                    track_id=i + 1,
-                    box=BBox(float(cx), float(cy), float(w), float(h)),
-                    visible=bool(visible[i, k]),
-                )
-            )
-        frames[k + 1] = entries
+    # (duration, n, 4) boxes and (duration, n) flags, frame-major; every
+    # frame's record holds read-only views of them.
+    n = spec.n_objects
+    boxes = np.empty((spec.duration, n, 4))
+    boxes[:, :, :2] = np.reshape(centers, (n, spec.duration, 2)).transpose(1, 0, 2)
+    boxes[:, :, 2:] = np.reshape(sizes, (n, 2))
+    visible = np.ascontiguousarray(visible.T)
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    for arr in (boxes, visible, ids):
+        arr.flags.writeable = False
+    frames = {
+        k + 1: GtFrame(ids, boxes[k], visible[k]) for k in range(spec.duration)
+    }
     return SceneGroundTruth(
         image_size=spec.image_size, n_frames=spec.duration, frames=frames
     )
@@ -288,21 +309,31 @@ def perturb_boxes(
 
 
 def mean_motion(
-    prev: dict[int, BBox], cur: dict[int, BBox], default: float
+    prev: tuple[np.ndarray, np.ndarray],
+    cur: tuple[np.ndarray, np.ndarray],
+    default: float,
 ) -> float:
-    """Mean center displacement of the identities present in both maps,
+    """Mean center displacement of the identities present in both frames,
     normalized by the current box diagonal and clamped to [0, 1].
 
-    Identities are visited in sorted order; ``default`` is returned when no
-    identity with a non-empty box is shared.
+    Each frame is (ids (k,), center-form boxes (k, 4)), every id listed
+    once. Identities are visited in ascending order; ``default`` is
+    returned when no identity with a non-empty box is shared. The ratios
+    are taken with ``math.hypot`` one identity at a time: ``np.hypot`` may
+    differ from it in the last bit.
     """
+    (ids_a, boxes_a), (ids_b, boxes_b) = prev, cur
+    _, at_a, at_b = np.intersect1d(
+        ids_a, ids_b, assume_unique=True, return_indices=True
+    )
     ratios = []
-    for i in sorted(set(prev) & set(cur)):
-        a, b = prev[i], cur[i]
-        diag = math.hypot(b.w, b.h)
+    for (ax, ay, _, _), (bx, by, bw, bh) in zip(
+        boxes_a[at_a].tolist(), boxes_b[at_b].tolist()
+    ):
+        diag = math.hypot(bw, bh)
         if diag <= 0:
             continue
-        ratios.append(math.hypot(b.cx - a.cx, b.cy - a.cy) / diag)
+        ratios.append(math.hypot(bx - ax, by - ay) / diag)
     if not ratios:
         return default
     return float(min(max(np.mean(ratios), 0.0), 1.0))
@@ -311,4 +342,4 @@ def mean_motion(
 def average_motion(gt: SceneGroundTruth, frame: int) -> float:
     """Ground-truth ``mean_motion`` of co-visible identities between frames
     (frame - 1, frame); 0 when none is shared."""
-    return mean_motion(dict(gt.visible(frame - 1)), dict(gt.visible(frame)), 0.0)
+    return mean_motion(gt.visible(frame - 1), gt.visible(frame), 0.0)

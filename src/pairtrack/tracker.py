@@ -15,14 +15,15 @@ Kalman mean (8,) and covariance (8, 8), last box, score, lost age and the
 last frame a row was emitted for. Activated rows come first and have lost
 age 0; lost rows follow. The constant-velocity Kalman filter runs on
 stacks of rows, as ByteTrack's ``multi_predict`` does: each step predicts
-every track at once and updates every matched track at once. A ``BBox``
-is built only for an emitted result row; ``prior_boxes`` hands on a slice
-of the table.
+every track at once and updates every matched track at once. A step emits
+its result rows as arrays (``FrameRows``), and ``TrackingResult`` keeps
+them per frame; ``prior_boxes`` hands on a slice of the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -34,6 +35,7 @@ __all__ = [
     "TrackerConfig",
     "Tracker",
     "TrackingResult",
+    "FrameRows",
     "ResultRow",
     "MOTION_MAT",
     "kalman_initiate",
@@ -182,21 +184,75 @@ class _Tracks:
         ))
 
 
+class FrameRows(NamedTuple):
+    """Result rows of one frame: ids (k,), center-form boxes (k, 4) and
+    scores (k,)."""
+
+    ids: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+
+
+_NO_ROWS = FrameRows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0))
+
+
 @dataclass
 class ResultRow:
+    """One result row as an object, for the ``TrackingResult.frames`` view."""
+
     track_id: int
     box: BBox
     score: float
 
 
-@dataclass
 class TrackingResult:
-    """Per-frame identity-labeled output boxes."""
+    """Per-frame identity-labeled output rows, kept as arrays.
 
-    frames: dict[int, list[ResultRow]] = field(default_factory=dict)
+    A frame's rows are the rows added for it, in the order they were added
+    (the tracker emits each id at most once per frame). Frames appear in
+    the order of their first non-empty ``add``.
+    """
 
-    def add(self, frame: int, row: ResultRow) -> None:
-        self.frames.setdefault(frame, []).append(row)
+    def __init__(self):
+        self._rows: dict[int, list[FrameRows]] = {}
+        self._view: dict[int, list[ResultRow]] | None = None
+
+    def add(self, frame: int, rows: FrameRows) -> None:
+        """Append ``rows`` to the frame's rows; an empty set adds nothing."""
+        if len(rows.ids):
+            self._rows.setdefault(frame, []).append(rows)
+            self._view = None
+
+    def frame_numbers(self):
+        """The frames holding at least one row."""
+        return self._rows.keys()
+
+    def rows(self, frame: int) -> FrameRows:
+        """All rows of the frame as one set of arrays (empty when none)."""
+        parts = self._rows.get(frame)
+        if parts is None:
+            return _NO_ROWS
+        if len(parts) > 1:
+            parts[:] = [FrameRows(*map(np.concatenate, zip(*parts)))]
+        return parts[0]
+
+    @property
+    def frames(self) -> dict[int, list[ResultRow]]:
+        """The rows as ``ResultRow`` objects per frame, for callers that
+        read rows one at a time. Built on first read and kept until the
+        next ``add``; edits to it do not reach the arrays."""
+        if self._view is None:
+            self._view = {f: _objects(self.rows(f)) for f in self._rows}
+        return self._view
+
+
+def _objects(rows: FrameRows) -> list[ResultRow]:
+    return [
+        ResultRow(tid, BBox(*box), score)
+        for tid, box, score in zip(
+            rows.ids.tolist(), rows.boxes.tolist(), rows.scores.tolist()
+        )
+    ]
 
 
 def associate(
@@ -237,15 +293,6 @@ def filter_duplicates(
     return iou_matrix(new_cur, assoc_cur).max(axis=1) <= nms2d_threshold
 
 
-def _result_rows(
-    frame: int, ids: np.ndarray, boxes: np.ndarray, scores: np.ndarray
-) -> list[tuple[int, ResultRow]]:
-    return [
-        (frame, ResultRow(tid, BBox(*box), score))
-        for tid, box, score in zip(ids.tolist(), boxes.tolist(), scores.tolist())
-    ]
-
-
 class Tracker:
     """Single-owner stateful lifecycle machine; one step call per frame."""
 
@@ -273,16 +320,17 @@ class Tracker:
 
     def step(
         self, frame: int, batch: CandidateBatch
-    ) -> list[tuple[int, ResultRow]]:
+    ) -> tuple[FrameRows, FrameRows]:
         """Process the candidate rows of the frame pair (frame - 1, frame).
 
         Prior-derived rows advance the activated tracks whose boxes their
         previous-frame members match. Those that match none join the padded
         discoveries, ahead of them, to resume lost tracks or start new ones.
 
-        Returns (frame, row) tuples: one row per activated track at this
-        frame, plus retroactive previous-frame rows for tracks born or
-        resumed from a pair whose earlier sighting was not yet recorded.
+        Returns the rows for frame - 1, then those for this frame. The
+        previous-frame rows are retroactive ones for tracks born or resumed
+        from a pair whose earlier sighting was not yet recorded; this frame
+        gets one row per activated track, in lifecycle order.
         """
         cfg = self.cfg
         if self.last_frame is not None and frame <= self.last_frame:
@@ -350,11 +398,11 @@ class Tracker:
         order = np.concatenate([hit, n_tracks + np.arange(len(born)), lost])
         self._tracks = tracks = tracks.concat(new).take(order)
         act = slice(0, len(hit) + len(born))
-        return _result_rows(
-            frame - 1, prev_ids, pairs[prev_rows, :4], batch.assoc[prev_rows]
-        ) + _result_rows(
-            frame, tracks.ids[act], tracks.boxes[act], tracks.scores[act]
-        )
+        prev_out = FrameRows(prev_ids, pairs[prev_rows, :4], batch.assoc[prev_rows])
+        # Copies: the next step updates the table's arrays in place.
+        cur_out = FrameRows(tracks.ids[act].copy(), tracks.boxes[act].copy(),
+                            tracks.scores[act].copy())
+        return prev_out, cur_out
 
 
 class GreedyIoUTracker:
@@ -376,7 +424,8 @@ class GreedyIoUTracker:
         self._age = np.zeros(0, dtype=np.int64)
         self._next_id = 1
 
-    def update(self, frame: int, detections: np.ndarray) -> list[ResultRow]:
+    def update(self, frame: int, detections: np.ndarray) -> FrameRows:
+        """The frame's rows, one per detection, in the order visited."""
         boxes = detections[:, :4]
         # Against the tracks of the frame's start only: a track born this
         # frame is never free to claim.
@@ -407,7 +456,4 @@ class GreedyIoUTracker:
         self._ids, self._boxes, self._age = (
             self._ids[keep], self._boxes[keep], self._age[keep]
         )
-        return [
-            ResultRow(int(ids[di]), BBox(*boxes[di].tolist()), float(detections[di, 4]))
-            for di in order
-        ]
+        return FrameRows(ids[order], boxes[order], detections[order, 4])

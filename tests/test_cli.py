@@ -20,6 +20,7 @@ from pairtrack.harness.io import (
     MotFormatError,
     detections_from_rows,
     parse_motchallenge,
+    scene_from_gt,
 )
 from pairtrack.pipeline import PipelineConfig, Variant
 from pairtrack.tracker import TrackerConfig
@@ -278,6 +279,27 @@ def test_reader_rejects_out_of_range_confidence(tmp_path):
     rows = parse_motchallenge(det)
     with pytest.raises(MotFormatError, match=r"frame 2: confidence 5\.0 outside"):
         detections_from_rows(rows)
+
+
+def test_duplicate_gt_id_in_a_frame_is_data_error(tmp_path, capsys):
+    # Scored against itself this file gave MOTA 0.5 and IDF1 1.0, and the
+    # oracle kept the second box; ids must be unique within a frame.
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,10,10,20,20,1,1,1.0\n"
+                  "1,2,50,50,20,20,1,1,1.0\n"
+                  "2,1,12,10,20,20,1,1,1.0\n"
+                  "2,1,60,60,20,20,1,1,1.0\n")
+    with pytest.raises(MotFormatError, match=r"frame 2: track id 1 listed twice"):
+        scene_from_gt(parse_motchallenge(gt), (100, 100))
+    result = tmp_path / "result.txt"
+    for argv in (["track", "--gt", str(gt), "--image-size", "100x100",
+                  "--out", str(result)],
+                 ["eval", "--gt", str(gt), "--result", str(gt),
+                  "--image-size", "100x100"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{gt}: frame 2: track id 1" in err
+    assert not result.exists()
 
 
 def test_config_round_trip():

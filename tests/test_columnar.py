@@ -1,0 +1,132 @@
+"""The columnar scene and result records, and the object view kept for
+callers that read result rows one at a time."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import pairtrack as pt
+from pairtrack.geometry import BBox
+from pairtrack.harness.io import parse_results, write_gt, write_results
+from pairtrack.simulator import GtFrame
+from pairtrack.tracker import FrameRows, ResultRow, TrackingResult
+
+
+def _scene():
+    spec = pt.SceneSpec(n_objects=6, duration=8, motion=pt.CrowdedMotion(0.35),
+                        occlusion_rate=0.5, seed=4)
+    return pt.generate(spec)
+
+
+def _tracked(scene):
+    return pt.run_sequence(pt.PipelineConfig(n_test=64), pt.OracleDenoiser(0.9),
+                           scene=scene, seed=1)
+
+
+def test_scene_rebuilt_from_its_frames_is_equal(tmp_path):
+    # As a benchmark warm-up does: a new scene from the records of another.
+    scene = _scene()
+    copy = pt.SceneGroundTruth(
+        image_size=scene.image_size, n_frames=scene.n_frames,
+        frames={f: scene.frames[f] for f in range(1, scene.n_frames + 1)},
+    )
+    assert copy == scene
+    write_gt(scene, tmp_path / "a.txt")
+    write_gt(copy, tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    write_results(_tracked(scene), tmp_path / "a.txt")
+    write_results(_tracked(copy), tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def test_frame_records_compare_as_bools():
+    scene = _scene()
+    a, b = scene.frames[1], scene.frames[2]
+    same = GtFrame(a.ids.copy(), a.boxes.copy(), a.visible.copy())
+    assert (a == same) is True and (a != same) is False
+    assert (a == b) is False and (a != b) is True
+    fewer = GtFrame(a.ids[:2], a.boxes[:2], a.visible[:2])
+    assert (a == fewer) is False and (a != fewer) is True
+    hidden = GtFrame(a.ids, a.boxes, ~a.visible)
+    assert (a == hidden) is False
+    assert a != "not a frame"
+
+
+def test_generated_frames_are_ascending_and_read_only():
+    scene = _scene()
+    for gt in scene.frames.values():
+        assert gt.ids.dtype == np.int64 and gt.boxes.shape == (6, 4)
+        assert gt.visible.dtype == bool
+        assert np.all(np.diff(gt.ids) > 0)
+        with pytest.raises(ValueError):
+            gt.boxes[0, 0] = 0.0
+
+
+def test_visible_slices_the_frame():
+    scene = _scene()
+    for f, gt in scene.frames.items():
+        ids, boxes = scene.visible(f)
+        assert ids.tolist() == gt.ids[gt.visible].tolist()
+        assert np.array_equal(boxes, gt.boxes[gt.visible])
+        assert np.array_equal(scene.visible_boxes(f), boxes)
+    ids, boxes = scene.visible(scene.n_frames + 1)
+    assert ids.shape == (0,) and boxes.shape == (0, 4)
+
+
+def test_view_rows_equal_the_arrays():
+    result = _tracked(_scene())
+    view = result.frames
+    assert list(view) == list(result.frame_numbers())
+    for f, rows in view.items():
+        ids, boxes, scores = result.rows(f)
+        assert [r.track_id for r in rows] == ids.tolist()
+        assert all(type(r.track_id) is int for r in rows)
+        assert [r.box for r in rows] == [BBox(*b) for b in boxes.tolist()]
+        assert [r.score for r in rows] == scores.tolist()
+
+
+def test_view_cached_until_next_add():
+    result = TrackingResult()
+    result.add(1, FrameRows(np.array([3]), np.array([[1.0, 2, 3, 4]]),
+                            np.array([0.5])))
+    view = result.frames
+    assert result.frames is view
+    # Edits to the view stay in the view.
+    view[1].append(view[1][0])
+    assert result.frames[1] == [ResultRow(3, BBox(1.0, 2, 3, 4), 0.5)] * 2
+    assert result.rows(1).ids.tolist() == [3]
+    result.add(1, FrameRows(np.array([1]), np.array([[5.0, 6, 7, 8]]),
+                            np.array([0.25])))
+    assert result.frames is not view
+    assert [r.track_id for r in result.frames[1]] == [3, 1]
+
+
+def test_empty_rows_add_no_frame():
+    result = TrackingResult()
+    result.add(4, FrameRows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)),
+                            np.zeros(0)))
+    assert list(result.frame_numbers()) == [] and result.frames == {}
+    assert result.rows(4).boxes.shape == (0, 4)
+
+
+def test_written_results_read_back_to_the_same_bytes(tmp_path):
+    result = _tracked(_scene())
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_results(result, first)
+    write_results(parse_results(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().count("\n") == sum(
+        len(result.rows(f).ids) for f in result.frame_numbers())
+
+
+def test_pipeline_writer_and_metrics_never_read_the_view(tmp_path, monkeypatch):
+    def no_view(self):
+        raise AssertionError("the object view was read")
+
+    monkeypatch.setattr(TrackingResult, "frames", property(no_view))
+    scene = _scene()
+    result = _tracked(scene)
+    write_results(result, tmp_path / "r.txt")
+    pt.evaluate(scene, result)
+    pt.evaluate(scene, parse_results(tmp_path / "r.txt"))

@@ -25,9 +25,15 @@ from pairtrack.diffusion import (
     cosine_schedule,
     ddim_refine,
 )
-from pairtrack.geometry import BBox, iou_matrix, overlap
+from pairtrack.geometry import iou_matrix, overlap
 
 IMAGE = (1000, 800)
+
+
+def gt(*rows):
+    """Ground truth (ids, boxes) of (id, (cx, cy, w, h)) rows, ids ascending."""
+    return (np.array([i for i, _ in rows], dtype=np.int64),
+            np.array([b for _, b in rows], dtype=np.float64).reshape(-1, 4))
 
 
 class TestIdentityDenoiser:
@@ -48,8 +54,8 @@ class TestIdentityDenoiser:
 
 class TestOracleDenoiser:
     def ctx(self, conditional=False):
-        gt_prev = [(1, BBox(200, 200, 60, 100)), (2, BBox(600, 400, 80, 80))]
-        gt_cur = [(1, BBox(210, 205, 60, 100)), (2, BBox(590, 400, 80, 80))]
+        gt_prev = gt((1, (200, 200, 60, 100)), (2, (600, 400, 80, 80)))
+        gt_cur = gt((1, (210, 205, 60, 100)), (2, (590, 400, 80, 80)))
         return FrameContext(
             1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur, conditional=conditional
         )
@@ -97,8 +103,8 @@ class TestOracleDenoiser:
                 assert np.allclose(out.pairs[i], expected)
 
     def test_missing_in_one_frame_penalized(self):
-        gt_prev = [(1, BBox(200, 200, 60, 100))]
-        gt_cur = []  # identity 1 vanished in the current frame
+        gt_prev = gt((1, (200, 200, 60, 100)))
+        gt_cur = gt()  # identity 1 vanished in the current frame
         ctx = FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
         boxes = np.array([[200, 200, 60, 100, 200, 200, 60, 100]], dtype=float)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
@@ -106,7 +112,7 @@ class TestOracleDenoiser:
         assert out.cls_cur[0] < 0.25
 
     def test_empty_gt_all_below_gate(self):
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=[], gt_cur=[])
+        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt(), gt_cur=gt())
         boxes = np.full((5, 8), 300.0)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
         assert np.all(out.assoc < 0.25)
@@ -120,8 +126,8 @@ class TestOracleDenoiser:
         assert out.assoc[0] < 0.25
 
     def test_detection_mode_prev_equals_cur(self):
-        gt = [(1, BBox(300, 300, 60, 60))]
-        ctx = FrameContext(5, 5, IMAGE, gt_prev=gt, gt_cur=gt)
+        both = gt((1, (300, 300, 60, 60)))
+        ctx = FrameContext(5, 5, IMAGE, gt_prev=both, gt_cur=both)
         boxes = np.array([[280, 280, 50, 50, 320, 320, 70, 70]], dtype=float)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 0, ctx)
         pix = out.pairs[0]
@@ -167,8 +173,8 @@ class TestOracleDenoiser:
 
 def _ctx_from_rows(gt_rows, conditional=False):
     """A context whose ground truth holds one identity per (8,) row."""
-    gt_prev = [(i, BBox(*r[:4])) for i, r in enumerate(gt_rows)]
-    gt_cur = [(i, BBox(*r[4:])) for i, r in enumerate(gt_rows)]
+    gt_prev = gt(*((i, r[:4]) for i, r in enumerate(gt_rows)))
+    gt_cur = gt(*((i, r[4:]) for i, r in enumerate(gt_rows)))
     return FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur,
                         conditional=conditional)
 
@@ -483,9 +489,9 @@ class TestTargetMemo:
         assert bad == []
 
     def test_frame_context_is_frozen(self):
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=[], gt_cur=[])
+        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt(), gt_cur=gt())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ctx.gt_cur = [(1, BBox(10, 10, 5, 5))]
+            ctx.gt_cur = gt((1, (10, 10, 5, 5)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.conditional = True
 

@@ -27,7 +27,6 @@ from pairtrack.diffusion import (
     signal_to_pixel,
     single_step_noise,
 )
-from pairtrack.geometry import BBox
 
 IMAGE = (1000, 1000)
 
@@ -330,17 +329,13 @@ class TestDdimRefine:
         assert np.all((seen[1] >= 0.0) & (seen[1] <= 1000.0))
 
     def test_perfect_oracle_reaches_gt_any_steps(self):
-        gt_prev = [(1, BBox(300, 300, 60, 120)), (2, BBox(700, 650, 80, 80))]
-        gt_cur = [(1, BBox(310, 305, 60, 120)), (2, BBox(690, 650, 80, 80))]
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
+        ids = np.array([1, 2])
+        gt_prev = np.array([[300.0, 300, 60, 120], [700, 650, 80, 80]])
+        gt_cur = np.array([[310.0, 305, 60, 120], [690, 650, 80, 80]])
+        ctx = FrameContext(1, 2, IMAGE, gt_prev=(ids, gt_prev), gt_cur=(ids, gt_cur))
         oracle = OracleDenoiser(fidelity=1.0)
         p = self.proposals(n=32, t=700)
-        gt_rows = np.stack(
-            [
-                np.concatenate([a.as_array(), b.as_array()])
-                for (_, a), (_, b) in zip(gt_prev, gt_cur)
-            ]
-        )
+        gt_rows = np.concatenate([gt_prev, gt_cur], axis=1)
         for steps in (1, 4):
             cands = ddim_refine(p, steps, oracle, ctx, self.sched)
             got = cands.pairs

@@ -27,6 +27,16 @@ from pairtrack.geometry import (
 CELL = 0.125
 
 
+def from_corners(x1: float, y1: float, x2: float, y2: float) -> BBox:
+    return BBox(0.5 * (x1 + x2), 0.5 * (y1 + y2), x2 - x1, y2 - y1)
+
+
+def corners(box: BBox) -> tuple[float, float, float, float]:
+    """(x1, y1, x2, y2) with x1 <= x2 and y1 <= y2."""
+    return (box.cx - 0.5 * box.w, box.cy - 0.5 * box.h,
+            box.cx + 0.5 * box.w, box.cy + 0.5 * box.h)
+
+
 def lattice_box(rng: np.random.Generator, lo=0.0, hi=8.0, max_size=4.0) -> BBox:
     """Random box with all corner coordinates on the 1/4 lattice."""
     quarter = 0.25
@@ -34,7 +44,7 @@ def lattice_box(rng: np.random.Generator, lo=0.0, hi=8.0, max_size=4.0) -> BBox:
     y1 = rng.integers(int(lo / quarter), int((hi - quarter) / quarter)) * quarter
     w = rng.integers(1, int(max_size / quarter) + 1) * quarter
     h = rng.integers(1, int(max_size / quarter) + 1) * quarter
-    return BBox.from_corners(x1, y1, x1 + w, y1 + h)
+    return from_corners(x1, y1, x1 + w, y1 + h)
 
 
 def _cell_centers(extent):
@@ -45,14 +55,14 @@ def _cell_centers(extent):
 
 
 def _inside(box: BBox, gx, gy):
-    x1, y1, x2, y2 = box.corners()
+    x1, y1, x2, y2 = corners(box)
     return (gx > x1) & (gx < x2) & (gy > y1) & (gy < y2)
 
 
 def raster_areas(a: BBox, b: BBox) -> tuple[float, float, float]:
     """(intersection, union, enclosing) areas by cell counting."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
     extent = (min(ax1, bx1), min(ay1, by1), max(ax2, bx2), max(ay2, by2))
     gx, gy = _cell_centers(extent)
     in_a = _inside(a, gx, gy)
@@ -95,7 +105,8 @@ def raster_giou3d(d: tuple[BBox, BBox], g: tuple[BBox, BBox]) -> float:
 
 def row(*boxes: BBox) -> np.ndarray:
     """One center-form row: a box gives 4 scalars, a (prev, cur) pair 8."""
-    return np.concatenate([b.as_array() for b in boxes])
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes],
+                    dtype=np.float64).reshape(-1)
 
 
 class TestIoU:
@@ -108,8 +119,8 @@ class TestIoU:
 
     def test_known_overlap(self):
         # corners (0,0,2,2) vs (1,1,3,3): inter 1, union 7
-        a = BBox.from_corners(0, 0, 2, 2)
-        b = BBox.from_corners(1, 1, 3, 3)
+        a = from_corners(0, 0, 2, 2)
+        b = from_corners(1, 1, 3, 3)
         assert overlap(row(a), row(b)) == pytest.approx(1 / 7, abs=1e-12)
         assert raster_iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
 
@@ -125,8 +136,8 @@ class TestGIoU:
 
     def test_known_value(self):
         # 1/7 - 2/9: enclosing 9, union 7
-        a = BBox.from_corners(0, 0, 2, 2)
-        b = BBox.from_corners(1, 1, 3, 3)
+        a = from_corners(0, 0, 2, 2)
+        b = from_corners(1, 1, 3, 3)
         assert giou(row(a), row(b)) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
         assert raster_giou(a, b) == pytest.approx(1 / 7 - 2 / 9, abs=1e-12)
 
@@ -167,8 +178,8 @@ class TestGIoU3D:
 
     def test_collapses_to_2d(self):
         # prev == cur in both pairs: equals the 2D giou of the shared boxes
-        a = BBox.from_corners(0, 0, 2, 2)
-        b = BBox.from_corners(1, 1, 3, 3)
+        a = from_corners(0, 0, 2, 2)
+        b = from_corners(1, 1, 3, 3)
         assert giou(row(a, a), row(b, b)) == pytest.approx(
             giou(row(a), row(b)), abs=1e-12
         )
@@ -279,8 +290,8 @@ class TestNMS:
     def test_threshold_strict(self):
         # iou exactly 0.65 > 0.6 suppresses; build from lattice areas:
         # (0,0,20,13) vs (0,0,20,20) roughly; construct iou = 13/20 = 0.65
-        a = BBox.from_corners(0, 0, 20, 20)
-        b = BBox.from_corners(0, 0, 20, 13)  # inter 260, union 400
+        a = from_corners(0, 0, 20, 20)
+        b = from_corners(0, 0, 20, 13)  # inter 260, union 400
         assert overlap(row(a), row(b)) == pytest.approx(0.65, abs=1e-12)
         assert nms2d(_rows([a, b]), [0.9, 0.8], 0.6) == [0]
         # at threshold equal to overlap the pair survives (strict inequality)

@@ -7,31 +7,48 @@ import math
 import numpy as np
 import pytest
 
-from pairtrack.geometry import BBox
 from pairtrack.metrics import MetricsReport, evaluate
-from pairtrack.simulator import CrowdedMotion, GtEntry, SceneGroundTruth, SceneSpec, generate
-from pairtrack.tracker import ResultRow, TrackingResult
+from pairtrack.simulator import (
+    CrowdedMotion, GtFrame, SceneGroundTruth, SceneSpec, generate,
+)
+from pairtrack.tracker import FrameRows, TrackingResult
 
-A = BBox(100, 100, 20, 20)
-B = BBox(300, 300, 20, 20)
+A = (100, 100, 20, 20)
+B = (300, 300, 20, 20)
+
+Box = tuple[float, float, float, float]
 
 
-def scene(frames: dict[int, list[tuple[int, BBox, bool]]]) -> SceneGroundTruth:
+def scene(frames: dict[int, list[tuple[int, Box, bool]]]) -> SceneGroundTruth:
+    """Rows (id, center-form box, visible) per frame, ids ascending."""
     return SceneGroundTruth(
         image_size=(1000, 1000),
         n_frames=max(frames),
         frames={
-            f: [GtEntry(i, b, v) for i, b, v in rows] for f, rows in frames.items()
+            f: GtFrame(
+                np.array([i for i, _, _ in rows], dtype=np.int64),
+                np.array([b for _, b, _ in rows], dtype=np.float64).reshape(-1, 4),
+                np.array([v for _, _, v in rows], dtype=bool),
+            )
+            for f, rows in frames.items()
         },
     )
 
 
-def result(frames: dict[int, list[tuple[int, BBox]]]) -> TrackingResult:
-    return TrackingResult(
-        frames={
-            f: [ResultRow(i, b, 1.0) for i, b in rows] for f, rows in frames.items()
-        }
+def rows(*rows: tuple[int, Box, float]) -> FrameRows:
+    """Result rows (id, center-form box, score) as arrays."""
+    return FrameRows(
+        np.array([i for i, _, _ in rows], dtype=np.int64),
+        np.array([b for _, b, _ in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([s for _, _, s in rows], dtype=np.float64),
     )
+
+
+def result(frames: dict[int, list[tuple[int, Box]]]) -> TrackingResult:
+    out = TrackingResult()
+    for f, frame_rows in frames.items():
+        out.add(f, rows(*((i, b, 1.0) for i, b in frame_rows)))
+    return out
 
 
 def two_track_scene() -> SceneGroundTruth:
@@ -114,12 +131,11 @@ class TestProperties:
         for _ in range(100):
             perm = rng.permutation(1000)[:3] + 1
             mapping = dict(zip(ids, (int(p) for p in perm)))
-            relabeled = TrackingResult(
-                frames={
-                    f: [ResultRow(mapping[r.track_id], r.box, r.score) for r in rows]
-                    for f, rows in base.frames.items()
-                }
-            )
+            relabeled = TrackingResult()
+            for f in base.frame_numbers():
+                tids, boxes, scores = base.rows(f)
+                relabeled.add(f, FrameRows(
+                    np.array([mapping[i] for i in tids.tolist()]), boxes, scores))
             out = evaluate(gt, relabeled)
             assert out.mota == pytest.approx(ref.mota, abs=1e-12)
             assert out.idsw == ref.idsw
@@ -132,7 +148,7 @@ class TestProperties:
         )
         noisy = result(
             {
-                1: [(1, A), (2, B), (99, BBox(700, 700, 20, 20))],
+                1: [(1, A), (2, B), (99, (700, 700, 20, 20))],
                 2: [(1, A), (2, B)],
                 3: [(1, A), (2, B)],
             }
@@ -167,7 +183,7 @@ class TestProperties:
     def test_gate_strictness(self):
         # Overlap below 0.5 must not match: shifted box with iou ~ 0.33.
         gt = scene({1: [(1, A, True)]})
-        shifted = BBox(110, 100, 20, 20)
+        shifted = (110, 100, 20, 20)
         res = result({1: [(1, shifted)]})
         report = evaluate(gt, res)
         assert report.fn == 1 and report.fp == 1
@@ -187,14 +203,12 @@ class TestPreviousCorrespondencePreference:
         # Two predictions hover over one GT; the one matched first must be
         # preferred in later frames even if the other overlaps slightly more.
         gt = scene({f: [(1, A, True)] for f in (1, 2, 3)})
-        near = BBox(101, 100, 20, 20)
-        res = TrackingResult(
-            frames={
-                1: [ResultRow(5, A, 1.0)],
-                2: [ResultRow(5, near, 1.0), ResultRow(6, A, 1.0)],
-                3: [ResultRow(5, near, 1.0), ResultRow(6, A, 1.0)],
-            }
-        )
+        near = (101, 100, 20, 20)
+        res = result({
+            1: [(5, A)],
+            2: [(5, near), (6, A)],
+            3: [(5, near), (6, A)],
+        })
         report = evaluate(gt, res)
         assert report.idsw == 0
         assert report.fp == 2  # the unmatched hoverer at frames 2 and 3
@@ -206,17 +220,18 @@ def _noisy_result(gt: SceneGroundTruth, seed: int) -> TrackingResult:
     rng = np.random.default_rng(seed)
     out = TrackingResult()
     for frame in range(1, gt.n_frames + 1):
-        for g, b in gt.visible(frame):
+        ids, boxes = gt.visible(frame)
+        for g, (cx, cy, w, h) in zip(ids.tolist(), boxes.tolist()):
             if rng.random() < 0.1:
                 continue
             tid = 100 + g
             if frame > gt.n_frames // 2 and g in (1, 2):
                 tid = 103 - g
             jx, jy = rng.normal(0.0, 3.0, 2)
-            out.add(frame, ResultRow(tid, BBox(b.cx + jx, b.cy + jy, b.w, b.h), 1.0))
+            out.add(frame, rows((tid, (cx + jx, cy + jy, w, h), 1.0)))
         if rng.random() < 0.3:
             cx, cy = rng.uniform(100, 500, 2)
-            out.add(frame, ResultRow(900 + frame, BBox(cx, cy, 40.0, 80.0), 0.5))
+            out.add(frame, rows((900 + frame, (cx, cy, 40.0, 80.0), 0.5)))
     return out
 
 

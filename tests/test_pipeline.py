@@ -22,6 +22,7 @@ from pairtrack.pipeline import (
     run_sequence,
 )
 from pairtrack.simulator import (
+    GtFrame,
     LinearMotion,
     NonLinearMotion,
     SceneSpec,
@@ -60,12 +61,9 @@ class TestRunPair:
         )
         assert n_prior == 0
         assert len(cands) == 4
-        gt_cur = {i: b for i, b in scene.visible(2)}
+        _, gt_cur = scene.visible(2)
         for cur in cands.pairs[:, 4:]:
-            assert any(
-                np.allclose(cur, b.as_array(), atol=1e-6)
-                for b in gt_cur.values()
-            )
+            assert any(np.allclose(cur, b, atol=1e-6) for b in gt_cur)
 
     def test_gating_soundness(self):
         scene = small_scene()
@@ -215,11 +213,11 @@ class TestRunSequence:
         cfg = PipelineConfig(n_test=64)
         a = run_sequence(cfg, OracleDenoiser(0.9), scene=scene, seed=5)
         b = run_sequence(cfg, OracleDenoiser(0.9), scene=scene, seed=5)
-        assert sorted(a.frames) == sorted(b.frames)
-        for f in a.frames:
-            ra = [(r.track_id, tuple(r.box.as_array())) for r in a.frames[f]]
-            rb = [(r.track_id, tuple(r.box.as_array())) for r in b.frames[f]]
-            assert ra == rb
+        assert sorted(a.frame_numbers()) == sorted(b.frame_numbers())
+        for f in a.frame_numbers():
+            ra, rb = a.rows(f), b.rows(f)
+            assert ra.ids.tolist() == rb.ids.tolist()
+            assert ra.boxes.tolist() == rb.boxes.tolist()
 
     def test_prior_perturbation_zero_is_identity(self):
         scene = small_scene(duration=8)
@@ -228,10 +226,10 @@ class TestRunSequence:
         b = run_sequence(
             cfg, OracleDenoiser(0.9), scene=scene, seed=5, prior_perturbation=0.0
         )
-        for f in a.frames:
-            ra = [(r.track_id, tuple(r.box.as_array())) for r in a.frames[f]]
-            rb = [(r.track_id, tuple(r.box.as_array())) for r in b.frames[f]]
-            assert ra == rb
+        for f in a.frame_numbers():
+            ra, rb = a.rows(f), b.rows(f)
+            assert ra.ids.tolist() == rb.ids.tolist()
+            assert ra.boxes.tolist() == rb.boxes.tolist()
 
     @pytest.mark.parametrize("alpha", [-0.3, 1.5])
     def test_prior_perturbation_range_checked_before_any_pair(self, alpha):
@@ -285,17 +283,13 @@ class TestRunSequence:
         scene = small_scene(seed=3, n=3, duration=14)
         victim = 2
         for f in (6, 7):
-            entries = scene.frames[f]
-            for i, e in enumerate(entries):
-                if e.track_id == victim:
-                    entries[i] = type(e)(e.track_id, e.box, False)
+            gt = scene.frames[f]
+            scene.frames[f] = GtFrame(gt.ids, gt.boxes, gt.visible & (gt.ids != victim))
         res = run_sequence(
             PipelineConfig(n_test=128), OracleDenoiser(1.0), scene=scene, seed=0
         )
         report = evaluate(scene, res)
         assert report.idsw == 0
-        ids_before = {
-            r.track_id for r in res.frames[5]
-        }
-        ids_after = {r.track_id for r in res.frames[10]}
+        ids_before = set(res.rows(5).ids.tolist())
+        ids_after = set(res.rows(10).ids.tolist())
         assert ids_before == ids_after

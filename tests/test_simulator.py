@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pairtrack.geometry import BBox
 from pairtrack.simulator import (
     CrowdedMotion,
-    GtEntry,
+    GtFrame,
     LinearMotion,
     NonLinearMotion,
     SceneGroundTruth,
@@ -23,19 +22,14 @@ class TestGenerate:
     def test_deterministic(self):
         spec = SceneSpec(n_objects=5, duration=20, seed=7)
         a, b = generate(spec), generate(spec)
+        assert list(a.frames) == list(b.frames)
         for f in a.frames:
-            for ea, eb in zip(a.frames[f], b.frames[f]):
-                assert ea == eb
+            assert a.frames[f] == b.frames[f]
 
     def test_linear_constant_velocity(self):
         spec = SceneSpec(n_objects=1, duration=15, seed=3)
         scene = generate(spec)
-        centers = np.array(
-            [
-                [scene.frames[f][0].box.cx, scene.frames[f][0].box.cy]
-                for f in range(1, 16)
-            ]
-        )
+        centers = np.array([scene.frames[f].boxes[0, :2] for f in range(1, 16)])
         steps = np.diff(centers, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-9)
 
@@ -48,21 +42,23 @@ class TestGenerate:
             spec = SceneSpec(n_objects=8, duration=30, motion=motion, seed=11)
             scene = generate(spec)
             w, h = spec.image_size
-            for f, entries in scene.frames.items():
-                for e in entries:
-                    x1, y1, x2, y2 = e.box.corners()
+            for f, gt in scene.frames.items():
+                for cx, cy, bw, bh in gt.boxes.tolist():
+                    x1, y1 = cx - 0.5 * bw, cy - 0.5 * bh
+                    x2, y2 = cx + 0.5 * bw, cy + 0.5 * bh
                     assert x1 >= -1e-6 and y1 >= -1e-6
                     assert x2 <= w + 1e-6 and y2 <= h + 1e-6
 
     def test_ids_unique_per_frame(self):
         scene = generate(SceneSpec(n_objects=6, duration=10, seed=0))
-        for entries in scene.frames.values():
-            ids = [e.track_id for e in entries]
+        for gt in scene.frames.values():
+            ids = gt.ids.tolist()
             assert len(ids) == len(set(ids))
+            assert ids == sorted(ids)
 
     def test_no_occlusion_all_visible(self):
         scene = generate(SceneSpec(n_objects=6, duration=10, occlusion_rate=0.0, seed=2))
-        assert all(e.visible for entries in scene.frames.values() for e in entries)
+        assert all(gt.visible.all() for gt in scene.frames.values())
 
     def test_occlusion_spans_contiguous(self):
         scene = generate(
@@ -71,7 +67,7 @@ class TestGenerate:
         hidden_any = False
         for i in range(1, 11):
             flags = [
-                next(e.visible for e in scene.frames[f] if e.track_id == i)
+                bool(scene.frames[f].visible[scene.frames[f].ids == i][0])
                 for f in range(1, 31)
             ]
             gaps = 0
@@ -92,11 +88,9 @@ class TestGenerate:
         scene = generate(spec)
         min_dist = np.inf
         for f in range(1, 41):
-            a, b = scene.frames[f][0].box, scene.frames[f][1].box
-            min_dist = min(min_dist, np.hypot(a.cx - b.cx, a.cy - b.cy))
-        max_size = max(
-            max(e.box.w, e.box.h) for es in scene.frames.values() for e in es
-        )
+            a, b = scene.frames[f].boxes[:2]
+            min_dist = min(min_dist, np.hypot(a[0] - b[0], a[1] - b[1]))
+        max_size = max(gt.boxes[:, 2:].max() for gt in scene.frames.values())
         assert min_dist < max_size
 
     def test_crowded_infeasible_rejected(self):
@@ -163,37 +157,37 @@ class TestPerturbBoxes:
 
 
 class TestAverageMotion:
+    @staticmethod
+    def frame(boxes, vis):
+        ids = np.arange(1, len(boxes) + 1, dtype=np.int64)
+        return GtFrame(ids, np.array(boxes, dtype=np.float64), np.array(vis))
+
     def make_scene(self, prev_boxes, cur_boxes, vis=None):
         vis = vis or [True] * len(prev_boxes)
-        frames = {
-            1: [
-                GtEntry(i + 1, b, vis[i]) for i, b in enumerate(prev_boxes)
-            ],
-            2: [GtEntry(i + 1, b, vis[i]) for i, b in enumerate(cur_boxes)],
-        }
+        frames = {1: self.frame(prev_boxes, vis), 2: self.frame(cur_boxes, vis)}
         return SceneGroundTruth(image_size=(1000, 1000), n_frames=2, frames=frames)
 
     def test_static_zero(self):
-        b = BBox(100, 100, 30, 40)
+        b = (100, 100, 30, 40)
         scene = self.make_scene([b], [b])
         assert average_motion(scene, 2) == 0.0
 
     def test_full_diagonal_clamped(self):
         scene = self.make_scene(
-            [BBox(100, 100, 30, 40)], [BBox(200, 200, 30, 40)]
+            [(100, 100, 30, 40)], [(200, 200, 30, 40)]
         )
         assert average_motion(scene, 2) == 1.0
 
     def test_hand_computed_two_objects(self):
         # displacements 5 and 10 against diagonal 50 -> mean of 0.1 and 0.2
-        prev = [BBox(100, 100, 30, 40), BBox(500, 500, 30, 40)]
-        cur = [BBox(103, 104, 30, 40), BBox(506, 508, 30, 40)]
+        prev = [(100, 100, 30, 40), (500, 500, 30, 40)]
+        cur = [(103, 104, 30, 40), (506, 508, 30, 40)]
         scene = self.make_scene(prev, cur)
         assert average_motion(scene, 2) == pytest.approx(0.15, abs=1e-12)
 
     def test_no_covisible_zero(self):
         scene = self.make_scene(
-            [BBox(100, 100, 30, 40)], [BBox(200, 200, 30, 40)], vis=[True]
+            [(100, 100, 30, 40)], [(200, 200, 30, 40)], vis=[True]
         )
-        scene.frames[1][0] = GtEntry(1, BBox(100, 100, 30, 40), False)
+        scene.frames[1] = self.frame([(100, 100, 30, 40)], [False])
         assert average_motion(scene, 2) == 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +13,7 @@ from pairtrack.tracker import (
     MOTION_MAT,
     GreedyIoUTracker,
     Tracker,
+    TrackingResult,
     associate,
     filter_duplicates,
     kalman_initiate,
@@ -184,7 +183,7 @@ class TestSplitCandidates:
         tracker = tracked(*starts)
         cands = [cand(PRIOR, cur, (cur[0] + 10,) + cur[1:], 0.9)
                  for _, cur in starts]
-        emitted = rows_by_frame(tracker.step(3, batch(cands)))
+        emitted = step_rows(tracker, 3, batch(cands))
         assert sorted(r.track_id for r in emitted[3]) == [1, 2, 3, 4]
         assert 2 not in emitted
         by_id = {r.track_id: r.box for r in emitted[3]}
@@ -192,10 +191,10 @@ class TestSplitCandidates:
 
     def test_mixed_routing(self):
         tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
-        emitted = rows_by_frame(tracker.step(3, batch([
+        emitted = step_rows(tracker, 3, batch([
             cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
             cand(PADDED, (600, 600, 20, 20), (610, 600, 20, 20), 0.8),
-        ])))
+        ]))
         by_id = {r.track_id: r.box for r in emitted[3]}
         assert by_id == {1: BBox(120, 100, 20, 20), 2: BBox(610, 600, 20, 20)}
         assert [r.track_id for r in emitted[2]] == [2]
@@ -205,26 +204,26 @@ class TestSplitCandidates:
         # a padded one still associates, and a padded row in the leading slot
         # whose previous member matches the track is a discovery.
         tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
-        emitted = rows_by_frame(tracker.step(3, batch([
+        emitted = step_rows(tracker, 3, batch([
             cand(PADDED, (110, 100, 20, 20), (400, 400, 20, 20), 0.9),
             cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
-        ])))
+        ]))
         by_id = {r.track_id: r.box for r in emitted[3]}
         assert by_id == {1: BBox(120, 100, 20, 20), 2: BBox(400, 400, 20, 20)}
 
     def test_padded_row_never_advances(self):
         tracker = tracked(((100, 100, 20, 20), (110, 100, 20, 20)))
-        emitted = rows_by_frame(tracker.step(3, batch([
+        emitted = step_rows(tracker, 3, batch([
             cand(PADDED, (110, 100, 20, 20), (400, 400, 20, 20), 0.9),
-        ])))
+        ]))
         assert [r.track_id for r in emitted[3]] == [2]
         assert tracker.lost.tolist() == [1]
 
     def test_zero_assoc_slots_all_new(self):
         tracker = Tracker()
-        emitted = rows_by_frame(tracker.step(2, batch([
+        emitted = step_rows(tracker, 2, batch([
             cand(PADDED, (10, 10, 5, 5), (12, 10, 5, 5), 0.9),
-        ])))
+        ]))
         assert len(tracker.activated) == 1
         assert [r.box for r in emitted[1]] == [BBox(10, 10, 5, 5)]
         assert [r.box for r in emitted[2]] == [BBox(12, 10, 5, 5)]
@@ -275,11 +274,10 @@ class TestFilterDuplicates:
 
     def test_boundary_exactly_at_threshold_kept(self):
         # iou((0,0,20,20), (0,0,20,14)) = 280/400 = 0.7 exactly
-        a = BBox.from_corners(0, 0, 20, 20)
-        b = BBox.from_corners(0, 0, 20, 14)
-        assert iou_matrix(boxes(a.as_array()), boxes(b.as_array()))[0, 0] == (
-            pytest.approx(0.7, abs=1e-12))
-        keep = filter_duplicates(boxes(b.as_array()), boxes(a.as_array()), 0.7)
+        a = boxes((10, 10, 20, 20))
+        b = boxes((10, 7, 20, 14))
+        assert iou_matrix(a, b)[0, 0] == pytest.approx(0.7, abs=1e-12)
+        keep = filter_duplicates(b, a, 0.7)
         assert keep.tolist() == [True]
 
     def test_no_association_rows_keeps_all(self):
@@ -289,11 +287,13 @@ class TestFilterDuplicates:
         assert keep.tolist() == [True, True]
 
 
-def rows_by_frame(emitted):
-    out = {}
-    for frame, row in emitted:
-        out.setdefault(frame, []).append(row)
-    return out
+def step_rows(tracker, frame, rows):
+    """Step the tracker; its emitted rows per frame, as ``ResultRow``s."""
+    prev, cur = tracker.step(frame, rows)
+    result = TrackingResult()
+    result.add(frame - 1, prev)
+    result.add(frame, cur)
+    return result.frames
 
 
 class TestTrackerStep:
@@ -301,10 +301,25 @@ class TestTrackerStep:
         tracker = Tracker()
         tracker.step(2, batch([cand(PADDED, (100, 100, 20, 20),
                                     (110, 100, 20, 20), 0.9)]))
-        emitted = tracker.step(3, batch([]))
-        assert emitted == []
+        prev, cur = tracker.step(3, batch([]))
+        assert prev.ids.tolist() == cur.ids.tolist() == []
+        assert prev.boxes.shape == cur.boxes.shape == (0, 4)
         assert tracker.activated.tolist() == []
         assert len(tracker.lost) == 1
+
+    def test_emitted_rows_outlive_later_steps(self):
+        # The table's arrays are updated in place; a step's rows must not be
+        # views of them.
+        tracker = Tracker()
+        tracker.step(2, batch([cand(PADDED, (100, 100, 20, 20),
+                                    (110, 100, 20, 20), 0.9)]))
+        _, cur = tracker.step(3, batch([cand(PRIOR, (110, 100, 20, 20),
+                                             (120, 100, 20, 20), 0.9)]))
+        before = [a.copy() for a in cur]
+        tracker.step(4, batch([]))
+        tracker.step(5, batch([cand(PADDED, (140, 100, 20, 20),
+                                    (150, 100, 20, 20), 0.8)]))
+        assert all(np.array_equal(a, b) for a, b in zip(cur, before))
 
     def test_steady_object_keeps_one_id(self):
         tracker = Tracker()
@@ -316,8 +331,8 @@ class TestTrackerStep:
                 k + 1,
                 batch([cand(origin, boxes[k - 1], boxes[k], 0.9)]),
             )
-            for _, row in emitted:
-                ids.add(row.track_id)
+            for rows in emitted:
+                ids |= set(rows.ids.tolist())
         assert ids == {1}
 
     def test_monotone_frame_required(self):
@@ -362,8 +377,8 @@ class TestTrackerStep:
                      tuple(rng.uniform(50, 900, 2)) + (20, 20), 0.9)
                 for i in range(3)
             ]
-            for frame, row in tracker.step(k, batch(cands)):
-                all_rows.setdefault(frame, []).append(row.track_id)
+            for frame, rows in zip((k - 1, k), tracker.step(k, batch(cands))):
+                all_rows.setdefault(frame, []).extend(rows.ids.tolist())
         for frame, ids in all_rows.items():
             assert len(ids) == len(set(ids)), frame
 
@@ -371,9 +386,9 @@ class TestTrackerStep:
         # A prior-derived row with no track to continue (the first pair of a
         # detection stream) is still a sighting and starts a track.
         tracker = Tracker()
-        emitted = rows_by_frame(tracker.step(
-            2, batch([cand(PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9)])
-        ))
+        emitted = step_rows(tracker, 2, batch([
+            cand(PRIOR, (100, 100, 20, 20), (110, 100, 20, 20), 0.9),
+        ]))
         assert len(tracker.activated) == 1
         assert [r.box for r in emitted[1]] == [BBox(100, 100, 20, 20)]
         assert [r.box for r in emitted[2]] == [BBox(110, 100, 20, 20)]
@@ -429,10 +444,10 @@ class TestStepProperties:
         tracker = Tracker()
         ids_at: dict[int, list[int]] = {}
         for frame, rows in steps:
-            for f, row in tracker.step(frame, batch(rows)):
-                ids_at.setdefault(f, []).append(row.track_id)
-                assert all(math.isfinite(v) for v in row.box.as_array())
-                assert math.isfinite(row.score)
+            for f, out in zip((frame - 1, frame), tracker.step(frame, batch(rows))):
+                ids_at.setdefault(f, []).extend(out.ids.tolist())
+                assert np.isfinite(out.boxes).all()
+                assert np.isfinite(out.scores).all()
             # Lost tracks' predicted boxes are never emitted, but they are
             # matched against later discoveries.
             assert np.isfinite(tracker._tracks.boxes).all()
@@ -450,8 +465,8 @@ class TestStepProperties:
         # len(tracker.lost) after each step as the active and lost counts.
         tracker = Tracker()
         for frame, rows in steps:
-            emitted = tracker.step(frame, batch(rows))
-            assert len(tracker.activated) == sum(f == frame for f, _ in emitted)
+            _, cur = tracker.step(frame, batch(rows))
+            assert len(tracker.activated) == len(cur.ids)
             n_lost = len(tracker.lost)
             assert isinstance(n_lost, int)
             assert n_lost == len(set(tracker.lost.tolist()))
@@ -479,14 +494,12 @@ class TestHandTracedScenario:
         tracker = Tracker()
 
         # pair (1,2): bootstrap, both objects discovered
-        emitted = rows_by_frame(
-            tracker.step(
-                2,
-                batch([
-                    cand(PADDED, (100, 100, 20, 20), (110, 100, 20, 20), 0.9),
-                    cand(PADDED, (300, 300, 20, 20), (300, 310, 20, 20), 0.85),
-                ]),
-            )
+        emitted = step_rows(
+            tracker, 2,
+            batch([
+                cand(PADDED, (100, 100, 20, 20), (110, 100, 20, 20), 0.9),
+                cand(PADDED, (300, 300, 20, 20), (300, 310, 20, 20), 0.85),
+            ]),
         )
         assert {r.track_id for r in emitted[1]} == {1, 2}
         assert {r.track_id for r in emitted[2]} == {1, 2}
@@ -496,50 +509,42 @@ class TestHandTracedScenario:
 
         # pair (2,3): both advance; a duplicate of A and a weak newcomer
         # arrive in padded rows and are both rejected.
-        emitted = rows_by_frame(
-            tracker.step(
-                3,
-                batch([
-                    cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
-                    cand(PRIOR, (300, 310, 20, 20), (300, 320, 20, 20), 0.85),
-                    cand(PADDED, (110, 100, 20, 20), (120, 100, 20, 20), 0.8),
-                    cand(PADDED, (500, 500, 20, 20), (500, 500, 20, 20), 0.65),
-                ]),
-            )
+        emitted = step_rows(
+            tracker, 3,
+            batch([
+                cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
+                cand(PRIOR, (300, 310, 20, 20), (300, 320, 20, 20), 0.85),
+                cand(PADDED, (110, 100, 20, 20), (120, 100, 20, 20), 0.8),
+                cand(PADDED, (500, 500, 20, 20), (500, 500, 20, 20), 0.65),
+            ]),
         )
         assert sorted(r.track_id for r in emitted[3]) == [1, 2]
         assert len(tracker.activated) == 2  # duplicate filtered, weak one gated
 
         # pair (3,4): A occluded; B advances; A transitions to lost
-        emitted = rows_by_frame(
-            tracker.step(
-                4,
-                batch([cand(PRIOR, (300, 320, 20, 20), (300, 330, 20, 20), 0.85)]),
-            )
+        emitted = step_rows(
+            tracker, 4,
+            batch([cand(PRIOR, (300, 320, 20, 20), (300, 330, 20, 20), 0.85)]),
         )
         assert [r.track_id for r in emitted[4]] == [2]
         assert tracker.lost.tolist() == [1]
 
         # pair (4,5): A still occluded
-        emitted = rows_by_frame(
-            tracker.step(
-                5,
-                batch([cand(PRIOR, (300, 330, 20, 20), (300, 340, 20, 20), 0.85)]),
-            )
+        emitted = step_rows(
+            tracker, 5,
+            batch([cand(PRIOR, (300, 330, 20, 20), (300, 340, 20, 20), 0.85)]),
         )
         assert [r.track_id for r in emitted[5]] == [2]
 
         # pair (5,6): A reappears exactly where constant velocity predicts
         # (x moved +10 per frame: 120 @3 -> 150 @6); id 1 must resume,
         # including the gap-filling frame-5 row.
-        emitted = rows_by_frame(
-            tracker.step(
-                6,
-                batch([
-                    cand(PRIOR, (300, 340, 20, 20), (300, 350, 20, 20), 0.85),
-                    cand(PADDED, (140, 100, 20, 20), (150, 100, 20, 20), 0.8),
-                ]),
-            )
+        emitted = step_rows(
+            tracker, 6,
+            batch([
+                cand(PRIOR, (300, 340, 20, 20), (300, 350, 20, 20), 0.85),
+                cand(PADDED, (140, 100, 20, 20), (150, 100, 20, 20), 0.8),
+            ]),
         )
         assert sorted(r.track_id for r in emitted[6]) == [1, 2]
         assert [r.track_id for r in emitted[5]] == [1]
@@ -560,8 +565,8 @@ class TestGreedyReference:
                     [300, 300 + 5 * k, 20, 20, 0.8],
                 ]),
             )
-            ids |= {r.track_id for r in rows}
-            assert len(rows) == 2
+            ids |= set(rows.ids.tolist())
+            assert len(rows.ids) == 2
         assert ids == {1, 2}
 
     def test_new_id_after_jump(self):
@@ -569,14 +574,14 @@ class TestGreedyReference:
         first = g.update(1, np.array([[100.0, 100, 20, 20, 0.9]]))
         g.update(2, np.zeros((0, 5)))
         second = g.update(3, np.array([[100.0, 100, 20, 20, 0.9]]))
-        assert second[0].track_id != first[0].track_id
+        assert second.ids[0] != first.ids[0]
 
     def test_visits_by_descending_confidence_ties_in_input_order(self):
         dets = np.array([[100.0 * k, 100, 20, 20, c]
                          for k, c in enumerate([0.5, 0.9, 0.5, 0.7], start=1)])
         rows = GreedyIoUTracker().update(1, dets)
-        assert [r.box.cx for r in rows] == [200.0, 400.0, 100.0, 300.0]
-        assert [r.score for r in rows] == [0.9, 0.7, 0.5, 0.5]
+        assert rows.boxes[:, 0].tolist() == [200.0, 400.0, 100.0, 300.0]
+        assert rows.scores.tolist() == [0.9, 0.7, 0.5, 0.5]
 
     def test_equal_overlap_goes_to_later_track(self):
         g = GreedyIoUTracker()
@@ -585,7 +590,7 @@ class TestGreedyReference:
         det = np.array([[110.0, 100, 20, 20, 0.9]])
         fit = iou_matrix(det[:, :4], boxes((100, 100, 20, 20), (120, 100, 20, 20)))
         assert fit[0, 0] == fit[0, 1] == pytest.approx(1 / 3, abs=1e-12)
-        assert [r.track_id for r in g.update(2, det)] == [2]
+        assert g.update(2, det).ids.tolist() == [2]
 
     def test_overlap_at_threshold_claims(self):
         # Corners (0,0,20,20) and (0,0,20,14): overlap 280/400 = 0.7 exactly.
@@ -596,12 +601,12 @@ class TestGreedyReference:
         above = GreedyIoUTracker(iou_threshold=float(np.nextafter(0.7, 1.0)))
         for g in (at, above):
             g.update(1, first)
-        assert [r.track_id for r in at.update(2, second)] == [1]
-        assert [r.track_id for r in above.update(2, second)] == [2]
+        assert at.update(2, second).ids.tolist() == [1]
+        assert above.update(2, second).ids.tolist() == [2]
 
     def test_track_born_this_frame_not_claimed(self):
         g = GreedyIoUTracker()
         g.update(1, np.array([[500.0, 500, 20, 20, 0.9]]))
         rows = g.update(2, np.array([[100.0, 100, 20, 20, 0.9],
                                      [100.0, 100, 20, 20, 0.8]]))
-        assert [r.track_id for r in rows] == [2, 3]
+        assert rows.ids.tolist() == [2, 3]
