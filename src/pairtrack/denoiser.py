@@ -218,10 +218,8 @@ class OracleDenoiser:
         box for the missing slot and are flagged so their scores can be
         reduced.
         """
-        (ids_p, boxes_p), (ids_c, boxes_c) = (
-            gt if gt is not None else (_NO_IDS, _NO_BOXES)
-            for gt in (ctx.gt_prev, ctx.gt_cur)
-        )
+        empty = (_NO_IDS, _NO_BOXES)
+        (ids_p, boxes_p), (ids_c, boxes_c) = ctx.gt_prev or empty, ctx.gt_cur or empty
         ids = np.union1d(ids_p, ids_c)
         if not ids.size:
             return None
