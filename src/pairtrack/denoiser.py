@@ -48,19 +48,15 @@ __all__ = [
 class FrameContext:
     """Everything a concrete denoiser may condition on for one frame pair.
 
-    ``frame_prev``/``frame_cur`` are time indices (equal indices put the
-    engine in detection mode). Ground truth is (ids (k,), center-form boxes
-    (k, 4)) per frame, ids ascending and each listed once, as
-    ``SceneGroundTruth.visible`` gives it; detections are one (n, 5) array
-    per frame of center-form pixel boxes and confidences (cx, cy, w, h,
-    conf). ``conditional`` marks a
+    Ground truth is (ids (k,), center-form boxes (k, 4)) per frame, ids
+    ascending and each listed once, as ``SceneGroundTruth.visible`` gives
+    it; detections are one (n, 5) array per frame of center-form pixel
+    boxes and confidences (cx, cy, w, h, conf). ``conditional`` marks a
     baseline pair built from priors, where only the current frame member
     is denoised and the previous member acts as the condition. Contexts are
     frozen; derive a variant with ``dataclasses.replace``.
     """
 
-    frame_prev: int
-    frame_cur: int
     image_size: tuple[int, int]
     gt_prev: tuple[np.ndarray, np.ndarray] | None = None
     gt_cur: tuple[np.ndarray, np.ndarray] | None = None

@@ -135,6 +135,19 @@ def write_gt(scene: SceneGroundTruth, path: str | Path) -> None:
     ])
 
 
+def _id_order(rs: list[MotRow], where: str) -> tuple[np.ndarray, np.ndarray]:
+    """The track ids of one frame's rows and the stable order that sorts
+    them; an id listed twice raises ``MotFormatError`` naming ``where`` and
+    the id."""
+    ids = np.array([r.track_id for r in rs], dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    twice = ranked[1:][ranked[1:] == ranked[:-1]]
+    if twice.size:
+        raise MotFormatError(f"{where}: track id {twice[0]} listed twice")
+    return ids, order
+
+
 def scene_from_gt(
     rows: dict[int, list[MotRow]], image_size: tuple[int, int]
 ) -> SceneGroundTruth:
@@ -143,16 +156,11 @@ def scene_from_gt(
     naming the frame and the id."""
     frames = {}
     for f, rs in rows.items():
-        ids = np.array([r.track_id for r in rs], dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        twice = ids[1:][ids[1:] == ids[:-1]]
-        if twice.size:
-            raise MotFormatError(f"frame {f}: track id {twice[0]} listed twice")
+        ids, order = _id_order(rs, f"frame {f}")
         boxes = np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
                          dtype=np.float64).reshape(-1, 4)
         visible = np.array([r.visibility > 0.5 for r in rs], dtype=bool)
-        frames[f] = GtFrame(ids, boxes[order], visible[order])
+        frames[f] = GtFrame(ids[order], boxes[order], visible[order])
     n_frames = max(frames) if frames else 0
     return SceneGroundTruth(image_size=image_size, n_frames=n_frames, frames=frames)
 
@@ -196,11 +204,13 @@ def write_results(result: TrackingResult, path: str | Path) -> None:
 
 
 def parse_results(path: str | Path) -> TrackingResult:
-    """A result file's rows, per frame in file order."""
+    """A result file's rows, per frame in file order. A frame listing one
+    track id twice raises ``MotFormatError`` naming the file, the frame and
+    the id."""
     result = TrackingResult()
     for frame, rs in parse_motchallenge(path).items():
         result.add(frame, FrameRows(
-            np.array([r.track_id for r in rs], dtype=np.int64),
+            _id_order(rs, f"{path}: frame {frame}")[0],
             np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
                      dtype=np.float64),
             np.array([r.conf for r in rs], dtype=np.float64),

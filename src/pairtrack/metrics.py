@@ -59,15 +59,19 @@ class MetricsReport:
 def evaluate(
     gt: SceneGroundTruth, result: TrackingResult, iou_gate: float = 0.5
 ) -> MetricsReport:
-    """Score a tracking result against ground truth (visible entries only)."""
+    """Score a tracking result against ground truth (visible entries only).
+
+    Each frame lists every ground-truth id and every result id at most
+    once, as ``scene_from_gt``, ``parse_results`` and both trackers
+    guarantee; a carried-over correspondence therefore never competes with
+    another for its result row.
+    """
     frames = sorted(set(gt.frames) | set(result.frame_numbers()))
 
     fp = fn = idsw = frag = 0
     gt_count = 0
     prev_match: dict[int, int] = {}      # gt id -> pred id in the last frame
     last_pred: dict[int, int] = {}       # gt id -> last matched pred id ever
-    matched_before: set[int] = set()
-    matched_prev_frame: set[int] = set()
 
     # Trajectory overlap counts for the global identity matching.
     gt_lengths: dict[int, int] = {}
@@ -93,19 +97,16 @@ def evaluate(
 
         # Keep last frame's correspondences that still hold at the gate.
         matches: dict[int, int] = {}
-        used_preds: set[int] = set()
         pred_index = {p: i for i, p in enumerate(pred_ids)}
         for gi, g in enumerate(gt_ids):
             p = prev_match.get(g)
-            if p is not None and p in pred_index and p not in used_preds:
+            if p is not None and p in pred_index:
                 if overlaps[gi, pred_index[p]] >= iou_gate:
                     matches[g] = p
-                    used_preds.add(p)
 
         free_gt = [gi for gi, g in enumerate(gt_ids) if g not in matches]
-        free_pred = [
-            pi for pi, p in enumerate(pred_ids) if p not in used_preds
-        ]
+        carried = set(matches.values())
+        free_pred = [pi for pi, p in enumerate(pred_ids) if p not in carried]
         if free_gt and free_pred:
             sub = overlaps[np.ix_(free_gt, free_pred)]
             rows, cols = linear_sum_assignment(1.0 - sub)
@@ -116,14 +117,12 @@ def evaluate(
         for g, p in matches.items():
             if g in last_pred and last_pred[g] != p:
                 idsw += 1
-            if g in matched_before and g not in matched_prev_frame:
+            if g in last_pred and g not in prev_match:
                 frag += 1
             last_pred[g] = p
         fn += len(gt_ids) - len(matches)
         fp += len(pred_ids) - len(matches)
 
-        matched_before |= set(matches)
-        matched_prev_frame = set(matches)
         prev_match = matches
 
     mota = float("nan") if gt_count == 0 else 1.0 - (fn + fp + idsw) / gt_count

@@ -204,8 +204,6 @@ def run_sequence(
         priors = perturb_boxes(priors, prior_perturbation, perturb_rng, image_size)
 
         ctx = FrameContext(
-            frame_prev=frame - 1,
-            frame_cur=frame,
             image_size=image_size,
             gt_prev=scene.visible(frame - 1) if scene is not None else None,
             gt_cur=scene.visible(frame) if scene is not None else None,

@@ -1,14 +1,16 @@
-"""Track lifecycle: routing, association, duplicate filtering, Kalman
-reassociation of lost tracks, initialization and identity bookkeeping.
+"""Track lifecycle: routing, association, Kalman reassociation of lost
+tracks, initialization and identity bookkeeping.
 
 Candidates arrive per frame pair as the rows of a ``CandidateBatch`` that
 the pipeline's gates and suppression let through, each marked with the
-origin of its proposal row. Prior-derived rows form an aligned
-(previous box, current box) array that advances existing tracks; padded
-rows surface new objects and feed lost-track reassociation. A
-prior-derived row that continues no track is a sighting all the same and
-joins the padded rows, as a confident unmatched box starts a track in
-ByteTrack.
+origin of its proposal row. Only the pipeline's gate reads
+``nms2d_threshold``: it leaves no two rows whose current boxes overlap by
+more than that, and the tracker filters no duplicates of its own.
+Prior-derived rows form an aligned (previous box, current box) array that
+advances existing tracks; padded rows surface new objects and feed
+lost-track reassociation. A prior-derived row that continues no track is
+a sighting all the same and joins the padded rows, as a confident
+unmatched box starts a track in ByteTrack.
 
 The tracker's state is one table of arrays with a row per track: id,
 Kalman mean (8,) and covariance (8, 8), last box, score, lost age and the
@@ -42,7 +44,6 @@ __all__ = [
     "kalman_predict",
     "kalman_update",
     "associate",
-    "filter_duplicates",
     "GreedyIoUTracker",
 ]
 
@@ -54,8 +55,8 @@ class TrackerConfig:
     ``pipeline._gate_and_suppress`` reads ``conf_threshold`` (the
     association-score gate), ``nms3d_threshold`` (paired suppression),
     ``nms2d_threshold`` (per-frame suppression) and ``det_threshold`` (the
-    detection gate on both pair members). ``Tracker.step`` reads
-    ``nms2d_threshold`` too (duplicate discoveries), ``iou_match_threshold``
+    detection gate on both pair members); only the gate reads
+    ``nms2d_threshold``. ``Tracker.step`` reads ``iou_match_threshold``
     (both association rounds), ``init_score_threshold`` (new tracks; it
     defaults to the detection threshold) and ``max_lost_age`` (retirement
     of lost tracks).
@@ -279,20 +280,6 @@ def associate(
     return matches, np.flatnonzero(free_t), np.flatnonzero(free_b)
 
 
-def filter_duplicates(
-    new_cur: np.ndarray, assoc_cur: np.ndarray, nms2d_threshold: float
-) -> np.ndarray:
-    """Keep mask over discoveries' current (k, 4) boxes: False where one
-    duplicates an association row's current box.
-
-    Removal requires overlap strictly above the threshold; a discovery
-    sitting exactly at it survives.
-    """
-    if not len(new_cur) or not len(assoc_cur):
-        return np.ones(len(new_cur), dtype=bool)
-    return iou_matrix(new_cur, assoc_cur).max(axis=1) <= nms2d_threshold
-
-
 class Tracker:
     """Single-owner stateful lifecycle machine; one step call per frame."""
 
@@ -326,6 +313,9 @@ class Tracker:
         Prior-derived rows advance the activated tracks whose boxes their
         previous-frame members match. Those that match none join the padded
         discoveries, ahead of them, to resume lost tracks or start new ones.
+        It relies on the rows' current boxes being suppressed at
+        ``nms2d_threshold`` already, as ``pipeline._gate_and_suppress``
+        leaves them: a padded row repeating another row is not dropped here.
 
         Returns the rows for frame - 1, then those for this frame. The
         previous-frame rows are retroactive ones for tracks born or resumed
@@ -349,10 +339,7 @@ class Tracker:
         matches, un_act, un_rows = associate(
             tracks.boxes[:n_act], pairs[assoc_rows, :4], cfg.iou_match_threshold
         )
-        keep = filter_duplicates(
-            pairs[new_rows, 4:], pairs[assoc_rows, 4:], cfg.nms2d_threshold
-        )
-        d_new = np.concatenate([assoc_rows[un_rows], new_rows[keep]])
+        d_new = np.concatenate([assoc_rows[un_rows], new_rows])
 
         # Roll every track's motion state to this frame. The unmatched ones
         # then reclaim discoveries at their predicted spots: the lost tracks,

@@ -302,6 +302,22 @@ def test_duplicate_gt_id_in_a_frame_is_data_error(tmp_path, capsys):
     assert not result.exists()
 
 
+def test_duplicate_result_id_in_a_frame_is_data_error(tmp_path, capsys):
+    # Scored, this pair of files gave IDF1 1.3333 and exit 0: both copies of
+    # each row counted toward track 1's trajectory.
+    gt = tmp_path / "g.txt"
+    gt.write_text("1,1,10,10,20,20,1,1,1.0\n"
+                  "2,1,12,10,20,20,1,1,1.0\n")
+    result = tmp_path / "r.txt"
+    result.write_text("1,1,10,10,20,20,0.9,-1,-1,-1\n" * 2
+                      + "2,1,12,10,20,20,0.9,-1,-1,-1\n" * 2)
+    assert main(["eval", "--gt", str(gt), "--result", str(result),
+                 "--image-size", "100x100"]) == 2
+    captured = capsys.readouterr()
+    assert "IDF1" not in captured.out
+    assert f"data error: {result}: frame 1: track id 1 listed twice" in captured.err
+
+
 def test_config_round_trip():
     # A manifest snapshot written back as a config file resolves to the same
     # configs: every field is a key, and every key reads back its type.

@@ -3,12 +3,19 @@ callers that read result rows one at a time."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import pairtrack as pt
 from pairtrack.geometry import BBox
-from pairtrack.harness.io import parse_results, write_gt, write_results
+from pairtrack.harness.io import (
+    MotFormatError,
+    parse_results,
+    write_gt,
+    write_results,
+)
 from pairtrack.simulator import GtFrame
 from pairtrack.tracker import FrameRows, ResultRow, TrackingResult
 
@@ -118,6 +125,18 @@ def test_written_results_read_back_to_the_same_bytes(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().count("\n") == sum(
         len(result.rows(f).ids) for f in result.frame_numbers())
+
+
+def test_result_id_listed_twice_in_a_frame_rejected(tmp_path):
+    # Both rows would count toward the id's trajectory and lift IDF1 above 1.
+    path = tmp_path / "r.txt"
+    path.write_text("1,7,0,0,10,10,0.9,-1,-1,-1\n"
+                    "2,7,1,0,10,10,0.9,-1,-1,-1\n"
+                    "2,3,40,0,10,10,0.9,-1,-1,-1\n"
+                    "2,7,1,0,10,10,0.9,-1,-1,-1\n")
+    with pytest.raises(MotFormatError, match=re.escape(
+            f"{path}: frame 2: track id 7 listed twice")):
+        parse_results(path)
 
 
 def test_pipeline_writer_and_metrics_never_read_the_view(tmp_path, monkeypatch):

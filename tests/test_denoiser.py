@@ -39,7 +39,7 @@ def gt(*rows):
 class TestIdentityDenoiser:
     def test_echoes_input(self):
         z = np.linspace(-1, 1, 24).reshape(3, 8)
-        ctx = FrameContext(1, 2, IMAGE)
+        ctx = FrameContext(IMAGE)
         out = IdentityDenoiser().denoise_batch(z, 10, ctx)
         assert np.allclose(out.pairs, z)
         assert np.all(out.assoc == 1.0)
@@ -47,7 +47,7 @@ class TestIdentityDenoiser:
     @pytest.mark.parametrize("n", [1, 500, 1000])
     def test_row_count_preserved(self, n):
         z = np.zeros((n, 8))
-        ctx = FrameContext(1, 2, IMAGE)
+        ctx = FrameContext(IMAGE)
         out = IdentityDenoiser().denoise_batch(z, 0, ctx)
         assert out.pairs.shape == (n, 8) and out.assoc.shape == (n,)
 
@@ -57,7 +57,7 @@ class TestOracleDenoiser:
         gt_prev = gt((1, (200, 200, 60, 100)), (2, (600, 400, 80, 80)))
         gt_cur = gt((1, (210, 205, 60, 100)), (2, (590, 400, 80, 80)))
         return FrameContext(
-            1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur, conditional=conditional
+            IMAGE, gt_prev=gt_prev, gt_cur=gt_cur, conditional=conditional
         )
 
     def test_fidelity_one_snaps_exactly(self):
@@ -105,14 +105,14 @@ class TestOracleDenoiser:
     def test_missing_in_one_frame_penalized(self):
         gt_prev = gt((1, (200, 200, 60, 100)))
         gt_cur = gt()  # identity 1 vanished in the current frame
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
+        ctx = FrameContext(IMAGE, gt_prev=gt_prev, gt_cur=gt_cur)
         boxes = np.array([[200, 200, 60, 100, 200, 200, 60, 100]], dtype=float)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
         assert out.assoc[0] < 0.25
         assert out.cls_cur[0] < 0.25
 
     def test_empty_gt_all_below_gate(self):
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt(), gt_cur=gt())
+        ctx = FrameContext(IMAGE, gt_prev=gt(), gt_cur=gt())
         boxes = np.full((5, 8), 300.0)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 50, ctx)
         assert np.all(out.assoc < 0.25)
@@ -127,7 +127,7 @@ class TestOracleDenoiser:
 
     def test_detection_mode_prev_equals_cur(self):
         both = gt((1, (300, 300, 60, 60)))
-        ctx = FrameContext(5, 5, IMAGE, gt_prev=both, gt_cur=both)
+        ctx = FrameContext(IMAGE, gt_prev=both, gt_cur=both)
         boxes = np.array([[280, 280, 50, 50, 320, 320, 70, 70]], dtype=float)
         out = OracleDenoiser(1.0).denoise_batch(boxes, 0, ctx)
         pix = out.pairs[0]
@@ -175,7 +175,7 @@ def _ctx_from_rows(gt_rows, conditional=False):
     """A context whose ground truth holds one identity per (8,) row."""
     gt_prev = gt(*((i, r[:4]) for i, r in enumerate(gt_rows)))
     gt_cur = gt(*((i, r[4:]) for i, r in enumerate(gt_rows)))
-    return FrameContext(1, 2, IMAGE, gt_prev=gt_prev, gt_cur=gt_cur,
+    return FrameContext(IMAGE, gt_prev=gt_prev, gt_cur=gt_cur,
                         conditional=conditional)
 
 
@@ -489,7 +489,7 @@ class TestTargetMemo:
         assert bad == []
 
     def test_frame_context_is_frozen(self):
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=gt(), gt_cur=gt())
+        ctx = FrameContext(IMAGE, gt_prev=gt(), gt_cur=gt())
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.gt_cur = gt((1, (10, 10, 5, 5)))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -499,7 +499,7 @@ class TestTargetMemo:
 class TestDetectionSnapDenoiser:
     def test_single_detection_pair(self):
         ctx = FrameContext(
-            1, 2, IMAGE,
+            IMAGE,
             det_prev=np.array([[300.0, 300, 60, 60, 0.9]]),
             det_cur=np.array([[320.0, 300, 60, 60, 0.8]]),
         )
@@ -514,7 +514,7 @@ class TestDetectionSnapDenoiser:
 
     def test_stationary_full_confidence(self):
         b = np.array([[300.0, 300, 60, 60, 1.0]])
-        ctx = FrameContext(1, 2, IMAGE, det_prev=b, det_cur=b)
+        ctx = FrameContext(IMAGE, det_prev=b, det_cur=b)
         boxes = np.array([[300, 300, 60, 60, 300, 300, 60, 60]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         assert out.assoc[0] == pytest.approx(1.0)
@@ -525,7 +525,7 @@ class TestDetectionSnapDenoiser:
         a_prev, a_cur = [200.0, 300, 60, 60], [260.0, 300, 60, 60]
         b_prev, b_cur = [600.0, 300, 60, 60], [540.0, 300, 60, 60]
         ctx = FrameContext(
-            1, 2, IMAGE,
+            IMAGE,
             det_prev=np.array([a_prev + [0.9], b_prev + [0.9]]),
             det_cur=np.array([a_cur + [0.9], b_cur + [0.9]]),
         )
@@ -536,7 +536,7 @@ class TestDetectionSnapDenoiser:
         assert np.allclose(pix[4:], a_cur)
 
     def test_no_detections_zero_scores(self):
-        ctx = FrameContext(1, 2, IMAGE, det_prev=np.zeros((0, 5)),
+        ctx = FrameContext(IMAGE, det_prev=np.zeros((0, 5)),
                            det_cur=np.zeros((0, 5)))
         boxes = np.array([[100, 100, 50, 50, 100, 100, 50, 50]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
@@ -547,7 +547,7 @@ class TestDetectionSnapDenoiser:
         # Two identical detections: the 0.5005 one must win over the 0.5
         # one at index 0, however small the confidence gap.
         b = [300.0, 300, 60, 60]
-        ctx = FrameContext(1, 2, IMAGE, det_prev=np.array([b + [1.0]]),
+        ctx = FrameContext(IMAGE, det_prev=np.array([b + [1.0]]),
                            det_cur=np.array([b + [0.5], b + [0.5005]]))
         boxes = np.array([[300, 300, 60, 60, 305, 300, 60, 60]], dtype=float)
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)

@@ -284,7 +284,7 @@ class _ConstantDenoiser:
 class TestDdimRefine:
     def setup_method(self):
         self.sched = cosine_schedule(1000)
-        self.ctx = FrameContext(frame_prev=1, frame_cur=2, image_size=IMAGE)
+        self.ctx = FrameContext(image_size=IMAGE)
 
     def proposals(self, n=8, t=500):
         rng = np.random.default_rng(0)
@@ -332,7 +332,7 @@ class TestDdimRefine:
         ids = np.array([1, 2])
         gt_prev = np.array([[300.0, 300, 60, 120], [700, 650, 80, 80]])
         gt_cur = np.array([[310.0, 305, 60, 120], [690, 650, 80, 80]])
-        ctx = FrameContext(1, 2, IMAGE, gt_prev=(ids, gt_prev), gt_cur=(ids, gt_cur))
+        ctx = FrameContext(IMAGE, gt_prev=(ids, gt_prev), gt_cur=(ids, gt_cur))
         oracle = OracleDenoiser(fidelity=1.0)
         p = self.proposals(n=32, t=700)
         gt_rows = np.concatenate([gt_prev, gt_cur], axis=1)

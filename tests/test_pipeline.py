@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairtrack import pipeline
 from pairtrack.denoiser import (
@@ -13,6 +15,7 @@ from pairtrack.denoiser import (
     ProposalOrigin,
 )
 from pairtrack.diffusion import cosine_schedule
+from pairtrack.geometry import overlap
 from pairtrack.metrics import evaluate
 from pairtrack.pipeline import (
     PipelineConfig,
@@ -28,7 +31,7 @@ from pairtrack.simulator import (
     SceneSpec,
     generate,
 )
-from pairtrack.tracker import Tracker
+from pairtrack.tracker import Tracker, TrackerConfig
 
 PRIOR = ProposalOrigin.PRIOR
 PADDED = ProposalOrigin.PADDED
@@ -52,7 +55,7 @@ class TestRunPair:
         cfg = PipelineConfig(n_test=100)
         sched = cfg.schedule()
         ctx = FrameContext(
-            1, 2, scene.image_size,
+            scene.image_size,
             gt_prev=scene.visible(1), gt_cur=scene.visible(2),
         )
         cands, n_prior = run_pair(
@@ -70,7 +73,7 @@ class TestRunPair:
         cfg = PipelineConfig(n_test=64)
         sched = cfg.schedule()
         ctx = FrameContext(
-            1, 2, scene.image_size,
+            scene.image_size,
             gt_prev=scene.visible(1), gt_cur=scene.visible(2),
         )
         cands, _ = run_pair(
@@ -108,11 +111,36 @@ class TestRunPair:
         assert kept.assoc.tolist() == [0.3, 0.9, 0.8]
         assert kept.origin.tolist() == [PADDED, PRIOR, PADDED]
 
+    @pytest.mark.parametrize("dup_prev", [
+        (110, 100, 20, 20),  # the whole pair repeated: nms3d removes it
+        (600, 600, 20, 20),  # only the current box repeated: nms2d does
+    ])
+    def test_padded_duplicate_of_prior_row_suppressed(self, dup_prev):
+        # The tracker runs no duplicate filter of its own: a padded row
+        # repeating a prior-derived row's current box must go here. The
+        # weak newcomer passes; the tracker's init threshold rejects it.
+        rows = [
+            (110, 100, 20, 20, 120, 100, 20, 20),
+            (300, 310, 20, 20, 300, 320, 20, 20),
+            dup_prev + (120, 100, 20, 20),
+            (500, 500, 20, 20, 500, 500, 20, 20),
+        ]
+        batch = CandidateBatch(
+            pairs=np.array(rows, dtype=np.float64),
+            cls_prev=np.full(4, 0.9),
+            cls_cur=np.full(4, 0.9),
+            assoc=np.array([0.9, 0.85, 0.8, 0.65]),
+            origin=np.array([PRIOR, PRIOR, PADDED, PADDED], dtype=np.int8),
+        )
+        kept = _gate_and_suppress(batch, PipelineConfig())
+        assert np.array_equal(kept.pairs, batch.pairs[[0, 1, 3]])
+        assert kept.origin.tolist() == [PRIOR, PRIOR, PADDED]
+
     def test_fallback_without_priors(self):
         scene = small_scene()
         cfg = PipelineConfig(n_test=50, proportion=0.5)
         cands, n_prior = run_pair(
-            FrameContext(1, 2, scene.image_size, gt_prev=scene.visible(1),
+            FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
             [], cfg, OracleDenoiser(0.9), cfg.schedule(),
             np.random.default_rng(0), 0.25,
@@ -123,7 +151,7 @@ class TestRunPair:
     def test_detection_mode_prev_equals_cur(self):
         scene = small_scene()
         gt = scene.visible(3)
-        ctx = FrameContext(3, 3, scene.image_size, gt_prev=gt, gt_cur=gt)
+        ctx = FrameContext(scene.image_size, gt_prev=gt, gt_cur=gt)
         cfg = PipelineConfig(n_test=64)
         cands, _ = run_pair(
             ctx, scene.visible_boxes(3), cfg, OracleDenoiser(1.0), cfg.schedule(),
@@ -144,7 +172,7 @@ class TestRunPair:
                 return OracleDenoiser(1.0).denoise_batch(z, s, ctx)
 
         run_pair(
-            FrameContext(1, 2, scene.image_size, gt_prev=scene.visible(1),
+            FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
             scene.visible_boxes(1), cfg, Spy(), cfg.schedule(),
             np.random.default_rng(0), 0.25,
@@ -163,11 +191,59 @@ class TestRunPair:
                 return OracleDenoiser(1.0).denoise_batch(z, s, ctx)
 
         run_pair(
-            FrameContext(1, 2, scene.image_size, gt_prev=scene.visible(1),
+            FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
             [], cfg, Spy(), cfg.schedule(), np.random.default_rng(0), 0.25,
         )
         assert seen["conditional"] is False
+
+
+# Lattice boxes (corners on the 1/4 grid, sizes 0 to 1.5) in a small area:
+# overlaps are frequent, some boxes have zero size, and ratios repeat.
+lattice_box = st.tuples(
+    st.integers(0, 8), st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)
+).map(lambda r: ((r[0] + r[2] / 2) / 4, (r[1] + r[3] / 2) / 4, r[2] / 4, r[3] / 4))
+# Few distinct values, so ties are common; some fall below the gates.
+tied = st.sampled_from([0.2, 0.5, 0.8, 0.8, 0.9, 0.9])
+
+
+class TestSuppressionContract:
+    """``Tracker.step`` filters no duplicates: the gate must leave no two
+    survivors whose current boxes overlap by more than
+    ``nms2d_threshold``, also past one 64-row suppression chunk."""
+
+    @given(rows=st.lists(
+               st.tuples(lattice_box, lattice_box, tied, tied, tied,
+                         st.sampled_from([PRIOR, PADDED])),
+               min_size=65, max_size=150),
+           nms3d_threshold=st.sampled_from([0.3, 0.6, 1.0]),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_survivors_current_boxes_within_threshold(
+        self, rows, nms3d_threshold, data
+    ):
+        prev, cur, assoc, cls_prev, cls_cur, origin = map(np.array, zip(*rows))
+        # A fixed threshold, or a realized overlap of two current boxes,
+        # exactly (both may survive) or one float below (they may not).
+        mat = overlap(cur[:, None], cur[None])
+        realized = mat[~np.eye(len(mat), dtype=bool)]
+        on = data.draw(st.sampled_from(sorted(set(realized[realized > 0].tolist()))
+                                       or [0.7]))
+        threshold = data.draw(st.sampled_from(
+            [0.0, 0.5, 0.7, 1.0, on, float(np.nextafter(on, 0.0))]
+        ))
+        batch = CandidateBatch(
+            pairs=np.hstack([prev, cur]), cls_prev=cls_prev, cls_cur=cls_cur,
+            assoc=assoc, origin=origin.astype(np.int8),
+        )
+        cfg = PipelineConfig(tracker=TrackerConfig(
+            nms3d_threshold=nms3d_threshold, nms2d_threshold=threshold
+        ))
+        kept = _gate_and_suppress(batch, cfg)
+        kept_cur = kept.pairs[:, 4:]
+        pairwise = overlap(kept_cur[:, None], kept_cur[None])
+        np.fill_diagonal(pairwise, 0.0)
+        assert (pairwise <= threshold).all()
 
 
 class TestRunSequence:

@@ -15,7 +15,6 @@ from pairtrack.tracker import (
     Tracker,
     TrackingResult,
     associate,
-    filter_duplicates,
     kalman_initiate,
     kalman_predict,
     kalman_update,
@@ -259,34 +258,6 @@ class TestAssociate:
         assert [a.tolist() for a in out] == [[], [], []]
 
 
-class TestFilterDuplicates:
-    def test_duplicate_removed(self):
-        keep = filter_duplicates(
-            boxes((100, 100, 20, 20)), boxes((100, 100, 20, 20)), 0.7
-        )
-        assert keep.tolist() == [False]
-
-    def test_disjoint_kept(self):
-        keep = filter_duplicates(
-            boxes((300, 300, 20, 20)), boxes((100, 100, 20, 20)), 0.7
-        )
-        assert keep.tolist() == [True]
-
-    def test_boundary_exactly_at_threshold_kept(self):
-        # iou((0,0,20,20), (0,0,20,14)) = 280/400 = 0.7 exactly
-        a = boxes((10, 10, 20, 20))
-        b = boxes((10, 7, 20, 14))
-        assert iou_matrix(a, b)[0, 0] == pytest.approx(0.7, abs=1e-12)
-        keep = filter_duplicates(b, a, 0.7)
-        assert keep.tolist() == [True]
-
-    def test_no_association_rows_keeps_all(self):
-        keep = filter_duplicates(
-            boxes((100, 100, 20, 20), (300, 300, 20, 20)), np.zeros((0, 4)), 0.7
-        )
-        assert keep.tolist() == [True, True]
-
-
 def step_rows(tracker, frame, rows):
     """Step the tracker; its emitted rows per frame, as ``ResultRow``s."""
     prev, cur = tracker.step(frame, rows)
@@ -485,9 +456,11 @@ class TestStepProperties:
 class TestHandTracedScenario:
     """Scripted four-pair run whose outcome is traced by hand.
 
-    Two objects from the start; a duplicate discovery and an under-threshold
-    newcomer are rejected; object A goes unseen for two frame pairs, then
-    reappears at its constant-velocity position and must resume its id.
+    Two objects from the start; an under-threshold newcomer is rejected;
+    object A goes unseen for two frame pairs, then reappears at its
+    constant-velocity position and must resume its id. (A padded duplicate
+    of A never reaches the tracker: ``pipeline._gate_and_suppress`` removes
+    it, see ``tests/test_pipeline.py``.)
     """
 
     def test_full_trace(self):
@@ -507,19 +480,18 @@ class TestHandTracedScenario:
         assert by_id[1] == BBox(110, 100, 20, 20)
         assert by_id[2] == BBox(300, 310, 20, 20)
 
-        # pair (2,3): both advance; a duplicate of A and a weak newcomer
-        # arrive in padded rows and are both rejected.
+        # pair (2,3): both advance; a weak newcomer arrives in a padded row
+        # and is rejected.
         emitted = step_rows(
             tracker, 3,
             batch([
                 cand(PRIOR, (110, 100, 20, 20), (120, 100, 20, 20), 0.9),
                 cand(PRIOR, (300, 310, 20, 20), (300, 320, 20, 20), 0.85),
-                cand(PADDED, (110, 100, 20, 20), (120, 100, 20, 20), 0.8),
                 cand(PADDED, (500, 500, 20, 20), (500, 500, 20, 20), 0.65),
             ]),
         )
         assert sorted(r.track_id for r in emitted[3]) == [1, 2]
-        assert len(tracker.activated) == 2  # duplicate filtered, weak one gated
+        assert len(tracker.activated) == 2  # weak one gated
 
         # pair (3,4): A occluded; B advances; A transitions to lost
         emitted = step_rows(
