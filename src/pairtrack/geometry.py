@@ -3,8 +3,8 @@
 Boxes are center-form rows (cx, cy, w, h); corners are computed on demand.
 A paired box, the same object's boxes in two adjacent frames, is one
 8-wide row: the previous-frame box, then the current-frame one. ``BBox``
-is the record a parsed file row, or one row of a result's object view,
-holds.
+is only the record of one row of a result's object view
+(``TrackingResult.frames``).
 
 Two vectorized kernels share one pass over the rows' 4-wide members,
 which computes corners and areas once per side and broadcasts only the

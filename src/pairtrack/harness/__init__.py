@@ -1,7 +1,7 @@
 """CLI, configuration, MOTChallenge file I/O and experiment drivers."""
 
 from .io import (
-    MotRow,
+    MotFrame,
     detections_from_rows,
     parse_motchallenge,
     parse_results,
@@ -14,7 +14,7 @@ from .io import (
 from .manifest import RunManifest, load_manifest, write_manifest
 
 __all__ = [
-    "MotRow",
+    "MotFrame",
     "parse_motchallenge",
     "parse_results",
     "parse_seqinfo",

@@ -5,29 +5,28 @@ conf,...``: ground-truth rows carry a class id and a visibility column,
 detection and result rows carry ``-1`` world coordinates. Frames are
 1-based; files may list frames out of order (sorted on load). Boxes are
 converted between the corner-origin file format and center-form on the
-way in and out. Parsed rows hold a ``BBox`` each; ``scene_from_gt``,
-``parse_results`` and ``detections_from_rows`` turn them into per-frame
-arrays: a scene's ``GtFrame``s, a result's ``FrameRows`` and the
-pipeline's detection stream, one (n, 5) array of (cx, cy, w, h, conf) per
-frame.
+way in and out. This module alone knows the row format: a parsed file is
+one ``MotFrame`` of arrays per frame, and ``scene_from_gt``,
+``parse_results`` and ``detections_from_rows`` select from those arrays a
+scene's ``GtFrame``s, a result's ``FrameRows`` and the pipeline's
+detection stream, one (n, 5) array of (cx, cy, w, h, conf) per frame.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..geometry import BBox
 from ..simulator import GtFrame, SceneGroundTruth
 from ..tracker import FrameRows, TrackingResult
 
 __all__ = [
-    "MotRow",
+    "MotFrame",
     "MotFormatError",
     "parse_motchallenge",
     "write_gt",
@@ -44,23 +43,28 @@ class MotFormatError(ValueError):
     """Malformed interchange file; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class MotRow:
-    frame: int
-    track_id: int
-    box: BBox
-    conf: float
-    cls: int = 1
-    visibility: float = 1.0
+class MotFrame(NamedTuple):
+    """One frame's rows in file order: ids (k,) int64, center-form boxes
+    (k, 4), confidences (k,), classes (k,) int64 and visibilities (k,)."""
+
+    ids: np.ndarray
+    boxes: np.ndarray
+    conf: np.ndarray
+    cls: np.ndarray
+    vis: np.ndarray
 
 
-def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
-    """Parse a GT, detection or result file into per-frame rows.
+def parse_motchallenge(path: str | Path) -> dict[int, MotFrame]:
+    """Parse a GT, detection or result file into per-frame arrays, frames
+    ascending and rows in file order within a frame.
 
     Every numeric field must be finite and box sizes non-negative (zero is
-    legal); anything else raises ``MotFormatError`` naming the line.
+    legal). Frame, id and class fields must be 64-bit integers (``1.0``
+    is one) and frames at least 1; ids may be negative (detection files
+    write ``-1``). Anything else raises ``MotFormatError`` naming the
+    line, and no array is built before every line has passed.
     """
-    frames: dict[int, list[MotRow]] = {}
+    frames: dict[int, list[list[float]]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -73,27 +77,33 @@ def parse_motchallenge(path: str | Path) -> dict[int, list[MotRow]]:
                     f"fields, got {len(parts)}"
                 )
             try:
-                frame = int(float(parts[0]))
-                track_id = int(float(parts[1]))
-                left, top, w, h = (float(v) for v in parts[2:6])
-                conf = float(parts[6])
-                cls = int(float(parts[7])) if len(parts) > 7 else 1
-                vis = float(parts[8]) if len(parts) > 8 else 1.0
+                # A row without class or visibility columns takes 1 for each.
+                row = [float(v) for v in parts[:9]] + [1.0, 1.0][len(parts) - 7:]
+                whole = (int(row[0]), int(row[1]), int(row[7]))
             except (ValueError, OverflowError) as exc:
                 raise MotFormatError(
                     f"{path}: line {lineno}: {exc}"
                 ) from exc
-            if not all(map(math.isfinite, (left, top, w, h, conf, vis))):
+            if not all(map(math.isfinite, row)):
                 raise MotFormatError(f"{path}: line {lineno}: non-finite field")
-            if w < 0 or h < 0:
+            if row[4] < 0 or row[5] < 0:
                 raise MotFormatError(
-                    f"{path}: line {lineno}: negative box size {w} x {h}"
+                    f"{path}: line {lineno}: negative box size {row[4]} x {row[5]}"
                 )
-            box = BBox(left + w / 2.0, top + h / 2.0, w, h)
-            frames.setdefault(frame, []).append(
-                MotRow(frame, track_id, box, conf, cls, vis)
-            )
-    return {f: frames[f] for f in sorted(frames)}
+            if (whole != (row[0], row[1], row[7]) or whole[0] < 1
+                    or max(map(abs, whole)) >= 2**63):
+                raise MotFormatError(
+                    f"{path}: line {lineno}: frame, id and class must be 64-bit "
+                    f"integers and the frame >= 1, got {row[0]}, {row[1]}, {row[7]}"
+                )
+            frames.setdefault(whole[0], []).append(row)
+    parsed = {}
+    for f in sorted(frames):
+        _, ids, left, top, w, h, conf, cls, vis = np.array(frames[f]).T
+        boxes = np.column_stack([left + w / 2.0, top + h / 2.0, w, h])
+        ids, cls = ids.astype(np.int64), cls.astype(np.int64)
+        parsed[f] = MotFrame(ids, boxes, conf, cls, vis)
+    return parsed
 
 
 # One GT line: frame, id, corner-form box, then conf 1, class 1 and the
@@ -135,39 +145,32 @@ def write_gt(scene: SceneGroundTruth, path: str | Path) -> None:
     ])
 
 
-def _id_order(rs: list[MotRow], where: str) -> tuple[np.ndarray, np.ndarray]:
-    """The track ids of one frame's rows and the stable order that sorts
-    them; an id listed twice raises ``MotFormatError`` naming ``where`` and
-    the id."""
-    ids = np.array([r.track_id for r in rs], dtype=np.int64)
+def _id_order(ids: np.ndarray, where: str) -> np.ndarray:
+    """The stable order that sorts one frame's track ids; an id listed
+    twice raises ``MotFormatError`` naming ``where`` and the id."""
     order = np.argsort(ids, kind="stable")
     ranked = ids[order]
     twice = ranked[1:][ranked[1:] == ranked[:-1]]
     if twice.size:
         raise MotFormatError(f"{where}: track id {twice[0]} listed twice")
-    return ids, order
+    return order
 
 
 def scene_from_gt(
-    rows: dict[int, list[MotRow]], image_size: tuple[int, int]
+    rows: dict[int, MotFrame], image_size: tuple[int, int]
 ) -> SceneGroundTruth:
-    """A scene from parsed GT rows; a row with visibility above 0.5 is
+    """A scene from a parsed GT file; a row with visibility above 0.5 is
     visible. A frame listing one track id twice raises ``MotFormatError``
     naming the frame and the id."""
     frames = {}
     for f, rs in rows.items():
-        ids, order = _id_order(rs, f"frame {f}")
-        boxes = np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
-                         dtype=np.float64).reshape(-1, 4)
-        visible = np.array([r.visibility > 0.5 for r in rs], dtype=bool)
-        frames[f] = GtFrame(ids[order], boxes[order], visible[order])
+        order = _id_order(rs.ids, f"frame {f}")
+        frames[f] = GtFrame(rs.ids[order], rs.boxes[order], rs.vis[order] > 0.5)
     n_frames = max(frames) if frames else 0
     return SceneGroundTruth(image_size=image_size, n_frames=n_frames, frames=frames)
 
 
-def detections_from_rows(
-    rows: dict[int, list[MotRow]]
-) -> dict[int, np.ndarray]:
+def detections_from_rows(rows: dict[int, MotFrame]) -> dict[int, np.ndarray]:
     """Per-frame (n, 5) arrays of (cx, cy, w, h, conf), every frame key
     kept (an empty frame gives (0, 5)).
 
@@ -175,18 +178,15 @@ def detections_from_rows(
     occluded, are dropped; detection files carry ``-1`` there and keep
     every row. A confidence outside [0, 1], which the snap denoiser would
     pass on as a score, raises ``MotFormatError`` naming the frame and the
-    value.
+    value of the first such row, frames ascending.
     """
-    for f, rs in rows.items():
-        for r in rs:
-            if not 0.0 <= r.conf <= 1.0:
-                raise MotFormatError(f"frame {f}: confidence {r.conf} outside [0, 1]")
+    conf = np.concatenate([np.zeros(0), *(rs.conf for rs in rows.values())])
+    bad = np.flatnonzero(~((0.0 <= conf) & (conf <= 1.0)))
+    if bad.size:
+        frame = np.repeat(list(rows), [len(rs.conf) for rs in rows.values()])[bad[0]]
+        raise MotFormatError(f"frame {frame}: confidence {conf[bad[0]]} outside [0, 1]")
     return {
-        f: np.array(
-            [(r.box.cx, r.box.cy, r.box.w, r.box.h, r.conf)
-             for r in rs if not 0.0 <= r.visibility <= 0.5],
-            dtype=np.float64,
-        ).reshape(-1, 5)
+        f: np.column_stack([rs.boxes, rs.conf])[~((0.0 <= rs.vis) & (rs.vis <= 0.5))]
         for f, rs in rows.items()
     }
 
@@ -209,12 +209,8 @@ def parse_results(path: str | Path) -> TrackingResult:
     the id."""
     result = TrackingResult()
     for frame, rs in parse_motchallenge(path).items():
-        result.add(frame, FrameRows(
-            _id_order(rs, f"{path}: frame {frame}")[0],
-            np.array([(r.box.cx, r.box.cy, r.box.w, r.box.h) for r in rs],
-                     dtype=np.float64),
-            np.array([r.conf for r in rs], dtype=np.float64),
-        ))
+        _id_order(rs.ids, f"{path}: frame {frame}")
+        result.add(frame, FrameRows(rs.ids, rs.boxes, rs.conf))
     return result
 
 

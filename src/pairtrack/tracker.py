@@ -85,7 +85,6 @@ class TrackerConfig:
 # velocities, over stacks of tracks: means (k, 8), covariances (k, 8, 8).
 MOTION_MAT = np.eye(8)
 MOTION_MAT[:4, 4:] = np.eye(4)
-_UPDATE_MAT = np.eye(4, 8)
 _POS, _VEL = 1.0 / 20, 1.0 / 160
 # Noise standard deviations per unit of box height; the aspect ratio and
 # its velocity (entries 2 and 6) take fixed ones instead.
@@ -124,14 +123,14 @@ def kalman_predict(
 def kalman_update(
     means: np.ndarray, covs: np.ndarray, meas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Correct every state with its row of the (k, 4) xyah measurements."""
+    """Correct every state with its row of the (k, 4) xyah measurements,
+    which observe the first four state entries."""
     innovation_cov = _noise_cov(means[:, 3], _MEASURE_STD, 1e-1)
-    projected_mean = means @ _UPDATE_MAT.T
-    projected_cov = _UPDATE_MAT @ covs @ _UPDATE_MAT.T + innovation_cov
+    projected_cov = covs[:, :4, :4] + innovation_cov
     gain = np.linalg.solve(
-        projected_cov.swapaxes(1, 2), (covs @ _UPDATE_MAT.T).swapaxes(1, 2)
+        projected_cov.swapaxes(1, 2), covs[:, :, :4].swapaxes(1, 2)
     ).swapaxes(1, 2)
-    innovation = meas - projected_mean
+    innovation = meas - means[:, :4]
     means = means + (gain @ innovation[:, :, None])[:, :, 0]
     covs = covs - gain @ projected_cov @ gain.swapaxes(1, 2)
     return means, covs

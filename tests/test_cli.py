@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -166,8 +167,8 @@ def test_negative_detection_size_is_data_error(tmp_path, capsys):
 def test_zero_size_detection_is_legal(tmp_path):
     det = tmp_path / "d.txt"
     det.write_text("1,-1,10,10,0,0,0.9,-1,-1,-1\n")
-    (row,) = parse_motchallenge(det)[1]
-    assert (row.box.w, row.box.h) == (0.0, 0.0)
+    (box,) = parse_motchallenge(det)[1].boxes
+    assert (box[2], box[3]) == (0.0, 0.0)
 
 
 def _track_with_config(tmp_path, text):
@@ -316,6 +317,60 @@ def test_duplicate_result_id_in_a_frame_is_data_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "IDF1" not in captured.out
     assert f"data error: {result}: frame 1: track id 1 listed twice" in captured.err
+
+
+_BAD_FIELDS = "frame, id and class must be 64-bit integers and the frame >= 1, got"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("0,1,10,10,20,20,1,1,1.0", f"{_BAD_FIELDS} 0.0, 1.0, 1.0"),
+    ("-3,1,10,10,20,20,1,1,1.0", f"{_BAD_FIELDS} -3.0, 1.0, 1.0"),
+    ("1.5,1,10,10,20,20,1,1,1.0", f"{_BAD_FIELDS} 1.5, 1.0, 1.0"),
+    ("1,1.6,10,10,20,20,1,1,1.0", f"{_BAD_FIELDS} 1.0, 1.6, 1.0"),
+    ("1,1,10,10,20,20,1,2.5,1.0", f"{_BAD_FIELDS} 1.0, 1.0, 2.5"),
+    ("1,1e19,10,10,20,20,1,1,1.0", f"{_BAD_FIELDS} 1.0, 1e+19, 1.0"),
+])
+def test_reader_rejects_bad_frame_id_and_class(tmp_path, line, reason):
+    # These fields were truncated to ints: a frame-0 row was scored as a
+    # miss and a false positive, and id 1.6 was read as id 1.
+    path = tmp_path / "g.txt"
+    path.write_text("1,2,10,10,20,20,1,1,1.0\n" + line + "\n")
+    with pytest.raises(MotFormatError, match=re.escape(f"{path}: line 2: {reason}")):
+        parse_motchallenge(path)
+
+
+def test_reader_keeps_integral_floats_and_negative_ids(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("2.0,-1,10,10,20,20,0.9,-1,-1,-1\n"
+                    "1,7.0,10,10,20,20,0.5,3.0,1.0\n")
+    frames = parse_motchallenge(path)
+    assert list(frames) == [1, 2]
+    assert frames[1].ids.tolist() == [7] and frames[1].cls.tolist() == [3]
+    assert frames[2].ids.tolist() == [-1] and frames[2].cls.tolist() == [-1]
+
+
+def test_bad_frame_or_id_field_is_data_error(tmp_path, capsys):
+    # Each of these runs used to exit 0: eval of frame-0 rows printed MOTA
+    # 0.6000 with FP 3 and FN 3, and track wrote a result.
+    scene_dir = _simulate(tmp_path)
+    lines = (scene_dir / "gt.txt").read_text().splitlines(keepends=True)
+    frame_zero = tmp_path / "frame0.txt"
+    frame_zero.write_text("".join(
+        "0" + ln[1:] if ln.startswith("1,") else ln for ln in lines))
+    id_fraction = tmp_path / "id.txt"
+    id_fraction.write_text(lines[0].replace(",1,", ",1.6,", 1) + "".join(lines[1:]))
+    negative = tmp_path / "neg.txt"
+    negative.write_text("-3" + lines[0][1:] + "".join(lines[1:]))
+    result = tmp_path / "result.txt"
+    for bad, argv in ((frame_zero, ["eval", "--result", str(scene_dir / "gt.txt")]),
+                      (id_fraction, ["eval", "--result", str(scene_dir / "gt.txt")]),
+                      (negative, ["track", "--image-size", "1920x1080",
+                                  "--out", str(result)])):
+        assert main([*argv, "--gt", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "MOTA" not in captured.out
+        assert f"data error: {bad}: line 1: " in captured.err
+    assert not result.exists()
 
 
 def test_config_round_trip():

@@ -16,6 +16,7 @@ from pairtrack.harness.experiments import robustness
 from pairtrack.harness.io import (
     detections_from_rows,
     parse_motchallenge,
+    scene_from_gt,
     write_gt,
     write_results,
 )
@@ -74,6 +75,22 @@ def test_crowd_gt_file_bytes_pinned(tmp_path):
     assert (hashlib.sha256(data).hexdigest(), len(data.splitlines())) == (
         "7fec82d5a288bbd2fc4cec83962a95187f790322cee600c9ba880a464e2329ef", 200,
     )
+
+
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), "occluded"])
+def test_written_gt_reads_back_to_the_same_bytes(name, tmp_path):
+    if name == "occluded":
+        scene = pt.generate(pt.SceneSpec(
+            n_objects=6, duration=8, motion=pt.CrowdedMotion(0.35),
+            occlusion_rate=0.6, seed=4,
+        ))
+    else:
+        scene, _, _ = _scene_and_config(name)
+    assert not all(gt.visible.all() for gt in scene.frames.values())
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_gt(scene, first)
+    write_gt(scene_from_gt(parse_motchallenge(first), scene.image_size), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def _digest(result, tmp_path):

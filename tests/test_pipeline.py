@@ -199,10 +199,13 @@ class TestRunPair:
 
 
 # Lattice boxes (corners on the 1/4 grid, sizes 0 to 1.5) in a small area:
-# overlaps are frequent, some boxes have zero size, and ratios repeat.
-lattice_box = st.tuples(
-    st.integers(0, 8), st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)
-).map(lambda r: ((r[0] + r[2] / 2) / 4, (r[1] + r[3] / 2) / 4, r[2] / 4, r[3] / 4))
+# overlaps are frequent, some boxes have zero size, and ratios repeat. Left
+# and top indices run 0..8, width and height indices 0..6; a box is drawn as
+# one index into the table.
+lattice_box = st.sampled_from(tuple(
+    ((x + w / 2) / 4, (y + h / 2) / 4, w / 4, h / 4)
+    for x in range(9) for y in range(9) for w in range(7) for h in range(7)
+))
 # Few distinct values, so ties are common; some fall below the gates.
 tied = st.sampled_from([0.2, 0.5, 0.8, 0.8, 0.9, 0.9])
 
