@@ -3,7 +3,13 @@ fragmentations, plus IDF1 from a global trajectory matching.
 
 Per frame, correspondences from the previous frame are kept whenever both
 ends still exist and overlap at the gate; the remainder is matched by
-Hungarian assignment on IoU. A switch is counted when a ground-truth
+Hungarian assignment on IoU. A pair overlaps at the gate when its IoU is
+positive and at least the gate, so disjoint boxes never match, even at a
+gate of 0. IDF1 matches ground-truth and result trajectories one to one
+on their gated overlap counts. Both assignments are
+``matching.linear_sum_assignment``, which certifies most of these small
+matrices at once and falls back to an exact shortest augmenting path
+search on ties. A switch is counted when a ground-truth
 trajectory's matched identity differs from the last one it ever had; a
 fragmentation when a previously matched trajectory resumes being matched
 after a gap.
@@ -14,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou_matrix
+from .matching import linear_sum_assignment
 from .simulator import SceneGroundTruth
 from .tracker import TrackingResult
 
@@ -64,8 +70,10 @@ def evaluate(
     Each frame lists every ground-truth id and every result id at most
     once, as ``scene_from_gt``, ``parse_results`` and both trackers
     guarantee; a carried-over correspondence therefore never competes with
-    another for its result row.
+    another for its result row. ``iou_gate`` must lie in [0, 1].
     """
+    if not 0.0 <= iou_gate <= 1.0:
+        raise ValueError(f"iou_gate must be in [0, 1], got {iou_gate!r}")
     frames = sorted(set(gt.frames) | set(result.frame_numbers()))
 
     fp = fn = idsw = frag = 0
@@ -91,7 +99,8 @@ def evaluate(
             pred_lengths[p] = pred_lengths.get(p, 0) + 1
 
         overlaps = iou_matrix(gt_boxes, pred_boxes)
-        for gi, pi in zip(*np.nonzero(overlaps >= iou_gate)):
+        gated = (overlaps >= iou_gate) & (overlaps > 0.0)
+        for gi, pi in zip(*np.nonzero(gated)):
             key = (gt_ids[gi], pred_ids[pi])
             overlap_counts[key] = overlap_counts.get(key, 0) + 1
 
@@ -100,19 +109,18 @@ def evaluate(
         pred_index = {p: i for i, p in enumerate(pred_ids)}
         for gi, g in enumerate(gt_ids):
             p = prev_match.get(g)
-            if p is not None and p in pred_index:
-                if overlaps[gi, pred_index[p]] >= iou_gate:
-                    matches[g] = p
+            if p is not None and p in pred_index and gated[gi, pred_index[p]]:
+                matches[g] = p
 
         free_gt = [gi for gi, g in enumerate(gt_ids) if g not in matches]
         carried = set(matches.values())
         free_pred = [pi for pi, p in enumerate(pred_ids) if p not in carried]
         if free_gt and free_pred:
-            sub = overlaps[np.ix_(free_gt, free_pred)]
-            rows, cols = linear_sum_assignment(1.0 - sub)
-            for r, c in zip(rows, cols):
-                if sub[r, c] >= iou_gate:
-                    matches[gt_ids[free_gt[r]]] = pred_ids[free_pred[c]]
+            sub = np.ix_(free_gt, free_pred)
+            rows, cols = linear_sum_assignment(1.0 - overlaps[sub])
+            hit = gated[sub][rows, cols]
+            for r, c in zip(rows[hit], cols[hit]):
+                matches[gt_ids[free_gt[r]]] = pred_ids[free_pred[c]]
 
         for g, p in matches.items():
             if g in last_pred and last_pred[g] != p:

@@ -28,10 +28,10 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .denoiser import CandidateBatch, ProposalOrigin
 from .geometry import BBox, iou_matrix
+from .matching import linear_sum_assignment
 
 __all__ = [
     "TrackerConfig",
@@ -261,6 +261,12 @@ def associate(
     """Hungarian matching of (k, 4) track boxes to (m, 4) boxes on IoU,
     gated at the threshold.
 
+    The assignment minimises the summed 1 - IoU with
+    ``matching.linear_sum_assignment``; in most calls no two tracks share
+    their nearest box, which takes its certified path. A matched pair is kept
+    when its overlap is positive and at least the threshold, so boxes that
+    do not overlap never match, even at a threshold of 0.
+
     Returns the matches as a (j, 2) array of (track index, box index) rows
     in ascending track order, then the unmatched track indices and the
     unmatched box indices, each ascending.
@@ -270,7 +276,8 @@ def associate(
     if n and m:
         overlaps = iou_matrix(track_boxes, boxes)
         rows, cols = linear_sum_assignment(1.0 - overlaps)
-        hit = overlaps[rows, cols] >= iou_threshold
+        matched = overlaps[rows, cols]
+        hit = (matched >= iou_threshold) & (matched > 0.0)
         matches = np.column_stack([rows[hit], cols[hit]])
     free_t = np.ones(n, dtype=bool)
     free_t[matches[:, 0]] = False

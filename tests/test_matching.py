@@ -1,14 +1,26 @@
-"""Assignment and loss tests against brute-force and hand-worked oracles."""
+"""Assignment and loss tests against brute-force and hand-worked oracles,
+and the assignment solver against scipy's, its reference."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import pairtrack
+from pairtrack import matching
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
+from pairtrack.geometry import iou_matrix
 from pairtrack.matching import (
     LAMBDA_CLS,
     LAMBDA_GIOU,
@@ -16,6 +28,7 @@ from pairtrack.matching import (
     detection_loss,
     focal_loss,
     hungarian,
+    linear_sum_assignment,
     match_cost,
 )
 
@@ -82,6 +95,92 @@ class TestHungarian:
             got = hungarian(cost)
             total = sum(cost[i, j] for i, j in got.pairs)
             assert total == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
+
+
+side = st.integers(0, 8)
+# Center-form boxes on a coarse lattice: repeated boxes give exactly tied
+# overlaps, and the far boxes overlap nothing, so their rows of
+# 1 - iou_matrix are all ones.
+LATTICE = [(cx, cy, w, h) for cx in (2.0, 3.0, 4.5) for cy in (2.0, 3.5)
+           for w, h in ((2.0, 2.0), (3.0, 1.0))] + [(50.0, 50.0, 2.0, 2.0),
+                                                    (80.0, 20.0, 1.0, 3.0)]
+lattice_boxes = st.lists(st.sampled_from(LATTICE), max_size=8)
+
+
+def assert_same_as_scipy(cost: np.ndarray) -> None:
+    rows, cols = linear_sum_assignment(cost)
+    ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
+    assert rows.tolist() == ref_rows.tolist()
+    assert cols.tolist() == ref_cols.tolist()
+
+
+class TestLinearSumAssignment:
+    """Index for index what ``scipy.optimize.linear_sum_assignment``
+    returns, tie-breaks included."""
+
+    @given(st.data(), side, side)
+    @settings(max_examples=300, deadline=None)
+    def test_tied_integer_costs(self, data, n, m):
+        # Costs in [0, 3] tie within rows and share column minima, which
+        # sends many draws (half of uniform ones) through the fallback.
+        cost = data.draw(arrays(np.float64, (n, m), elements=st.integers(0, 3)))
+        assert_same_as_scipy(cost)
+
+    @given(st.data(), side, side)
+    @settings(max_examples=200, deadline=None)
+    def test_float_costs(self, data, n, m):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        cost = data.draw(arrays(np.float64, (n, m), elements=finite))
+        assert_same_as_scipy(cost)
+
+    @given(tracks=lattice_boxes, boxes=lattice_boxes)
+    @settings(max_examples=200, deadline=None)
+    def test_iou_costs(self, tracks, boxes):
+        cost = 1.0 - iou_matrix(np.array(tracks).reshape(-1, 4),
+                                np.array(boxes).reshape(-1, 4))
+        assert_same_as_scipy(cost)
+
+    def test_certified_case_skips_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths",
+                            lambda c: calls.append(c))
+        # Tall, so the certificate runs on the transpose: each column's
+        # first minimum is in a row of its own.
+        rows, cols = linear_sum_assignment([[5.0, 0.5], [0.1, 2.0], [1.0, 1.0]])
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+        # A tie within a row still certifies: the first minimum is the
+        # column scipy's search takes.
+        rows, cols = linear_sum_assignment([[1.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+        assert calls == []
+
+    def test_shared_column_minimum_searches(self, monkeypatch):
+        calls = []
+        search = matching._shortest_augmenting_paths
+        monkeypatch.setattr(matching, "_shortest_augmenting_paths",
+                            lambda c: calls.append(c) or search(c))
+        # Both rows are cheapest in column 0; the optimum sends row 0 to
+        # column 1 (total 1 against 2).
+        rows, cols = linear_sum_assignment([[0.0, 1.0], [0.0, 2.0]])
+        assert len(calls) == 1
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            linear_sum_assignment([[0.0, 1.0], [bad, 2.0]])
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is the tests' reference only; importing the package and its
+    # command line must not load it.
+    code = ("import sys, pairtrack, pairtrack.harness.io, pairtrack.harness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pairtrack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestFocalLoss:

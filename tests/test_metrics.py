@@ -188,6 +188,29 @@ class TestProperties:
         report = evaluate(gt, res)
         assert report.fn == 1 and report.fp == 1
 
+    def test_zero_gate_never_matches_disjoint_boxes(self):
+        gt = scene({1: [(1, (20, 20, 10, 10), True)]})
+        res = result({1: [(1, (80, 80, 10, 10))]})
+        for gate in (0.0, 0.5):
+            report = evaluate(gt, res, iou_gate=gate)
+            assert (report.mota, report.idf1) == (-1.0, 0.0)
+
+    def test_zero_gate_drops_a_carried_match_that_moved_away(self):
+        # Frame 1 matches; at frame 2 the result box no longer overlaps, so
+        # neither the carry-over, the remainder nor the IDF1 counts may
+        # pair them.
+        gt = scene({1: [(1, A, True)], 2: [(1, A, True)]})
+        res = result({1: [(1, A)], 2: [(1, B)]})
+        for gate in (0.0, 0.5):
+            report = evaluate(gt, res, iou_gate=gate)
+            assert (report.fp, report.fn, report.idsw) == (1, 1, 0)
+            assert report.idf1 == 0.5
+
+    @pytest.mark.parametrize("gate", [-0.1, 1.5, math.nan])
+    def test_gate_outside_unit_interval_rejected(self, gate):
+        with pytest.raises(ValueError, match="iou_gate"):
+            evaluate(two_track_scene(), result({}), iou_gate=gate)
+
     def test_serialization(self):
         gt = two_track_scene()
         res = result({f: [(1, A), (2, B)] for f in (1, 2, 3)})

@@ -243,6 +243,13 @@ class TestAssociate:
         assert matches.tolist() == [] and un_t.tolist() == [0]
         assert un_b.tolist() == [0]
 
+    def test_zero_threshold_never_matches_disjoint(self):
+        matches, un_t, un_b = associate(
+            boxes((20, 20, 10, 10)), boxes((80, 80, 10, 10)), 0.0
+        )
+        assert matches.tolist() == [] and un_t.tolist() == [0]
+        assert un_b.tolist() == [0]
+
     def test_crossed_overlaps_maximize_total(self):
         tracks = boxes((100, 100, 20, 20), (112, 100, 20, 20))
         dets = boxes((104, 100, 20, 20), (114, 100, 20, 20))
