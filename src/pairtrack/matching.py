@@ -173,9 +173,6 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> np.ndarray:
 def hungarian(cost: np.ndarray) -> MatchSet:
     """Minimum-cost assignment on an n x m matrix of finite costs."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        n, m = cost.shape if cost.ndim == 2 else (0, 0)
-        return MatchSet((), tuple(range(n)), tuple(range(m)))
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(zip(rows.tolist(), cols.tolist()))
     matched_r = set(rows.tolist())
