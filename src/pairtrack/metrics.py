@@ -75,90 +75,67 @@ def evaluate(
     if not 0.0 <= iou_gate <= 1.0:
         raise ValueError(f"iou_gate must be in [0, 1], got {iou_gate!r}")
     frames = sorted(set(gt.frames) | set(result.frame_numbers()))
+    gt_frames = [gt.visible(f) for f in frames]
+    pred_frames = [result.rows(f) for f in frames]
+    none = np.zeros(0, dtype=np.int64)
+    gt_ids = np.unique(np.concatenate([none] + [ids for ids, _ in gt_frames]))
+    pred_ids = np.unique(np.concatenate([none] + [r.ids for r in pred_frames]))
+
+    # Over ground-truth indices: the result index matched in the last frame
+    # and the last one ever matched (-1 for none), and the gated overlap
+    # counts with each result trajectory for the identity matching.
+    prev = np.full(len(gt_ids), -1)
+    last = np.full(len(gt_ids), -1)
+    counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
+    # Result index -> its row in the current frame. The extra last entry
+    # stays -1, so a ground truth with no previous match finds no row.
+    row_of = np.full(len(pred_ids) + 1, -1)
 
     fp = fn = idsw = frag = 0
-    gt_count = 0
-    prev_match: dict[int, int] = {}      # gt id -> pred id in the last frame
-    last_pred: dict[int, int] = {}       # gt id -> last matched pred id ever
-
-    # Trajectory overlap counts for the global identity matching.
-    gt_lengths: dict[int, int] = {}
-    pred_lengths: dict[int, int] = {}
-    overlap_counts: dict[tuple[int, int], int] = {}
-
-    for frame in frames:
-        gt_ids, gt_boxes = gt.visible(frame)
-        gt_ids = gt_ids.tolist()
-        pred_ids, pred_boxes, _ = result.rows(frame)
-        pred_ids = pred_ids.tolist()
-
-        gt_count += len(gt_ids)
-        for g in gt_ids:
-            gt_lengths[g] = gt_lengths.get(g, 0) + 1
-        for p in pred_ids:
-            pred_lengths[p] = pred_lengths.get(p, 0) + 1
-
-        overlaps = iou_matrix(gt_boxes, pred_boxes)
+    gt_count = pred_count = 0
+    for (ids, gt_boxes), res in zip(gt_frames, pred_frames):
+        gi = np.searchsorted(gt_ids, ids)
+        pi = np.searchsorted(pred_ids, res.ids)
+        gt_count += len(gi)
+        pred_count += len(pi)
+        overlaps = iou_matrix(gt_boxes, res.boxes)
         gated = (overlaps >= iou_gate) & (overlaps > 0.0)
-        for gi, pi in zip(*np.nonzero(gated)):
-            key = (gt_ids[gi], pred_ids[pi])
-            overlap_counts[key] = overlap_counts.get(key, 0) + 1
+        counts[np.ix_(gi, pi)] += gated
 
         # Keep last frame's correspondences that still hold at the gate.
-        matches: dict[int, int] = {}
-        pred_index = {p: i for i, p in enumerate(pred_ids)}
-        for gi, g in enumerate(gt_ids):
-            p = prev_match.get(g)
-            if p is not None and p in pred_index and gated[gi, pred_index[p]]:
-                matches[g] = p
+        row_of[pi] = np.arange(len(pi))
+        held = row_of[prev[gi]]
+        row_of[pi] = -1
+        mg = np.flatnonzero(held >= 0)
+        mg = mg[gated[mg, held[mg]]]
+        mp = held[mg]
 
-        free_gt = [gi for gi, g in enumerate(gt_ids) if g not in matches]
-        carried = set(matches.values())
-        free_pred = [pi for pi, p in enumerate(pred_ids) if p not in carried]
-        if free_gt and free_pred:
-            sub = np.ix_(free_gt, free_pred)
-            rows, cols = linear_sum_assignment(1.0 - overlaps[sub])
-            hit = gated[sub][rows, cols]
-            for r, c in zip(rows[hit], cols[hit]):
-                matches[gt_ids[free_gt[r]]] = pred_ids[free_pred[c]]
+        free_g = np.ones(len(gi), dtype=bool)
+        free_g[mg] = False
+        free_p = np.ones(len(pi), dtype=bool)
+        free_p[mp] = False
+        if free_g.any() and free_p.any():
+            fg, fr = np.flatnonzero(free_g), np.flatnonzero(free_p)
+            sub = np.ix_(fg, fr)
+            r, c = linear_sum_assignment(1.0 - overlaps[sub])
+            hit = gated[sub][r, c]
+            mg = np.concatenate([mg, fg[r[hit]]])
+            mp = np.concatenate([mp, fr[c[hit]]])
 
-        for g, p in matches.items():
-            if g in last_pred and last_pred[g] != p:
-                idsw += 1
-            if g in last_pred and g not in prev_match:
-                frag += 1
-            last_pred[g] = p
-        fn += len(gt_ids) - len(matches)
-        fp += len(pred_ids) - len(matches)
-
-        prev_match = matches
+        g, p = gi[mg], pi[mp]
+        seen = last[g] >= 0
+        idsw += int(np.count_nonzero(seen & (last[g] != p)))
+        frag += int(np.count_nonzero(seen & (prev[g] < 0)))
+        last[g] = p
+        prev.fill(-1)
+        prev[g] = p
+        fn += len(gi) - len(g)
+        fp += len(pi) - len(g)
 
     mota = float("nan") if gt_count == 0 else 1.0 - (fn + fp + idsw) / gt_count
-    idf1 = _idf1(gt_lengths, pred_lengths, overlap_counts)
+    rows, cols = linear_sum_assignment(-counts)
+    total = gt_count + pred_count
+    idf1 = float(2.0 * counts[rows, cols].sum() / total) if total else 0.0
     return MetricsReport(
         mota=mota, idf1=idf1, idsw=idsw, frag=frag, fp=fp, fn=fn, gt_count=gt_count
     )
-
-
-def _idf1(
-    gt_lengths: dict[int, int],
-    pred_lengths: dict[int, int],
-    overlap_counts: dict[tuple[int, int], int],
-) -> float:
-    gt_total = sum(gt_lengths.values())
-    pred_total = sum(pred_lengths.values())
-    if gt_total + pred_total == 0:
-        return 0.0
-    gt_ids = sorted(gt_lengths)
-    pred_ids = sorted(pred_lengths)
-    if gt_ids and pred_ids:
-        gt_index = {g: i for i, g in enumerate(gt_ids)}
-        pred_index = {p: i for i, p in enumerate(pred_ids)}
-        counts = np.zeros((len(gt_ids), len(pred_ids)))
-        for (g, p), c in overlap_counts.items():
-            counts[gt_index[g], pred_index[p]] = c
-        rows, cols = linear_sum_assignment(-counts)
-        idtp = counts[rows, cols].sum()
-    else:
-        idtp = 0.0
-    return float(2.0 * idtp / (gt_total + pred_total))
