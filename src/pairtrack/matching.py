@@ -1,7 +1,7 @@
 """Hungarian assignment and the paired-box detection objective.
 
 ``linear_sum_assignment`` is the package's one assignment solver; the
-tracker's association, ``metrics.evaluate`` and ``hungarian`` call it. It
+tracker's association, ``metrics.evaluate`` and ``detection_loss`` call it. It
 returns what ``scipy.optimize.linear_sum_assignment`` returns, index for
 index, including how ties break, and scipy serves only as the tests'
 reference. Two paths, picked from the input:
@@ -43,10 +43,8 @@ from .denoiser import CandidateBatch
 from .geometry import giou
 
 __all__ = [
-    "MatchSet",
     "LossBreakdown",
     "linear_sum_assignment",
-    "hungarian",
     "focal_loss",
     "match_cost",
     "detection_loss",
@@ -62,19 +60,6 @@ LAMBDA_GIOU = 2.0
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
 _EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class MatchSet:
-    """Injective assignment between predictions and ground-truth entries."""
-
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_predictions: tuple[int, ...]
-    unmatched_gts: tuple[int, ...]
-
-    @property
-    def n_pos(self) -> int:
-        return len(self.pairs)
 
 
 def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
@@ -170,20 +155,6 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> np.ndarray:
     return np.array(col4row, dtype=np.intp)
 
 
-def hungarian(cost: np.ndarray) -> MatchSet:
-    """Minimum-cost assignment on an n x m matrix of finite costs."""
-    cost = np.asarray(cost, dtype=np.float64)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    matched_r = set(rows.tolist())
-    matched_c = set(cols.tolist())
-    return MatchSet(
-        pairs,
-        tuple(i for i in range(cost.shape[0]) if i not in matched_r),
-        tuple(j for j in range(cost.shape[1]) if j not in matched_c),
-    )
-
-
 def focal_loss(p, y: int, alpha: float = FOCAL_ALPHA, gamma: float = FOCAL_GAMMA):
     """Standard focal loss for a binary label on probability ``p``, a
     scalar or an array of them."""
@@ -237,14 +208,16 @@ def match_cost(
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Raw term sums plus the weighted, positive-normalized total."""
+    """Raw term sums plus the weighted, positive-normalized total, and the
+    matched (prediction, ground truth) index rows, (n_pos, 2), ascending
+    by prediction."""
 
     cls: float
     reg: float
     giou_term: float
     total: float
     n_pos: int
-    matches: MatchSet
+    pairs: np.ndarray
 
 
 def detection_loss(
@@ -261,15 +234,15 @@ def detection_loss(
     """
     gts = _gt_rows(gts)
     fp, fc = _fused_scores(preds)
-    matches = hungarian(match_cost(preds, gts, image_size))
-    pi, gi = np.array(matches.pairs, dtype=np.intp).reshape(-1, 2).T
-    bg = np.array(matches.unmatched_predictions, dtype=np.intp)
+    pi, gi = linear_sum_assignment(match_cost(preds, gts, image_size))
+    bg = np.ones(len(preds), dtype=bool)
+    bg[pi] = False
 
     cls = float(np.sum(focal_loss(fp[pi], 1) + focal_loss(fc[pi], 1))
                 + np.sum(focal_loss(fp[bg], 0) + focal_loss(fc[bg], 0)))
     reg = float(np.sum(_l1_normalized(preds.pairs[pi], gts[gi], image_size)))
     giou_term = float(np.sum(1.0 - giou(preds.pairs[pi], gts[gi])))
 
-    n_pos = max(matches.n_pos, 1)
+    n_pos = max(len(pi), 1)
     total = (LAMBDA_CLS * cls + LAMBDA_REG * reg + LAMBDA_GIOU * giou_term) / n_pos
-    return LossBreakdown(cls, reg, giou_term, total, n_pos, matches)
+    return LossBreakdown(cls, reg, giou_term, total, n_pos, np.column_stack([pi, gi]))
