@@ -27,7 +27,6 @@ __all__ = [
     "generate",
     "perturb_boxes",
     "mean_motion",
-    "average_motion",
 ]
 
 
@@ -338,8 +337,3 @@ def mean_motion(
         return default
     return float(min(max(np.mean(ratios), 0.0), 1.0))
 
-
-def average_motion(gt: SceneGroundTruth, frame: int) -> float:
-    """Ground-truth ``mean_motion`` of co-visible identities between frames
-    (frame - 1, frame); 0 when none is shared."""
-    return mean_motion(gt.visible(frame - 1), gt.visible(frame), 0.0)

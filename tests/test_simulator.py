@@ -12,8 +12,8 @@ from pairtrack.simulator import (
     NonLinearMotion,
     SceneGroundTruth,
     SceneSpec,
-    average_motion,
     generate,
+    mean_motion,
     perturb_boxes,
 )
 
@@ -167,27 +167,32 @@ class TestAverageMotion:
         frames = {1: self.frame(prev_boxes, vis), 2: self.frame(cur_boxes, vis)}
         return SceneGroundTruth(image_size=(1000, 1000), n_frames=2, frames=frames)
 
+    @staticmethod
+    def motion(scene):
+        """``mean_motion`` of the ids visible in both frames 1 and 2."""
+        return mean_motion(scene.visible(1), scene.visible(2), 0.0)
+
     def test_static_zero(self):
         b = (100, 100, 30, 40)
         scene = self.make_scene([b], [b])
-        assert average_motion(scene, 2) == 0.0
+        assert self.motion(scene) == 0.0
 
     def test_full_diagonal_clamped(self):
         scene = self.make_scene(
             [(100, 100, 30, 40)], [(200, 200, 30, 40)]
         )
-        assert average_motion(scene, 2) == 1.0
+        assert self.motion(scene) == 1.0
 
     def test_hand_computed_two_objects(self):
         # displacements 5 and 10 against diagonal 50 -> mean of 0.1 and 0.2
         prev = [(100, 100, 30, 40), (500, 500, 30, 40)]
         cur = [(103, 104, 30, 40), (506, 508, 30, 40)]
         scene = self.make_scene(prev, cur)
-        assert average_motion(scene, 2) == pytest.approx(0.15, abs=1e-12)
+        assert self.motion(scene) == pytest.approx(0.15, abs=1e-12)
 
     def test_no_covisible_zero(self):
         scene = self.make_scene(
             [(100, 100, 30, 40)], [(200, 200, 30, 40)], vis=[True]
         )
         scene.frames[1] = self.frame([(100, 100, 30, 40)], [False])
-        assert average_motion(scene, 2) == 0.0
+        assert self.motion(scene) == 0.0
