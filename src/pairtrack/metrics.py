@@ -11,8 +11,9 @@ on their gated overlap counts. Both assignments are
 matrices at once and falls back to an exact shortest augmenting path
 search on ties. A switch is counted when a ground-truth
 trajectory's matched identity differs from the last one it ever had; a
-fragmentation when a previously matched trajectory resumes being matched
-after a gap.
+fragmentation when a trajectory goes from matched to missed and back to
+matched over the frames where it is visible, as CLEAR MOT defines it: a
+frame where the object is occluded breaks no match.
 """
 
 from __future__ import annotations
@@ -82,10 +83,12 @@ def evaluate(
     pred_ids = np.unique(np.concatenate([none] + [r.ids for r in pred_frames]))
 
     # Over ground-truth indices: the result index matched in the last frame
-    # and the last one ever matched (-1 for none), and the gated overlap
-    # counts with each result trajectory for the identity matching.
+    # and the last one ever matched (-1 for none), whether it was missed
+    # while visible since its last match, and the gated overlap counts with
+    # each result trajectory for the identity matching.
     prev = np.full(len(gt_ids), -1)
     last = np.full(len(gt_ids), -1)
+    missed = np.zeros(len(gt_ids), dtype=bool)
     counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     # Result index -> its row in the current frame. The extra last entry
     # stays -1, so a ground truth with no previous match finds no row.
@@ -125,7 +128,9 @@ def evaluate(
         g, p = gi[mg], pi[mp]
         seen = last[g] >= 0
         idsw += int(np.count_nonzero(seen & (last[g] != p)))
-        frag += int(np.count_nonzero(seen & (prev[g] < 0)))
+        frag += int(np.count_nonzero(missed[g]))
+        missed[gi] = last[gi] >= 0
+        missed[g] = False
         last[g] = p
         prev.fill(-1)
         prev[g] = p

@@ -167,6 +167,29 @@ class TestProperties:
         report = evaluate(gt, res)
         assert report.frag == 0
 
+    def test_occlusion_gap_is_no_fragmentation(self):
+        # Every visible box copied with its own id: occlusions break the
+        # ground truth's spans, but the result never misses a visible box.
+        gt = generate(SceneSpec(n_objects=6, duration=20, occlusion_rate=1.0,
+                                seed=3))
+        res = TrackingResult()
+        for frame in gt.frames:
+            ids, boxes = gt.visible(frame)
+            res.add(frame, FrameRows(ids, boxes, np.ones(len(ids))))
+        report = evaluate(gt, res)
+        assert (report.mota, report.idf1, report.fn) == (1.0, 1.0, 0)
+        assert report.frag == 0
+
+    def test_miss_across_an_occlusion_is_one_fragmentation(self):
+        # Matched, visible but missed, occluded, matched: the miss still
+        # counts once the occlusion ends.
+        gt = scene({
+            1: [(1, A, True)], 2: [(1, A, True)], 3: [(1, A, False)],
+            4: [(1, A, True)],
+        })
+        res = result({1: [(1, A)], 4: [(1, A)]})
+        assert evaluate(gt, res).frag == 1
+
     def test_invisible_gt_ignored(self):
         gt = scene(
             {
@@ -261,12 +284,13 @@ def _noisy_result(gt: SceneGroundTruth, seed: int) -> TrackingResult:
 class TestSeededOccludedScene:
     def test_report_pinned_field_for_field(self):
         # Pinned from the row-by-row array building that evaluate replaced;
-        # every field, floats included, must stay exactly equal.
+        # every field, floats included, must stay exactly equal. frag was 32
+        # while an occluded frame counted as a miss.
         spec = SceneSpec(n_objects=12, duration=30, motion=CrowdedMotion(0.35),
                          occlusion_rate=0.4, seed=8)
         gt = generate(spec)
         report = evaluate(gt, _noisy_result(gt, 3))
         assert report == MetricsReport(
-            mota=0.855457227138643, idf1=0.8580152671755725, idsw=2, frag=32,
+            mota=0.855457227138643, idf1=0.8580152671755725, idsw=2, frag=27,
             fp=12, fn=35, gt_count=339,
         )
