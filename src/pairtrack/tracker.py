@@ -402,9 +402,10 @@ class GreedyIoUTracker:
     """Plain greedy IoU tracker over per-frame detections (reference only).
 
     Each detection, in descending score order (ties in input order),
-    claims the free track with the highest overlap at or above the
-    threshold, the later track on equal overlap; leftovers become new
-    tracks, which no detection of the same frame can claim. A frame's
+    claims the free track with the highest overlap, when that overlap is
+    positive and at or above the threshold, the later track on equal
+    overlap; leftovers become new tracks, which no detection of the same
+    frame can claim. As in ``associate``, disjoint boxes never match. A frame's
     detections are one (n, 5) array of (cx, cy, w, h, conf) rows. Exists
     to contrast robustness against the diffusion pipeline.
     """
@@ -431,7 +432,7 @@ class GreedyIoUTracker:
             free_fit = np.where(owner < 0, fit[di], -np.inf)
             # Over the reversed row, argmax takes the later of equal overlaps.
             j = last - int(np.argmax(free_fit[::-1])) if last >= 0 else -1
-            if j >= 0 and free_fit[j] >= self.iou_threshold:
+            if j >= 0 and free_fit[j] >= self.iou_threshold and free_fit[j] > 0.0:
                 owner[j] = di
                 ids[di] = self._ids[j]
             else:

@@ -583,6 +583,11 @@ class TestGreedyReference:
         assert at.update(2, second).ids.tolist() == [1]
         assert above.update(2, second).ids.tolist() == [2]
 
+    def test_zero_threshold_never_claims_a_disjoint_track(self):
+        g = GreedyIoUTracker(iou_threshold=0.0)
+        assert g.update(1, np.array([[20.0, 20, 10, 10, 0.9]])).ids.tolist() == [1]
+        assert g.update(2, np.array([[80.0, 80, 10, 10, 0.9]])).ids.tolist() == [2]
+
     def test_track_born_this_frame_not_claimed(self):
         g = GreedyIoUTracker()
         g.update(1, np.array([[500.0, 500, 20, 20, 0.9]]))
