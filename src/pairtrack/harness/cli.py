@@ -390,7 +390,7 @@ def _write_experiment_manifest(
             inputs={"gt": args.gt},
             outputs={"csv": args.out},
             extra={"fidelity": fidelity, "oracle": config_snapshot(oracle_cfg),
-                   "argv": sys.argv[1:]},
+                   "argv": args.argv},
         ),
         Path(args.out).with_suffix(".manifest.json"),
     )
@@ -407,9 +407,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        args.argv = argv
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -48,6 +48,32 @@ def test_simulate_track_det_eval(tmp_path):
     assert float(row["mota"]) > 0.9
 
 
+@pytest.mark.parametrize("command, grid, header", [
+    ("ablate", ["--proportions", "0,0.5", "--paddings", "repeat,gaussian",
+                "--perturbations", "constant"],
+     "proportion,padding,perturbation,seed,mota,idf1,idsw,frag"),
+    ("sweep", ["--boxes", "16,32", "--step-counts", "1,2", "--n-seeds", "1"],
+     "boxes,steps,seeds,mota,latency_per_pair_s"),
+    ("robustness", ["--alphas", "0,0.1,0.2,0.3", "--n-seeds", "1"],
+     "alpha,seeds,diffusion_mota,greedy_mota"),
+], ids=["ablate", "sweep", "robustness"])
+def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header):
+    # Each grid has four cells: one CSV row per cell under the header.
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--out", str(scene_dir), "--objects", "3",
+                 "--frames", "5", "--seed", "1"]) == 0
+    out = tmp_path / f"{command}.csv"
+    argv = [command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+            "--n-test", "16", "--seed", "0", *grid]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 4
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["extra"]["argv"] == argv
+
+
 def test_det_on_gt_file_skips_occluded_rows(tmp_path):
     # A ground-truth file given as detections feeds only its visible rows,
     # the ones the snap denoiser sees when the same file is given as --gt.
