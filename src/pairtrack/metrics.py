@@ -97,37 +97,37 @@ def evaluate(
     fp = fn = idsw = frag = 0
     gt_count = pred_count = 0
     for (ids, gt_boxes), res in zip(gt_frames, pred_frames):
-        gi = np.searchsorted(gt_ids, ids)
-        pi = np.searchsorted(pred_ids, res.ids)
+        gi = gt_ids.searchsorted(ids)
+        pi = pred_ids.searchsorted(res.ids)
         gt_count += len(gi)
         pred_count += len(pi)
         overlaps = iou_matrix(gt_boxes, res.boxes)
         gated = (overlaps >= iou_gate) & (overlaps > 0.0)
-        counts[np.ix_(gi, pi)] += gated
+        counts[gi[:, None], pi] += gated
 
         # Keep last frame's correspondences that still hold at the gate.
         row_of[pi] = np.arange(len(pi))
         held = row_of[prev[gi]]
         row_of[pi] = -1
-        mg = np.flatnonzero(held >= 0)
+        mg = (held >= 0).nonzero()[0]
         mg = mg[gated[mg, held[mg]]]
         mp = held[mg]
 
-        free_g = np.ones(len(gi), dtype=bool)
-        free_g[mg] = False
-        free_p = np.ones(len(pi), dtype=bool)
-        free_p[mp] = False
-        if free_g.any() and free_p.any():
-            fg, fr = np.flatnonzero(free_g), np.flatnonzero(free_p)
-            sub = np.ix_(fg, fr)
-            r, c = linear_sum_assignment(1.0 - overlaps[sub])
-            hit = gated[sub][r, c]
+        # Match the rest, when both sides have rows left.
+        if len(mg) < min(len(gi), len(pi)):
+            free_g = np.ones(len(gi), dtype=bool)
+            free_g[mg] = False
+            free_p = np.ones(len(pi), dtype=bool)
+            free_p[mp] = False
+            fg, fr = free_g.nonzero()[0], free_p.nonzero()[0]
+            r, c = linear_sum_assignment(1.0 - overlaps[fg[:, None], fr])
+            hit = gated[fg[r], fr[c]]
             mg = np.concatenate([mg, fg[r[hit]]])
             mp = np.concatenate([mp, fr[c[hit]]])
 
         g, p = gi[mg], pi[mp]
-        seen = last[g] >= 0
-        idsw += int(np.count_nonzero(seen & (last[g] != p)))
+        was = last[g]
+        idsw += int(np.count_nonzero((was >= 0) & (was != p)))
         frag += int(np.count_nonzero(missed[g]))
         missed[gi] = last[gi] >= 0
         missed[g] = False
