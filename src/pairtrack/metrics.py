@@ -78,9 +78,9 @@ def evaluate(
     frames = sorted(set(gt.frames) | set(result.frame_numbers()))
     gt_frames = [gt.visible(f) for f in frames]
     pred_frames = [result.rows(f) for f in frames]
-    none = np.zeros(0, dtype=np.int64)
-    gt_ids = np.unique(np.concatenate([none] + [ids for ids, _ in gt_frames]))
-    pred_ids = np.unique(np.concatenate([none] + [r.ids for r in pred_frames]))
+    no_ids = np.zeros(0, dtype=np.int64)
+    gt_ids = np.unique(np.concatenate([no_ids] + [ids for ids, _ in gt_frames]))
+    pred_ids = np.unique(np.concatenate([no_ids] + [r.ids for r in pred_frames]))
 
     # Over ground-truth indices: the result index matched in the last frame
     # and the last one ever matched (-1 for none), whether it was missed

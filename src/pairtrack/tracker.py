@@ -402,12 +402,12 @@ class GreedyIoUTracker:
     """Plain greedy IoU tracker over per-frame detections (reference only).
 
     Each detection, in descending score order (ties in input order),
-    claims the free track with the highest overlap, when that overlap is
-    positive and at or above the threshold, the later track on equal
-    overlap; leftovers become new tracks, which no detection of the same
-    frame can claim. As in ``associate``, disjoint boxes never match. A frame's
-    detections are one (n, 5) array of (cx, cy, w, h, conf) rows. Exists
-    to contrast robustness against the diffusion pipeline.
+    claims the free track with the highest overlap, the later track on
+    equal overlap, when that overlap is positive and at or above the
+    threshold: as in ``associate``, disjoint boxes never match. Leftovers
+    become new tracks, which no detection of the same frame can claim. A
+    frame's detections are one (n, 5) array of (cx, cy, w, h, conf) rows.
+    Exists to contrast robustness against the diffusion pipeline.
     """
 
     def __init__(self, iou_threshold: float = 0.3, max_lost_age: int = 30):

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from pairtrack.geometry import iou_matrix
 from pairtrack.metrics import MetricsReport, evaluate
 from pairtrack.simulator import (
-    CrowdedMotion, GtFrame, SceneGroundTruth, SceneSpec, generate,
+    CrowdedMotion, GtFrame, LinearMotion, NonLinearMotion, SceneGroundTruth,
+    SceneSpec, generate,
 )
 from pairtrack.tracker import FrameRows, TrackingResult
 
@@ -294,3 +297,91 @@ class TestSeededOccludedScene:
             mota=0.855457227138643, idf1=0.8580152671755725, idsw=2, frag=27,
             fp=12, fn=35, gt_count=339,
         )
+
+
+def reference_evaluate(gt: SceneGroundTruth, result: TrackingResult,
+                       iou_gate: float) -> MetricsReport:
+    """The same scoring as a loop over per-frame dicts keyed by raw ids,
+    with scipy's solver for both assignments."""
+    frames = sorted(set(gt.frames) | set(result.frame_numbers()))
+    fp = fn = idsw = frag = gt_count = pred_count = 0
+    prev, last, missed, counts = {}, {}, set(), {}
+    for frame in frames:
+        gt_ids, gt_boxes = gt.visible(frame)
+        gt_ids = gt_ids.tolist()
+        res = result.rows(frame)
+        pred_ids = res.ids.tolist()
+        gt_count += len(gt_ids)
+        pred_count += len(pred_ids)
+        overlaps = iou_matrix(gt_boxes, res.boxes)
+        gated = (overlaps >= iou_gate) & (overlaps > 0.0)
+        for i, j in zip(*np.nonzero(gated)):
+            key = (gt_ids[i], pred_ids[j])
+            counts[key] = counts.get(key, 0) + 1
+        col = {p: j for j, p in enumerate(pred_ids)}
+        matches = {g: prev[g] for i, g in enumerate(gt_ids)
+                   if prev.get(g) in col and gated[i, col[prev[g]]]}
+        free_g = [i for i, g in enumerate(gt_ids) if g not in matches]
+        free_p = [j for j, p in enumerate(pred_ids)
+                  if p not in matches.values()]
+        if free_g and free_p:
+            sub = np.ix_(free_g, free_p)
+            for r, c in zip(*scipy.optimize.linear_sum_assignment(1.0 - overlaps[sub])):
+                if gated[sub][r, c]:
+                    matches[gt_ids[free_g[r]]] = pred_ids[free_p[c]]
+        for g in gt_ids:
+            if g in matches:
+                idsw += g in last and last[g] != matches[g]
+                frag += g in missed
+                missed.discard(g)
+                last[g] = matches[g]
+            elif g in last:
+                missed.add(g)
+        fn += len(gt_ids) - len(matches)
+        fp += len(pred_ids) - len(matches)
+        prev = matches
+    mota = float("nan") if gt_count == 0 else 1.0 - (fn + fp + idsw) / gt_count
+    g_ids = sorted({g for g, _ in counts})
+    p_ids = sorted({p for _, p in counts})
+    matrix = np.zeros((len(g_ids), len(p_ids)))
+    for (g, p), c in counts.items():
+        matrix[g_ids.index(g), p_ids.index(p)] = c
+    rows, cols = scipy.optimize.linear_sum_assignment(-matrix)
+    total = gt_count + pred_count
+    idf1 = float(2.0 * matrix[rows, cols].sum() / total) if total else 0.0
+    return MetricsReport(mota=mota, idf1=idf1, idsw=idsw, frag=frag, fp=fp,
+                         fn=fn, gt_count=gt_count)
+
+
+def _scrambled_result(gt: SceneGroundTruth, rng) -> TrackingResult:
+    """Dropped rows, jitter (sometimes far), random relabels onto a few
+    shared ids, and false positives."""
+    out = TrackingResult()
+    for frame in range(1, gt.n_frames + 1):
+        ids, boxes = gt.visible(frame)
+        kept = {}
+        for g, (cx, cy, w, h) in zip(ids.tolist(), boxes.tolist()):
+            if rng.random() < 0.2:
+                continue
+            tid = 100 + int(rng.integers(1, 6)) if rng.random() < 0.15 else 100 + g
+            sd = 30.0 if rng.random() < 0.1 else 4.0
+            jx, jy = rng.normal(0.0, sd, 2)
+            kept.setdefault(tid, (cx + jx, cy + jy, w, h))
+        while rng.random() < 0.4:
+            kept.setdefault(900 + int(rng.integers(0, 20)),
+                            (*rng.uniform(100, 900, 2), 40.0, 60.0))
+        out.add(frame, rows(*((t, b, 1.0) for t, b in kept.items())))
+    return out
+
+
+class TestAgainstDictReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_equals_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        motion = (LinearMotion(), NonLinearMotion(), CrowdedMotion(0.35))[seed % 3]
+        spec = SceneSpec(n_objects=6, duration=15, motion=motion,
+                         occlusion_rate=0.4, seed=100 + seed)
+        gt = generate(spec)
+        res = _scrambled_result(gt, rng)
+        for gate in (0.0, 0.3, 0.5, 1.0):
+            assert evaluate(gt, res, gate) == reference_evaluate(gt, res, gate)
