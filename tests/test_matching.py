@@ -49,6 +49,7 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
 
 
 def assignment(cost) -> list[tuple[int, int]]:
+    """The solver's (row, column) pairs, rows ascending."""
     rows, cols = linear_sum_assignment(np.asarray(cost, dtype=float))
     return list(zip(rows.tolist(), cols.tolist()))
 
