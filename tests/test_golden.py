@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 import pairtrack as pt
-from pairtrack.harness.experiments import robustness
+from pairtrack.harness.experiments import ablate, robustness, sweep
 from pairtrack.harness.io import (
     detections_from_rows,
     parse_motchallenge,
@@ -137,12 +137,15 @@ def test_perturbed_prior_run_pinned(tmp_path):
     )
 
 
+def _linear_scene():
+    # LinearMotion, 5 objects x 12 frames, 30% occlusion, scene seed 2.
+    return pt.generate(pt.SceneSpec(n_objects=5, duration=12,
+                                    occlusion_rate=0.3, seed=2))
+
+
 def test_robustness_rows_pinned():
-    # LinearMotion, 5 objects x 12 frames, 30% occlusion, scene seed 2;
     # n_test=50, fidelity 0.9, seeds 0 and 1.
-    scene = pt.generate(pt.SceneSpec(n_objects=5, duration=12,
-                                     occlusion_rate=0.3, seed=2))
-    rows = robustness(scene, pt.PipelineConfig(n_test=50), 0.9,
+    rows = robustness(_linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
                       alphas=[0.0, 0.02, 0.05, 0.5], seeds=[0, 1])
     assert rows == [
         {"alpha": 0.0, "seeds": 2, "diffusion_mota": 0.973684, "greedy_mota": 1.0},
@@ -151,4 +154,45 @@ def test_robustness_rows_pinned():
         {"alpha": 0.05, "seeds": 2, "diffusion_mota": 0.973684,
          "greedy_mota": -0.684211},
         {"alpha": 0.5, "seeds": 2, "diffusion_mota": 0.964912, "greedy_mota": -1.0},
+    ]
+
+
+def test_ablate_rows_pinned():
+    # n_test=50, fidelity 0.9, run seed 1.
+    rows = ablate(
+        _linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
+        proportions=[0.0, 0.5],
+        paddings=[pt.PaddingStrategy.REPEAT, pt.PaddingStrategy.CAT_GAUSSIAN],
+        perturbations=[pt.PerturbationSchedule.CONSTANT,
+                       pt.PerturbationSchedule.LOGARITHMIC],
+        seed=1,
+    )
+    assert [(r["proportion"], r["padding"], r["perturbation"], r["seed"],
+             r["mota"], r["idf1"], r["idsw"], r["frag"]) for r in rows] == [
+        (0.0, "repeat", "constant", 1, 0.350877, 0.519481, 0, 0),
+        (0.0, "repeat", "logarithmic", 1, 0.22807, 0.371429, 0, 1),
+        (0.0, "gaussian", "constant", 1, 0.894737, 0.944444, 0, 2),
+        (0.0, "gaussian", "logarithmic", 1, 0.982456, 0.99115, 0, 0),
+        (0.5, "repeat", "constant", 1, 0.350877, 0.519481, 0, 0),
+        (0.5, "repeat", "logarithmic", 1, 0.350877, 0.519481, 0, 0),
+        (0.5, "gaussian", "constant", 1, 0.982456, 0.99115, 0, 0),
+        (0.5, "gaussian", "logarithmic", 1, 0.982456, 0.99115, 0, 0),
+    ]
+    assert list(rows[0]) == ["proportion", "padding", "perturbation", "seed",
+                             "mota", "idf1", "idsw", "frag"]
+
+
+def test_sweep_rows_pinned():
+    # Fidelity 0.9, seeds 0 and 1. The latency column is wall time, so only
+    # its presence is checked.
+    rows = sweep(_linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
+                 box_counts=[20, 50], step_counts=[1, 2], seeds=[0, 1])
+    assert [list(r) for r in rows] == [
+        ["boxes", "steps", "seeds", "mota", "latency_per_pair_s"]
+    ] * 4
+    assert [(r["boxes"], r["steps"], r["seeds"], r["mota"]) for r in rows] == [
+        (20, 1, 2, 0.947368),
+        (20, 2, 2, 0.938596),
+        (50, 1, 2, 0.973684),
+        (50, 2, 2, 0.973684),
     ]
