@@ -25,7 +25,7 @@ so concurrent calls cost more but still return the same outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class DenoisedBatch:
     assoc: np.ndarray      # (n,)
 
 
-@runtime_checkable
 class Denoiser(Protocol):
     """Interface contract: one pixel-space row out per pixel-space row in."""
 

@@ -233,19 +233,25 @@ def build_inference_proposals(
 
 
 def corrupt_proposals(
-    proposals: ProposalSet, alpha: float, rng: np.random.Generator
+    proposals: ProposalSet,
+    alpha: float,
+    rng: np.random.Generator,
+    columns: slice = slice(0, 8),
 ) -> ProposalSet:
     """Convex interpolation toward Gaussian noise: B = (1-a)*B + a*B_noise.
 
-    Applied per coordinate in signal space; alpha 0 is the identity map and
-    draws no randomness.
+    Applied per coordinate in signal space to the pair ``columns`` only:
+    ``slice(4, 8)`` corrupts the current-frame member and keeps the
+    previous one as a condition. Alpha 0 is the identity map and draws no
+    randomness.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 0.0:
         return proposals
-    noise = rng.standard_normal(proposals.pairs.shape)
-    mixed = (1.0 - alpha) * proposals.pairs + alpha * noise
+    mixed = proposals.pairs.copy()
+    noise = rng.standard_normal(mixed[:, columns].shape)
+    mixed[:, columns] = (1.0 - alpha) * mixed[:, columns] + alpha * noise
     return replace(proposals, pairs=mixed)
 
 

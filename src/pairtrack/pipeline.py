@@ -25,7 +25,6 @@ from .diffusion import (
     NoiseSchedule,
     PaddingStrategy,
     PerturbationSchedule,
-    ProposalSet,
     build_inference_proposals,
     corrupt_proposals,
     cosine_schedule,
@@ -62,7 +61,6 @@ class PipelineConfig:
     proportion: float = 0.25
     padding: PaddingStrategy = PaddingStrategy.CAT_GAUSSIAN
     perturbation: PerturbationSchedule = PerturbationSchedule.LOGARITHMIC
-    timesteps: int = 1000
     variant: Variant = Variant.DIFFUSION
     default_motion: float = 0.25
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
@@ -75,19 +73,9 @@ class PipelineConfig:
             raise ValueError(f"proportion must be in [0, 1], got {self.proportion!r}")
 
     def schedule(self) -> NoiseSchedule:
-        return cosine_schedule(self.timesteps)
-
-
-def _corrupt_cur_only(
-    proposals: ProposalSet, alpha: float, rng: np.random.Generator
-) -> ProposalSet:
-    """Baseline corruption: the previous-frame member stays the condition."""
-    if alpha == 0.0:
-        return proposals
-    noise = rng.standard_normal((proposals.pairs.shape[0], 4))
-    mixed = proposals.pairs.copy()
-    mixed[:, 4:] = (1.0 - alpha) * mixed[:, 4:] + alpha * noise
-    return replace(proposals, pairs=mixed)
+        """The 1000-step cosine schedule that ``perturbation_timestep``'s
+        ``round(1000 * f(x))`` is written for."""
+        return cosine_schedule()
 
 
 def _gate_and_suppress(
@@ -132,7 +120,8 @@ def run_pair(
         rng, ctx.image_size, timestep=t,
     )
     if baseline and props.n_prior_slots:
-        props = _corrupt_cur_only(props, alpha, rng)
+        # The previous-frame member stays the condition.
+        props = corrupt_proposals(props, alpha, rng, columns=slice(4, 8))
         ctx = replace(ctx, conditional=True)
     else:
         props = corrupt_proposals(props, alpha, rng)

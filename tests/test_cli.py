@@ -207,15 +207,20 @@ def _track_with_config(tmp_path, text):
     return code, config, result
 
 
-def test_retired_signal_scale_key_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("signal_scale", "1.0"),
+                                        ("timesteps", "500")],
+                         ids=["signal_scale", "timesteps"])
+def test_retired_pipeline_key_is_data_error(tmp_path, capsys, key, value):
     # The signal scale belongs to the diffusion loop; a file that still
-    # sets it must not run with a scale the denoisers never see.
+    # sets it must not run with a scale the denoisers never see. The
+    # perturbation schedule maps motion to round(1000 * f(x)), so a shorter
+    # noise schedule would corrupt far harder than the motion asks for.
     code, config, result = _track_with_config(
-        tmp_path, "[pipeline]\nsignal_scale = 1.0\n"
+        tmp_path, f"[pipeline]\n{key} = {value}\n"
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "signal_scale" in err and str(config) in err
+    assert "data error" in err and key in err and str(config) in err
     assert not result.exists()
 
 
@@ -404,7 +409,7 @@ def test_config_round_trip():
     # configs: every field is a key, and every key reads back its type.
     cfg = PipelineConfig(
         n_test=64, steps=2, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
-        perturbation=PerturbationSchedule.LINEAR, timesteps=500,
+        perturbation=PerturbationSchedule.LINEAR,
         variant=Variant.BASELINE, default_motion=0.1,
         tracker=TrackerConfig(conf_threshold=0.3, max_lost_age=7),
     )

@@ -265,6 +265,15 @@ class TestCorruptProposals:
         hi = np.maximum(p.pairs, noise) + 1e-12
         assert np.all(out.pairs >= lo) and np.all(out.pairs <= hi)
 
+    def test_member_columns_keep_the_other_member(self):
+        # The baseline corrupts only the current-frame member: the previous
+        # one keeps its bits, and the draws are (n, 4).
+        p = self.make()
+        noise = np.random.default_rng(9).standard_normal((p.pairs.shape[0], 4))
+        out = corrupt_proposals(p, 0.3, np.random.default_rng(9), slice(4, 8))
+        assert np.array_equal(out.pairs[:, :4], p.pairs[:, :4])
+        assert np.array_equal(out.pairs[:, 4:], 0.7 * p.pairs[:, 4:] + 0.3 * noise)
+
 
 class _ConstantDenoiser:
     """Always predicts the same clean pixel-space batch, regardless of input;
