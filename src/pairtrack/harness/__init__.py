@@ -11,7 +11,7 @@ from .io import (
     write_results,
     write_seqinfo,
 )
-from .manifest import RunManifest, load_manifest, write_manifest
+from .manifest import RunManifest, write_manifest
 
 __all__ = [
     "MotFrame",
@@ -25,5 +25,4 @@ __all__ = [
     "write_seqinfo",
     "RunManifest",
     "write_manifest",
-    "load_manifest",
 ]

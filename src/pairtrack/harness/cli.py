@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ..denoiser import DetectionSnapDenoiser, OracleDenoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
@@ -31,7 +29,7 @@ from .config import (
     resolve_oracle,
     resolve_pipeline_config,
 )
-from .experiments import ablate, robustness, sweep, write_csv
+from .experiments import ablate, detection_stream, robustness, sweep, write_csv
 from .io import (
     MotFormatError,
     detections_from_rows,
@@ -75,6 +73,18 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+def _add_experiment(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """An experiment subcommand with the flags every experiment takes; the
+    caller adds its grid."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--gt", required=True)
+    p.add_argument("--out", required=True, help="CSV output")
+    p.add_argument("--seqinfo")
+    p.add_argument("--image-size")
+    _add_common_pipeline_flags(p)
+    return p
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pairtrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -114,36 +124,21 @@ def _build_parser() -> _Parser:
     ev.add_argument("--image-size", default="1920x1080")
     ev.add_argument("--csv", help="append a CSV row here")
 
-    ab = sub.add_parser("ablate", help="factor-grid ablations")
-    ab.add_argument("--gt", required=True)
-    ab.add_argument("--out", required=True, help="CSV output")
-    ab.add_argument("--seqinfo")
-    ab.add_argument("--image-size")
+    ab = _add_experiment(sub, "ablate", "factor-grid ablations")
     ab.add_argument("--proportions", default="0,0.25,0.5,0.75,1.0")
     ab.add_argument("--paddings", default="repeat,gaussian,poisson,uniform,full")
     ab.add_argument(
         "--perturbations", default="constant,linear,exponential,logarithmic"
     )
-    _add_common_pipeline_flags(ab)
 
-    sw = sub.add_parser("sweep", help="box-count x step-count grid")
-    sw.add_argument("--gt", required=True)
-    sw.add_argument("--out", required=True)
-    sw.add_argument("--seqinfo")
-    sw.add_argument("--image-size")
+    sw = _add_experiment(sub, "sweep", "box-count x step-count grid")
     sw.add_argument("--boxes", default="100,500")
     sw.add_argument("--step-counts", default="1,2,4")
     sw.add_argument("--n-seeds", type=int, default=3)
-    _add_common_pipeline_flags(sw)
 
-    rb = sub.add_parser("robustness", help="MOTA vs detection perturbation")
-    rb.add_argument("--gt", required=True)
-    rb.add_argument("--out", required=True)
-    rb.add_argument("--seqinfo")
-    rb.add_argument("--image-size")
+    rb = _add_experiment(sub, "robustness", "MOTA vs detection perturbation")
     rb.add_argument("--alphas", default="0,0.1,0.2,0.3,0.4,0.5")
     rb.add_argument("--n-seeds", type=int, default=5)
-    _add_common_pipeline_flags(rb)
 
     return parser
 
@@ -160,23 +155,31 @@ def _parse_image_size(raw: str) -> tuple[int, int]:
 
 
 def _resolve_image_size(args) -> tuple[int, int]:
-    if getattr(args, "seqinfo", None):
+    """--seqinfo, then --image-size, then a seqinfo.ini beside the input
+    file, then 1920x1080."""
+    if args.seqinfo:
         return parse_seqinfo(args.seqinfo)[0]
-    if getattr(args, "image_size", None):
+    if args.image_size:
         return _parse_image_size(args.image_size)
-    source = getattr(args, "gt", None) or getattr(args, "det", None)
-    sidecar = Path(source).parent / "seqinfo.ini" if source else None
-    if sidecar is not None and sidecar.exists():
+    sidecar = Path(args.gt or args.det).parent / "seqinfo.ini"
+    if sidecar.exists():
         return parse_seqinfo(sidecar)[0]
     return (1920, 1080)
 
 
-def _pipeline_overrides(args) -> dict:
-    return {
-        k: getattr(args, k, None)
+def _resolve_run(args):
+    """Seed, pipeline config, oracle fidelity and oracle config of a run:
+    flag over config-file key over default."""
+    seed = args.seed if args.seed is not None else _default_seed()
+    file_values = load_config_file(args.config)
+    overrides = {
+        k: getattr(args, k)
         for k in ("n_test", "steps", "proportion", "padding", "perturbation",
                   "variant")
     }
+    cfg = resolve_pipeline_config(file_values, **overrides)
+    fidelity, oracle_cfg = resolve_oracle(file_values, fidelity=args.fidelity)
+    return seed, cfg, fidelity, oracle_cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -227,38 +230,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_scene(path, image_size: tuple[int, int]):
-    """The scene of a GT file; a bad file raises ``MotFormatError`` naming it."""
+def _read_mot(path, convert, *args):
+    """``convert`` applied to a MOTChallenge file's frames; a bad file
+    raises ``MotFormatError`` naming it."""
     rows = parse_motchallenge(path)
     try:
-        return scene_from_gt(rows, image_size)
+        return convert(rows, *args)
     except MotFormatError as exc:
         raise MotFormatError(f"{path}: {exc}") from exc
 
 
-def _load_scene_args(args):
-    image_size = _resolve_image_size(args)
-    return _load_scene(args.gt, image_size), image_size
-
-
 def _cmd_track(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     image_size = _resolve_image_size(args)
-    file_values = load_config_file(args.config)
-    cfg = resolve_pipeline_config(file_values, **_pipeline_overrides(args))
-    fidelity, oracle_cfg = resolve_oracle(file_values, fidelity=args.fidelity)
+    seed, cfg, fidelity, oracle_cfg = _resolve_run(args)
 
     scene = None
     detections = None
     if args.gt:
-        scene = _load_scene(args.gt, image_size)
+        scene = _read_mot(args.gt, scene_from_gt, image_size)
         denoiser_kind = args.denoiser or "oracle"
     else:
-        rows = parse_motchallenge(args.det)
-        try:
-            detections = detections_from_rows(rows)
-        except MotFormatError as exc:
-            raise MotFormatError(f"{args.det}: {exc}") from exc
+        detections = _read_mot(args.det, detections_from_rows)
         denoiser_kind = args.denoiser or "snap"
     if denoiser_kind == "oracle":
         if scene is None:
@@ -267,10 +259,7 @@ def _cmd_track(args) -> int:
     else:
         denoiser = DetectionSnapDenoiser()
         if detections is None:
-            detections = {}
-            for f in range(1, scene.n_frames + 1):
-                boxes = scene.visible_boxes(f)
-                detections[f] = np.column_stack([boxes, np.ones(len(boxes))])
+            detections = detection_stream(scene)
 
     result = run_sequence(
         cfg, denoiser, scene=scene, detections=detections,
@@ -296,7 +285,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_eval(args) -> int:
     image_size = _parse_image_size(args.image_size)
-    scene = _load_scene(args.gt, image_size)
+    scene = _read_mot(args.gt, scene_from_gt, image_size)
     result = parse_results(args.result)
     report = evaluate(scene, result)
     print(report.to_text())
@@ -309,82 +298,34 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _experiment_setup(args):
-    seed = args.seed if args.seed is not None else _default_seed()
-    file_values = load_config_file(args.config)
-    cfg = resolve_pipeline_config(file_values, **_pipeline_overrides(args))
-    fidelity, oracle_cfg = resolve_oracle(file_values, fidelity=args.fidelity)
-    scene, _ = _load_scene_args(args)
-    return seed, cfg, fidelity, oracle_cfg, scene
+def _parse_list(raw: str, kind) -> list:
+    return [kind(v) for v in raw.split(",") if v.strip()]
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
-
-
-def _ints(raw: str) -> list[int]:
-    return [int(v) for v in raw.split(",") if v.strip()]
-
-
-def _cmd_ablate(args) -> int:
-    seed, cfg, fidelity, oracle_cfg, scene = _experiment_setup(args)
-    rows = ablate(
-        scene,
-        cfg,
-        fidelity,
-        proportions=_floats(args.proportions),
-        paddings=[PaddingStrategy(v) for v in args.paddings.split(",") if v],
-        perturbations=[
-            PerturbationSchedule(v) for v in args.perturbations.split(",") if v
-        ],
-        seed=seed,
-        oracle_cfg=oracle_cfg,
-    )
+def _cmd_experiment(args) -> int:
+    seed, cfg, fidelity, oracle_cfg = _resolve_run(args)
+    scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
+    if args.command == "ablate":
+        run, grid = ablate, {
+            "proportions": _parse_list(args.proportions, float),
+            "paddings": [PaddingStrategy(v) for v in args.paddings.split(",") if v],
+            "perturbations": [
+                PerturbationSchedule(v) for v in args.perturbations.split(",") if v
+            ],
+            "seed": seed,
+        }
+    elif args.command == "sweep":
+        run, grid = sweep, {"box_counts": _parse_list(args.boxes, int),
+                            "step_counts": _parse_list(args.step_counts, int),
+                            "seeds": range(seed, seed + args.n_seeds)}
+    else:
+        run, grid = robustness, {"alphas": _parse_list(args.alphas, float),
+                                 "seeds": range(seed, seed + args.n_seeds)}
+    rows = run(scene, cfg, fidelity, oracle_cfg=oracle_cfg, **grid)
     write_csv(rows, args.out)
-    _write_experiment_manifest("ablate", args, seed, cfg, fidelity, oracle_cfg)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    seed, cfg, fidelity, oracle_cfg, scene = _experiment_setup(args)
-    rows = sweep(
-        scene,
-        cfg,
-        fidelity,
-        box_counts=_ints(args.boxes),
-        step_counts=_ints(args.step_counts),
-        seeds=range(seed, seed + args.n_seeds),
-        oracle_cfg=oracle_cfg,
-    )
-    write_csv(rows, args.out)
-    _write_experiment_manifest("sweep", args, seed, cfg, fidelity, oracle_cfg)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_robustness(args) -> int:
-    seed, cfg, fidelity, oracle_cfg, scene = _experiment_setup(args)
-    rows = robustness(
-        scene,
-        cfg,
-        fidelity,
-        alphas=_floats(args.alphas),
-        seeds=range(seed, seed + args.n_seeds),
-        oracle_cfg=oracle_cfg,
-    )
-    write_csv(rows, args.out)
-    _write_experiment_manifest("robustness", args, seed, cfg, fidelity, oracle_cfg)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
-def _write_experiment_manifest(
-    command, args, seed, cfg, fidelity, oracle_cfg
-) -> None:
     write_manifest(
         RunManifest(
-            command=command,
+            command=args.command,
             seed=seed,
             config=config_snapshot(cfg),
             inputs={"gt": args.gt},
@@ -394,15 +335,17 @@ def _write_experiment_manifest(
         ),
         Path(args.out).with_suffix(".manifest.json"),
     )
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0
 
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "track": _cmd_track,
     "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "sweep": _cmd_sweep,
-    "robustness": _cmd_robustness,
+    "ablate": _cmd_experiment,
+    "sweep": _cmd_experiment,
+    "robustness": _cmd_experiment,
 }
 
 

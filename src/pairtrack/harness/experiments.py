@@ -18,7 +18,8 @@ from ..pipeline import DetectionStream, PipelineConfig, run_sequence
 from ..simulator import SceneGroundTruth, perturb_boxes
 from ..tracker import GreedyIoUTracker, TrackingResult
 
-__all__ = ["ablate", "sweep", "robustness", "greedy_track", "write_csv"]
+__all__ = ["ablate", "sweep", "robustness", "greedy_track", "detection_stream",
+           "write_csv"]
 
 
 def write_csv(rows: Sequence[dict], path: str | Path) -> None:
@@ -121,6 +122,21 @@ def sweep(
     return rows
 
 
+def detection_stream(
+    scene: SceneGroundTruth,
+    alpha: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> DetectionStream:
+    """Each frame's visible ground-truth boxes as detections of confidence
+    1, blended toward noise by ``perturb_boxes``. Alpha 0 draws nothing, so
+    it needs no ``rng`` and gives the boxes unchanged."""
+    stream = {}
+    for frame in range(1, scene.n_frames + 1):
+        boxes = perturb_boxes(scene.visible_boxes(frame), alpha, rng, scene.image_size)
+        stream[frame] = np.column_stack([boxes, np.ones(len(boxes))])
+    return stream
+
+
 def greedy_track(
     detections: DetectionStream,
     n_frames: int,
@@ -147,8 +163,6 @@ def robustness(
     greedy-IoU reference fed equally perturbed boxes."""
     rows = []
     seeds = list(seeds)
-    frames = range(1, scene.n_frames + 1)
-    visible = {f: scene.visible_boxes(f) for f in frames}
     for alpha in alphas:
         diff_motas, greedy_motas = [], []
         for seed in seeds:
@@ -158,11 +172,7 @@ def robustness(
             )
             diff_motas.append(report.mota)
 
-            rng = np.random.default_rng([seed, 2])
-            stream = {}
-            for f in frames:
-                boxes = perturb_boxes(visible[f], alpha, rng, scene.image_size)
-                stream[f] = np.column_stack([boxes, np.ones(len(boxes))])
+            stream = detection_stream(scene, alpha, np.random.default_rng([seed, 2]))
             greedy = greedy_track(stream, scene.n_frames)
             greedy_motas.append(evaluate(scene, greedy).mota)
         rows.append(

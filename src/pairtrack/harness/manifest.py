@@ -9,7 +9,7 @@ from pathlib import Path
 
 ARTIFACT_VERSION = "0.1.0"
 
-__all__ = ["RunManifest", "write_manifest", "load_manifest", "ARTIFACT_VERSION"]
+__all__ = ["RunManifest", "write_manifest", "ARTIFACT_VERSION"]
 
 
 @dataclass
@@ -32,8 +32,3 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_manifest(path: str | Path) -> RunManifest:
-    data = json.loads(Path(path).read_text())
-    return RunManifest(**data)
