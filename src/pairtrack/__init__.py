@@ -9,8 +9,6 @@ from .denoiser import (
     CandidateBatch,
     DetectionSnapDenoiser,
     FrameContext,
-    IdentityDenoiser,
-    OracleConfig,
     OracleDenoiser,
 )
 from .diffusion import (
@@ -46,9 +44,7 @@ __all__ = [
     "CandidateBatch",
     "FrameContext",
     "OracleDenoiser",
-    "OracleConfig",
     "DetectionSnapDenoiser",
-    "IdentityDenoiser",
     "Tracker",
     "TrackerConfig",
     "TrackingResult",

@@ -8,12 +8,11 @@ diffusion's signal space and its scale stay inside
 ``diffusion.ddim_refine``, which converts on the way in and out. The
 refinement loop turns the final batch into a ``CandidateBatch``, whose rows
 the gates select and the tracker reads, still as arrays.
-Three implementations ship here:
+Two implementations ship here:
 
 * ``OracleDenoiser`` snaps rows toward ground truth with configurable
   fidelity, standing in for a trained head in tests and simulations.
 * ``DetectionSnapDenoiser`` snaps rows onto external per-frame detections.
-* ``IdentityDenoiser`` echoes its input (test stub).
 
 All denoisers are deterministic functions of their inputs and safe to call
 concurrently once constructed. ``OracleDenoiser`` keeps one memo entry, the
@@ -38,9 +37,7 @@ __all__ = [
     "DenoisedBatch",
     "Denoiser",
     "OracleDenoiser",
-    "OracleConfig",
     "DetectionSnapDenoiser",
-    "IdentityDenoiser",
 ]
 
 
@@ -112,16 +109,6 @@ class Denoiser(Protocol):
         ...
 
 
-class IdentityDenoiser:
-    """Echoes its pixel-space input with unit scores; useful as a test stub."""
-
-    def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
-        boxes = np.asarray(boxes, dtype=np.float64)
-        n = boxes.shape[0]
-        ones = np.ones(n)
-        return DenoisedBatch(boxes.copy(), ones.copy(), ones.copy(), ones.copy())
-
-
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_BOXES = np.zeros((0, 4))
 
@@ -134,45 +121,38 @@ def _member(ids: np.ndarray, union: np.ndarray) -> np.ndarray:
     return found
 
 
-# Relative margin by which a row's overlap ceiling must lie below basin_floor
+# Score model of the ground-truth oracle (test instrumentation).
+# FAR_FLOOR: below this paired-box overlap a row counts as off-target unless
+# one of its centers lies inside a ground-truth box. FAR_SCORE is the
+# association score assigned to off-target rows and must sit below the
+# tracker's confidence gate. MISSING_PENALTY multiplies the score when the
+# snapped identity is absent in one of the two frames, whose class score is
+# MISSING_CLS. BASIN_FLOOR: rows whose best overlap is weaker than this snap
+# by center distance instead, so oversized noise boxes don't all pile onto
+# whichever object happens to be largest. TIE_MARGIN scales a small
+# confidence bonus for rows whose input already covered the target,
+# mirroring a trained head's preference for good proposals. SCORE_FLOOR sets
+# how much of the association score is presence (landing on a target at
+# all) versus geometric tightness; a head mostly scores presence, so the
+# floor sits high. SNAP_CAP bounds the emitted box's residual from its
+# target at SNAP_CAP * diagonal / fidelity, emulating how a regression head
+# lands near the object no matter how far the proposal started. The bound
+# loosens as fidelity falls and vanishes at fidelity 0, where the output
+# must equal the input.
+FAR_FLOOR = 0.05
+FAR_SCORE = 0.05
+MISSING_PENALTY = 0.2
+MISSING_CLS = 0.1
+BASIN_FLOOR = 0.2
+TIE_MARGIN = 0.05
+SCORE_FLOOR = 0.75
+SNAP_CAP = 0.035
+
+# Relative margin by which a row's overlap ceiling must lie below BASIN_FLOOR
 # for the row to count as weak without its row of the snap matrix. The
 # ceiling and the computed overlaps are each off by at most a few units in
 # the last place (about 1e-16), far inside it.
 _CEILING_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Score model of the ground-truth oracle (test instrumentation).
-
-    ``far_floor``: below this paired-box overlap a row counts as off-target
-    unless one of its centers lies inside a ground-truth box. ``far_score``
-    is the association score assigned to off-target rows and must sit below
-    the tracker's confidence gate. ``missing_penalty`` multiplies the score
-    when the snapped identity is absent in one of the two frames.
-    ``basin_floor``: rows whose best overlap is weaker than this snap by
-    center distance instead, so oversized noise boxes don't all pile onto
-    whichever object happens to be largest. ``tie_margin`` scales a small
-    confidence bonus for rows whose input already covered the target,
-    mirroring a trained head's preference for good proposals.
-    ``score_floor`` sets how much of the association score is presence
-    (landing on a target at all) versus geometric tightness; a head mostly
-    scores presence, so the floor sits high.
-    ``snap_cap`` bounds the emitted box's residual from its target at
-    snap_cap * diagonal / fidelity, emulating how a regression head lands
-    near the object no matter how far the proposal started. The bound
-    loosens as fidelity falls and vanishes at fidelity 0, where the output
-    must equal the input.
-    """
-
-    far_floor: float = 0.05
-    far_score: float = 0.05
-    missing_penalty: float = 0.2
-    missing_cls: float = 0.1
-    basin_floor: float = 0.2
-    tie_margin: float = 0.05
-    score_floor: float = 0.75
-    snap_cap: float = 0.035
 
 
 class OracleDenoiser:
@@ -180,10 +160,10 @@ class OracleDenoiser:
 
     Each input row picks the ground-truth pair maximizing paired-box IoU
     (ties to the lower identity). A row whose best overlap is below
-    ``basin_floor`` picks the pair with the nearest center instead, the
+    ``BASIN_FLOOR`` picks the pair with the nearest center instead, the
     closer of its two members deciding. Most noise rows are known to be
     that weak from areas alone: where ``geometry.overlap_ceiling`` puts a
-    row's best overlap below ``basin_floor`` by a relative margin of 1e-6,
+    row's best overlap below ``BASIN_FLOOR`` by a relative margin of 1e-6,
     the row snaps by distance without its row of the overlap matrix, and
     the outputs are the same bits as with it. The emitted pair is
     ``fidelity * gt + (1 - fidelity) * input``. Scores scale with fidelity
@@ -197,11 +177,10 @@ class OracleDenoiser:
     targets, and reuses them only for that same object.
     """
 
-    def __init__(self, fidelity: float, config: OracleConfig | None = None):
+    def __init__(self, fidelity: float):
         if not 0.0 <= fidelity <= 1.0:
             raise ValueError("fidelity must lie in [0, 1]")
         self.fidelity = fidelity
-        self.config = config or OracleConfig()
         self._memo: tuple[FrameContext, tuple | None] | None = None
 
     @staticmethod
@@ -229,13 +208,12 @@ class OracleDenoiser:
     def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
         boxes = np.asarray(boxes, dtype=np.float64)
         n = boxes.shape[0]
-        cfg = self.config
         memo = self._memo
         if memo is None or memo[0] is not ctx:
             memo = self._memo = (ctx, self._targets(ctx))
         targets = memo[1]
         if targets is None:
-            low = np.full(n, cfg.far_score)
+            low = np.full(n, FAR_SCORE)
             return DenoisedBatch(boxes.copy(), low.copy(), low.copy(), low.copy())
         gt_pix, in_prev, in_cur = targets
 
@@ -247,9 +225,9 @@ class OracleDenoiser:
         rows, gt_rows = boxes[:, cols], gt_pix[:, cols]
         # Weakly overlapping rows (oversized or far noise boxes) snap by
         # center distance; pure area-argmax would starve small objects. A
-        # row whose overlap ceiling is already below basin_floor is weak
+        # row whose overlap ceiling is already below BASIN_FLOOR is weak
         # without its row of the matrix; only the rest get one.
-        weak = overlap_ceiling(rows, gt_rows) < cfg.basin_floor * (
+        weak = overlap_ceiling(rows, gt_rows) < BASIN_FLOOR * (
             1.0 - _CEILING_MARGIN)
         snap = np.zeros(n, dtype=np.intp)
         rest = np.flatnonzero(~weak)
@@ -257,7 +235,7 @@ class OracleDenoiser:
             overlaps = iou_matrix(rows[rest], gt_rows)
             best = np.argmax(overlaps, axis=1)
             snap[rest] = best
-            weak[rest] = overlaps[np.arange(rest.size), best] < cfg.basin_floor
+            weak[rest] = overlaps[np.arange(rest.size), best] < BASIN_FLOOR
         if np.any(weak):
             # The closer of the members decides: a noise pair is pulled onto
             # whichever object either member sits nearest. Squared distances
@@ -293,26 +271,26 @@ class OracleDenoiser:
         fit_in = overlap(rows, target_pix[:, cols])
         assoc = (
             f
-            * (cfg.score_floor + (1.0 - cfg.score_floor) * fit_out)
-            * (1.0 - cfg.tie_margin * (1.0 - fit_in))
+            * (SCORE_FLOOR + (1.0 - SCORE_FLOOR) * fit_out)
+            * (1.0 - TIE_MARGIN * (1.0 - fit_in))
         )
         both = in_prev[snap] & in_cur[snap]
-        assoc = np.where(both, assoc, assoc * cfg.missing_penalty)
+        assoc = np.where(both, assoc, assoc * MISSING_PENALTY)
 
         # fit_out is bit for bit the (row, snap) entry of the output's full
-        # overlap matrix, so a row at or above far_floor on its own target
+        # overlap matrix, so a row at or above FAR_FLOOR on its own target
         # overlaps a target and cannot be off-target; only the rest are
         # tested against every target.
         off_target = np.zeros(n, dtype=bool)
-        miss = np.flatnonzero(fit_out < cfg.far_floor)
+        miss = np.flatnonzero(fit_out < FAR_FLOOR)
         if miss.size:
             off_target[miss] = self._off_target(out_pix[miss], gt_pix)
-        assoc = np.where(off_target, cfg.far_score, assoc)
+        assoc = np.where(off_target, FAR_SCORE, assoc)
 
-        cls_prev = np.where(in_prev[snap], f, cfg.missing_cls)
-        cls_cur = np.where(in_cur[snap], f, cfg.missing_cls)
-        cls_prev = np.where(off_target, cfg.far_score, cls_prev)
-        cls_cur = np.where(off_target, cfg.far_score, cls_cur)
+        cls_prev = np.where(in_prev[snap], f, MISSING_CLS)
+        cls_cur = np.where(in_cur[snap], f, MISSING_CLS)
+        cls_prev = np.where(off_target, FAR_SCORE, cls_prev)
+        cls_cur = np.where(off_target, FAR_SCORE, cls_cur)
         return DenoisedBatch(out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0))
 
     def _cap_residual(
@@ -323,12 +301,11 @@ class OracleDenoiser:
         ``members`` selects members of the (n, 2, 4) view of both arrays;
         every selected member is capped in the same element-wise pass.
         """
-        cfg = self.config
         n = out_pix.shape[0]
         out = out_pix.copy()
         o = out.reshape(n, 2, 4)[:, members]
         t = target_pix.reshape(n, 2, 4)[:, members]
-        radius = cfg.snap_cap * np.hypot(t[..., 2], t[..., 3]) / self.fidelity
+        radius = SNAP_CAP * np.hypot(t[..., 2], t[..., 3]) / self.fidelity
         delta_c = o[..., :2] - t[..., :2]
         # sqrt of the summed squares, as np.linalg.norm computes it.
         dx, dy = delta_c[..., 0], delta_c[..., 1]
@@ -357,7 +334,7 @@ class OracleDenoiser:
                 & (cy[:, None] >= gy1[None, :]) & (cy[:, None] <= gy2[None, :])
             )
             inside_any |= inside.any(axis=1)
-        return (best < self.config.far_floor) & ~inside_any
+        return (best < FAR_FLOOR) & ~inside_any
 
 
 class DetectionSnapDenoiser:

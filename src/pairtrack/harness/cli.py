@@ -168,8 +168,8 @@ def _resolve_image_size(args) -> tuple[int, int]:
 
 
 def _resolve_run(args):
-    """Seed, pipeline config, oracle fidelity and oracle config of a run:
-    flag over config-file key over default."""
+    """Seed, pipeline config and oracle fidelity of a run: flag over
+    config-file key over default."""
     seed = args.seed if args.seed is not None else _default_seed()
     file_values = load_config_file(args.config)
     overrides = {
@@ -178,8 +178,7 @@ def _resolve_run(args):
                   "variant")
     }
     cfg = resolve_pipeline_config(file_values, **overrides)
-    fidelity, oracle_cfg = resolve_oracle(file_values, fidelity=args.fidelity)
-    return seed, cfg, fidelity, oracle_cfg
+    return seed, cfg, resolve_oracle(file_values, fidelity=args.fidelity)
 
 
 def _cmd_simulate(args) -> int:
@@ -242,7 +241,7 @@ def _read_mot(path, convert, *args):
 
 def _cmd_track(args) -> int:
     image_size = _resolve_image_size(args)
-    seed, cfg, fidelity, oracle_cfg = _resolve_run(args)
+    seed, cfg, fidelity = _resolve_run(args)
 
     scene = None
     detections = None
@@ -255,7 +254,7 @@ def _cmd_track(args) -> int:
     if denoiser_kind == "oracle":
         if scene is None:
             raise UsageError("the oracle denoiser needs --gt")
-        denoiser = OracleDenoiser(fidelity, config=oracle_cfg)
+        denoiser = OracleDenoiser(fidelity)
     else:
         denoiser = DetectionSnapDenoiser()
         if detections is None:
@@ -274,7 +273,6 @@ def _cmd_track(args) -> int:
             inputs={"gt": args.gt or "", "det": args.det or ""},
             outputs={"result": args.out},
             extra={"denoiser": denoiser_kind, "fidelity": fidelity,
-                   "oracle": config_snapshot(oracle_cfg),
                    "image_size": list(image_size)},
         ),
         Path(args.out).with_suffix(".manifest.json"),
@@ -299,29 +297,33 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_list(raw: str, kind) -> list:
-    return [kind(v) for v in raw.split(",") if v.strip()]
+    return [kind(v.strip()) for v in raw.split(",") if v.strip()]
+
+
+def _seeds(first: int, n: int) -> range:
+    if n < 1:
+        raise UsageError(f"--n-seeds must be >= 1, got {n}")
+    return range(first, first + n)
 
 
 def _cmd_experiment(args) -> int:
-    seed, cfg, fidelity, oracle_cfg = _resolve_run(args)
+    seed, cfg, fidelity = _resolve_run(args)
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
     if args.command == "ablate":
         run, grid = ablate, {
             "proportions": _parse_list(args.proportions, float),
-            "paddings": [PaddingStrategy(v) for v in args.paddings.split(",") if v],
-            "perturbations": [
-                PerturbationSchedule(v) for v in args.perturbations.split(",") if v
-            ],
+            "paddings": _parse_list(args.paddings, PaddingStrategy),
+            "perturbations": _parse_list(args.perturbations, PerturbationSchedule),
             "seed": seed,
         }
     elif args.command == "sweep":
         run, grid = sweep, {"box_counts": _parse_list(args.boxes, int),
                             "step_counts": _parse_list(args.step_counts, int),
-                            "seeds": range(seed, seed + args.n_seeds)}
+                            "seeds": _seeds(seed, args.n_seeds)}
     else:
         run, grid = robustness, {"alphas": _parse_list(args.alphas, float),
-                                 "seeds": range(seed, seed + args.n_seeds)}
-    rows = run(scene, cfg, fidelity, oracle_cfg=oracle_cfg, **grid)
+                                 "seeds": _seeds(seed, args.n_seeds)}
+    rows = run(scene, cfg, fidelity, **grid)
     write_csv(rows, args.out)
     write_manifest(
         RunManifest(
@@ -330,8 +332,7 @@ def _cmd_experiment(args) -> int:
             config=config_snapshot(cfg),
             inputs={"gt": args.gt},
             outputs={"csv": args.out},
-            extra={"fidelity": fidelity, "oracle": config_snapshot(oracle_cfg),
-                   "argv": args.argv},
+            extra={"fidelity": fidelity, "argv": args.argv},
         ),
         Path(args.out).with_suffix(".manifest.json"),
     )

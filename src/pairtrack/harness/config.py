@@ -2,10 +2,10 @@
 
 Resolution order for every knob: CLI flag > config-file key > built-in
 default. Files are INI-style with one section per component config, whose
-fields (plus the oracle's ``fidelity``) are the only keys; any other section
-or key, a value its field's type cannot take, or a file ``configparser``
-cannot read is a ``ValueError`` naming the file rather than silently
-ignored::
+fields are the only keys, and an ``[oracle]`` section whose one key is
+``fidelity``; any other section or key, a value its field's type cannot
+take, or a file ``configparser`` cannot read is a ``ValueError`` naming the
+file rather than silently ignored::
 
     [pipeline]
     n_test = 500
@@ -21,7 +21,6 @@ ignored::
 
     [oracle]
     fidelity = 0.9
-    snap_cap = 0.035
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from ..denoiser import OracleConfig
 from ..pipeline import PipelineConfig
 from ..tracker import TrackerConfig
 
@@ -49,7 +47,7 @@ def _fields(cls) -> dict[str, Any]:
 _SCHEMA = {
     "pipeline": _fields(PipelineConfig),
     "tracker": _fields(TrackerConfig),
-    "oracle": {"fidelity": float, **_fields(OracleConfig)},
+    "oracle": {"fidelity": float},
 }
 
 
@@ -118,11 +116,9 @@ def resolve_pipeline_config(
 def resolve_oracle(
     file_values: dict[str, dict[str, str]] | None = None,
     **overrides,
-) -> tuple[float, OracleConfig]:
-    """Oracle fidelity plus score-model parameters from the same layers."""
-    kwargs = _layer("oracle", file_values, overrides)
-    fidelity = kwargs.pop("fidelity", 0.9)
-    return fidelity, OracleConfig(**kwargs)
+) -> float:
+    """Oracle fidelity from the same layers."""
+    return _layer("oracle", file_values, overrides).get("fidelity", 0.9)
 
 
 def config_snapshot(cfg) -> dict:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..denoiser import OracleConfig, OracleDenoiser
+from ..denoiser import OracleDenoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
 from ..pipeline import DetectionStream, PipelineConfig, run_sequence
@@ -38,10 +38,9 @@ def _run_once(
     cfg: PipelineConfig,
     fidelity: float,
     seed: int,
-    oracle_cfg: OracleConfig | None = None,
     prior_perturbation: float = 0.0,
 ):
-    denoiser = OracleDenoiser(fidelity, config=oracle_cfg)
+    denoiser = OracleDenoiser(fidelity)
     started = time.perf_counter()
     result = run_sequence(
         cfg, denoiser, scene=scene, seed=seed,
@@ -61,7 +60,6 @@ def ablate(
     paddings: Iterable[PaddingStrategy],
     perturbations: Iterable[PerturbationSchedule],
     seed: int = 0,
-    oracle_cfg: OracleConfig | None = None,
 ) -> list[dict]:
     """One row per configuration in the full cross product of the three
     ablation factors."""
@@ -75,7 +73,7 @@ def ablate(
                     padding=padding,
                     perturbation=perturbation,
                 )
-                report, _ = _run_once(scene, cfg, fidelity, seed, oracle_cfg)
+                report, _ = _run_once(scene, cfg, fidelity, seed)
                 rows.append(
                     {
                         "proportion": proportion,
@@ -98,7 +96,6 @@ def sweep(
     box_counts: Iterable[int],
     step_counts: Iterable[int],
     seeds: Iterable[int],
-    oracle_cfg: OracleConfig | None = None,
 ) -> list[dict]:
     """Box-count x step-count grid with wall-clock latency per frame pair."""
     rows = []
@@ -107,7 +104,7 @@ def sweep(
             cfg = replace(base_cfg, n_test=n_test, steps=steps)
             motas, latencies = [], []
             for seed in seeds:
-                report, latency = _run_once(scene, cfg, fidelity, seed, oracle_cfg)
+                report, latency = _run_once(scene, cfg, fidelity, seed)
                 motas.append(report.mota)
                 latencies.append(latency)
             rows.append(
@@ -157,7 +154,6 @@ def robustness(
     fidelity: float,
     alphas: Iterable[float],
     seeds: Iterable[int],
-    oracle_cfg: OracleConfig | None = None,
 ) -> list[dict]:
     """MOTA versus perturbation strength for the diffusion pipeline and the
     greedy-IoU reference fed equally perturbed boxes."""
@@ -167,8 +163,7 @@ def robustness(
         diff_motas, greedy_motas = [], []
         for seed in seeds:
             report, _ = _run_once(
-                scene, base_cfg, fidelity, seed, oracle_cfg,
-                prior_perturbation=alpha,
+                scene, base_cfg, fidelity, seed, prior_perturbation=alpha
             )
             diff_motas.append(report.mota)
 

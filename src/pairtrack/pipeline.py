@@ -48,6 +48,11 @@ __all__ = [
 DetectionStream = dict[int, np.ndarray]
 _NO_DETECTIONS = np.zeros((0, 5))
 
+# Motion assumed before two frames of tracked history exist (and whenever the
+# previous two frames share no tracked identity); ``perturbation_timestep``
+# maps it to the pair's noise level.
+INITIAL_MOTION = 0.25
+
 
 class Variant(Enum):
     DIFFUSION = "diffusion"
@@ -62,7 +67,6 @@ class PipelineConfig:
     padding: PaddingStrategy = PaddingStrategy.CAT_GAUSSIAN
     perturbation: PerturbationSchedule = PerturbationSchedule.LOGARITHMIC
     variant: Variant = Variant.DIFFUSION
-    default_motion: float = 0.25
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     def __post_init__(self):
@@ -132,13 +136,11 @@ def run_pair(
     return kept, int(np.count_nonzero(kept.origin == ProposalOrigin.PRIOR))
 
 
-def _tracked_motion(
-    result: TrackingResult, frame_prev: int, default: float
-) -> float:
-    """``mean_motion`` of ids tracked across the previous two frames; the
-    default covers missing history."""
+def _tracked_motion(result: TrackingResult, frame_prev: int) -> float:
+    """``mean_motion`` of ids tracked across the previous two frames;
+    ``INITIAL_MOTION`` covers missing history."""
     a, b = result.rows(frame_prev - 1), result.rows(frame_prev)
-    return mean_motion((a.ids, a.boxes), (b.ids, b.boxes), default)
+    return mean_motion((a.ids, a.boxes), (b.ids, b.boxes), INITIAL_MOTION)
 
 
 def run_sequence(
@@ -199,7 +201,7 @@ def run_sequence(
             det_prev=det_prev,
             det_cur=det_cur,
         )
-        motion_x = _tracked_motion(result, frame - 1, cfg.default_motion)
+        motion_x = _tracked_motion(result, frame - 1)
         cands, _ = run_pair(ctx, priors, cfg, denoiser, sched, rng, motion_x)
         prev_rows, cur_rows = tracker.step(frame, cands)
         result.add(frame - 1, prev_rows)

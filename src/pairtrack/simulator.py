@@ -164,12 +164,16 @@ def _linear_centers(spec: SceneSpec, rng, sizes) -> list[np.ndarray]:
 
 def _nonlinear_centers(spec: SceneSpec, rng, sizes) -> list[np.ndarray]:
     motion: NonLinearMotion = spec.motion
+    if not 0.0 <= motion.crossover_rate <= 1.0:
+        raise ValueError(
+            f"crossover_rate must lie in [0, 1], got {motion.crossover_rate!r}")
     iw, ih = spec.image_size
     duration = spec.duration
     t = np.arange(duration, dtype=np.float64)
 
     n = spec.n_objects
-    n_pairs = int(round(motion.crossover_rate * n / 2))
+    # round(1.5) is 2, so an odd count would ask for one pair too many.
+    n_pairs = min(int(round(motion.crossover_rate * n / 2)), n // 2)
     paired = list(range(2 * n_pairs))
     centers: list[np.ndarray | None] = [None] * n
 
@@ -217,6 +221,8 @@ def _nonlinear_centers(spec: SceneSpec, rng, sizes) -> list[np.ndarray]:
 
 def _crowded_centers(spec: SceneSpec, rng, sizes) -> list[np.ndarray]:
     motion: CrowdedMotion = spec.motion
+    if not motion.density > 0.0:
+        raise ValueError(f"density must be > 0, got {motion.density!r}")
     iw, ih = spec.image_size
     total_area = float(sum(w * h for w, h in sizes))
     region_area = total_area / motion.density
@@ -241,6 +247,8 @@ def generate(spec: SceneSpec) -> SceneGroundTruth:
     """Deterministically generate a scene from its spec."""
     if spec.duration < 2:
         raise ValueError("duration must be >= 2")
+    if spec.n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, got {spec.n_objects!r}")
     if not 0.0 <= spec.occlusion_rate <= 1.0:
         raise ValueError("occlusion_rate must lie in [0, 1]")
     rng = np.random.default_rng(spec.seed)

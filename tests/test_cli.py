@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import pytest
 
-from pairtrack.denoiser import OracleConfig
 from pairtrack.diffusion import PaddingStrategy, PerturbationSchedule
 from pairtrack.harness.cli import main
 from pairtrack.harness.config import (
@@ -72,6 +71,48 @@ def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header
     manifest = json.loads(out.with_suffix(".manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["extra"]["argv"] == argv
+
+
+@pytest.mark.parametrize("command", ["sweep", "robustness"])
+def test_n_seeds_below_one_is_usage_error(tmp_path, capsys, command):
+    # Zero seeds exited 0 with a CSV row of nan means.
+    scene_dir = _simulate(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 "--n-seeds", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--n-seeds" in err
+    assert not out.exists()
+
+
+def test_spaced_grid_lists_write_the_same_csv(tmp_path):
+    # The enum grids exited 2 on "repeat, gaussian" while the number grids
+    # took their spaces.
+    scene_dir = _simulate(tmp_path)
+    csvs = []
+    for sep in (",", ", "):
+        out = tmp_path / f"ablate{len(csvs)}.csv"
+        assert main(["ablate", "--gt", str(scene_dir / "gt.txt"), "--out",
+                     str(out), "--n-test", "16", "--seed", "0",
+                     "--proportions", sep.join(["0", "0.5"]),
+                     "--paddings", sep.join(["repeat", "gaussian"]),
+                     "--perturbations", sep.join(["constant", "linear"])]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 1 + 8
+
+
+@pytest.mark.parametrize("flags, code, err", [
+    (["--motion", "nonlinear", "--crossover-rate", "1", "--objects", "3"], 0, ""),
+    (["--motion", "crowded", "--density", "0"], 2, "density"),
+    (["--motion", "nonlinear", "--crossover-rate", "1.5"], 2, "crossover_rate"),
+    (["--objects", "-1"], 2, "n_objects"),
+], ids=["odd_crossover", "density_0", "crossover_above_1", "negative_objects"])
+def test_simulate_checks_its_motion_fields(tmp_path, capsys, flags, code, err):
+    # Each of these crashed with a traceback or a message naming no field.
+    assert main(["simulate", "--out", str(tmp_path), *flags, "--seed", "1"]) == code
+    assert err in capsys.readouterr().err
+    assert (tmp_path / "gt.txt").exists() == (code == 0)
 
 
 def test_det_on_gt_file_skips_occluded_rows(tmp_path):
@@ -207,16 +248,22 @@ def _track_with_config(tmp_path, text):
     return code, config, result
 
 
-@pytest.mark.parametrize("key, value", [("signal_scale", "1.0"),
-                                        ("timesteps", "500")],
-                         ids=["signal_scale", "timesteps"])
-def test_retired_pipeline_key_is_data_error(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("section, key, value", [
+    ("pipeline", "signal_scale", "1.0"),
+    ("pipeline", "timesteps", "500"),
+    ("pipeline", "default_motion", "0.1"),
+    ("oracle", "snap_cap", "0.2"),
+    ("oracle", "far_floor", "0.1"),
+], ids=["signal_scale", "timesteps", "default_motion", "snap_cap", "far_floor"])
+def test_retired_pipeline_key_is_data_error(tmp_path, capsys, section, key, value):
     # The signal scale belongs to the diffusion loop; a file that still
     # sets it must not run with a scale the denoisers never see. The
     # perturbation schedule maps motion to round(1000 * f(x)), so a shorter
-    # noise schedule would corrupt far harder than the motion asks for.
+    # noise schedule would corrupt far harder than the motion asks for. The
+    # initial motion and the oracle's score model are fixed values now, and
+    # a file that sets one must not run as if it had taken effect.
     code, config, result = _track_with_config(
-        tmp_path, f"[pipeline]\n{key} = {value}\n"
+        tmp_path, f"[{section}]\n{key} = {value}\n"
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -284,11 +331,13 @@ def test_config_range_bounds_are_inclusive():
 
 
 def test_manifest_records_oracle_config(tmp_path):
-    code, _, result = _track_with_config(tmp_path, "[oracle]\nsnap_cap = 0.2\n")
-    assert code == 0
-    manifest = json.loads(result.with_suffix(".manifest.json").read_text())
-    assert manifest["extra"]["oracle"]["snap_cap"] == 0.2
-    assert manifest["extra"]["fidelity"] == 0.9
+    # Fidelity is the oracle's one setting: the default, or the file's.
+    for text, fidelity in (("", 0.9), ("[oracle]\nfidelity = 0.5\n", 0.5)):
+        code, _, result = _track_with_config(tmp_path, text)
+        assert code == 0
+        manifest = json.loads(result.with_suffix(".manifest.json").read_text())
+        assert manifest["extra"]["fidelity"] == fidelity
+        assert "oracle" not in manifest["extra"]
 
 
 def test_out_of_range_detection_confidence_is_data_error(tmp_path, capsys):
@@ -410,16 +459,16 @@ def test_config_round_trip():
     cfg = PipelineConfig(
         n_test=64, steps=2, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
         perturbation=PerturbationSchedule.LINEAR,
-        variant=Variant.BASELINE, default_motion=0.1,
+        variant=Variant.BASELINE,
         tracker=TrackerConfig(conf_threshold=0.3, max_lost_age=7),
     )
     snap = config_snapshot(cfg)
     values = {
         "pipeline": {k: str(v) for k, v in snap.items() if k != "tracker"},
         "tracker": {k: str(v) for k, v in snap["tracker"].items()},
-        "oracle": {"fidelity": "0.5", "snap_cap": "0.2"},
+        "oracle": {"fidelity": "0.5"},
     }
     assert resolve_pipeline_config(values) == cfg
-    assert resolve_oracle(values) == (0.5, OracleConfig(snap_cap=0.2))
+    assert resolve_oracle(values) == 0.5
     overridden = resolve_pipeline_config(values, n_test=16, padding="full")
     assert overridden == replace(cfg, n_test=16, padding=PaddingStrategy.CAT_FULL)

@@ -1,4 +1,4 @@
-"""Identity, oracle and detection-snap denoiser tests."""
+"""Oracle and detection-snap denoiser tests, and the identity stub's."""
 
 from __future__ import annotations
 
@@ -11,12 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairtrack import denoiser
 from pairtrack.denoiser import (
     _CEILING_MARGIN,
+    BASIN_FLOOR,
+    FAR_SCORE,
+    MISSING_CLS,
+    MISSING_PENALTY,
+    SCORE_FLOOR,
+    TIE_MARGIN,
     DetectionSnapDenoiser,
     FrameContext,
-    IdentityDenoiser,
-    OracleConfig,
     OracleDenoiser,
 )
 from pairtrack.diffusion import (
@@ -26,6 +31,7 @@ from pairtrack.diffusion import (
     ddim_refine,
 )
 from pairtrack.geometry import iou_matrix, overlap
+from stubs import IdentityDenoiser
 
 IMAGE = (1000, 800)
 
@@ -187,7 +193,7 @@ gt_rows = st.lists(st.tuples(gt_box, gt_box).map(lambda t: t[0] + t[1]),
 
 
 class TestOraclePrunedOffTarget:
-    """Only rows below far_floor on their own target are tested against every
+    """Only rows below FAR_FLOOR on their own target are tested against every
     target; the decision must equal the full-matrix rule on every row."""
 
     @given(
@@ -216,7 +222,7 @@ class TestOraclePrunedOffTarget:
         for cx, cy, w, h in far:
             rows.append([cx, cy, w, h, cx, cy, w, h])
         # Tiny (or zero-size) boxes whose centres sit inside a target: the
-        # overlap is below far_floor, yet the row is on target.
+        # overlap is below FAR_FLOOR, yet the row is on target.
         for j, u, v, side in inside:
             t = gt_pix[j % k]
             cx0, cy0 = t[0] + (u - 0.5) * t[2], t[1] + (v - 0.5) * t[3]
@@ -225,13 +231,12 @@ class TestOraclePrunedOffTarget:
         boxes = np.array(rows, dtype=np.float64).reshape(-1, 8)
         dn = OracleDenoiser(fidelity)
         out = dn.denoise_batch(boxes, 10, _ctx_from_rows(gt, conditional))
-        # f and missing_cls differ from far_score, so far_score in cls_prev
+        # f and MISSING_CLS differ from FAR_SCORE, so FAR_SCORE in cls_prev
         # marks exactly the off-target rows.
-        far_score = OracleConfig().far_score
-        flagged = out.cls_prev == far_score
+        flagged = out.cls_prev == FAR_SCORE
         expected = dn._off_target(out.pairs, gt_pix)
         assert np.array_equal(flagged, expected)
-        assert np.array_equal(out.cls_cur == far_score, expected)
+        assert np.array_equal(out.cls_cur == FAR_SCORE, expected)
 
     @given(gt=gt_rows, rows=st.lists(st.tuples(gt_box, gt_box).map(
         lambda t: t[0] + t[1]), max_size=20), data=st.data())
@@ -251,9 +256,8 @@ class TestOraclePrunedOffTarget:
 
 def _full_matrix_denoise(dn, boxes, ctx):
     """Reference: the oracle with every row's snap-matrix row. Each row takes
-    the argmax of its matrix row; a row whose max is below basin_floor
+    the argmax of its matrix row; a row whose max is below BASIN_FLOOR
     snaps to the target whose center, by two norms, lies nearest."""
-    cfg = dn.config
     gt_pix, in_prev, in_cur = dn._targets(ctx)
     n = boxes.shape[0]
     if ctx.conditional:
@@ -261,7 +265,7 @@ def _full_matrix_denoise(dn, boxes, ctx):
     else:
         overlaps = iou_matrix(boxes, gt_pix)
     snap = np.argmax(overlaps, axis=1)
-    weak = overlaps.max(axis=1) < cfg.basin_floor
+    weak = overlaps.max(axis=1) < BASIN_FLOOR
     if np.any(weak):
         centers = boxes[weak][:, [0, 1, 4, 5]]
         gt_centers = gt_pix[:, [0, 1, 4, 5]]
@@ -284,16 +288,16 @@ def _full_matrix_denoise(dn, boxes, ctx):
     fit_in = overlaps[np.arange(n), snap]
     assoc = (
         f
-        * (cfg.score_floor + (1.0 - cfg.score_floor) * fit_out)
-        * (1.0 - cfg.tie_margin * (1.0 - fit_in))
+        * (SCORE_FLOOR + (1.0 - SCORE_FLOOR) * fit_out)
+        * (1.0 - TIE_MARGIN * (1.0 - fit_in))
     )
-    assoc = np.where(in_prev[snap] & in_cur[snap], assoc, assoc * cfg.missing_penalty)
+    assoc = np.where(in_prev[snap] & in_cur[snap], assoc, assoc * MISSING_PENALTY)
     off_target = dn._off_target(out_pix, gt_pix)
-    assoc = np.where(off_target, cfg.far_score, assoc)
-    cls_prev = np.where(in_prev[snap], f, cfg.missing_cls)
-    cls_cur = np.where(in_cur[snap], f, cfg.missing_cls)
-    cls_prev = np.where(off_target, cfg.far_score, cls_prev)
-    cls_cur = np.where(off_target, cfg.far_score, cls_cur)
+    assoc = np.where(off_target, FAR_SCORE, assoc)
+    cls_prev = np.where(in_prev[snap], f, MISSING_CLS)
+    cls_cur = np.where(in_cur[snap], f, MISSING_CLS)
+    cls_prev = np.where(off_target, FAR_SCORE, cls_prev)
+    cls_cur = np.where(off_target, FAR_SCORE, cls_cur)
     return out_pix, cls_prev, cls_cur, np.clip(assoc, 0.0, 1.0)
 
 
@@ -325,7 +329,7 @@ def _with_nested(gt, inner):
     return gt
 
 
-def _row(kind, gt_pix, j, u, v, k, basin_floor):
+def _row(kind, gt_pix, j, u, v, k):
     """One input row of the given kind near target row ``j``."""
     t = gt_pix[j % len(gt_pix)]
     if kind == "padding":
@@ -346,8 +350,8 @@ def _row(kind, gt_pix, j, u, v, k, basin_floor):
                          t[4] + 50.0 * v, t[5] + 50.0 * u, 10.0 * abs(u), 0.0])
     # The target grown about its centers until its own overlap, its overlap
     # ceiling when it is the largest target, sits within a few units in the
-    # last place of basin_floor or of the certification threshold.
-    level = basin_floor * (1.0 - _CEILING_MARGIN) if u < 0 else basin_floor
+    # last place of BASIN_FLOOR or of the certification threshold.
+    level = BASIN_FLOOR * (1.0 - _CEILING_MARGIN) if u < 0 else BASIN_FLOOR
     row = t.copy()
     row[[2, 3, 6, 7]] *= np.sqrt(1.0 / level)
     for _ in range(abs(k)):
@@ -369,8 +373,7 @@ class TestCertifiedWeakRows:
         gt_pix = _with_nested(gt, inner)
         dn = OracleDenoiser(fidelity)
         boxes = np.array([
-            _row(kind, gt_pix, j, u, v, k, dn.config.basin_floor)
-            for kind, j, u, v, k in kinds
+            _row(kind, gt_pix, j, u, v, k) for kind, j, u, v, k in kinds
         ])
         ctx = _ctx_from_rows(gt_pix, conditional)
         out = dn.denoise_batch(boxes, 10, ctx)
@@ -417,9 +420,14 @@ class TestCapResidual:
         target = np.array([p[1] for p in pairs], dtype=np.float64).reshape(-1, 8)
         if exact:
             out[::2] = target[::2]  # zero residual: norm 0, shrink 1
-        dn = OracleDenoiser(fidelity, OracleConfig(snap_cap=snap_cap))
+        dn = OracleDenoiser(fidelity)
         members, offsets = (slice(1, 2), (4,)) if conditional else (slice(0, 2), (0, 4))
-        got = dn._cap_residual(out, target, members)
+        saved = denoiser.SNAP_CAP
+        denoiser.SNAP_CAP = snap_cap
+        try:
+            got = dn._cap_residual(out, target, members)
+        finally:
+            denoiser.SNAP_CAP = saved
         want = _cap_residual_per_member(out, target, offsets, snap_cap, fidelity)
         assert np.array_equal(got, want)
 

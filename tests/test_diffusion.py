@@ -10,7 +10,6 @@ import pytest
 from pairtrack.denoiser import (
     DenoisedBatch,
     FrameContext,
-    IdentityDenoiser,
     OracleDenoiser,
 )
 from pairtrack.diffusion import (
@@ -27,6 +26,7 @@ from pairtrack.diffusion import (
     signal_to_pixel,
     single_step_noise,
 )
+from stubs import IdentityDenoiser
 
 IMAGE = (1000, 1000)
 

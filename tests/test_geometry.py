@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairtrack.denoiser import _CEILING_MARGIN, OracleConfig
+from pairtrack.denoiser import _CEILING_MARGIN, BASIN_FLOOR
 from pairtrack.geometry import (
     BBox,
     giou,
@@ -590,7 +590,7 @@ far_box = st.tuples(
 
 class TestOverlapCeiling:
     """overlap_ceiling bounds each row's best overlap over the targets, so a
-    row the oracle certifies weak from it is below basin_floor."""
+    row the oracle certifies weak from it is below BASIN_FLOOR."""
 
     @given(width=st.sampled_from([4, 8]), m=st.integers(1, 6), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -618,9 +618,8 @@ class TestOverlapCeiling:
         best = iou_matrix(rows, targets).max(axis=1)
         bounded = np.isfinite(ceiling)
         assert np.all(best[bounded] <= ceiling[bounded] * (1.0 + 1e-12))
-        basin_floor = OracleConfig().basin_floor
-        certified = ceiling < basin_floor * (1.0 - _CEILING_MARGIN)
-        assert np.all(best[certified] < basin_floor)
+        certified = ceiling < BASIN_FLOOR * (1.0 - _CEILING_MARGIN)
+        assert np.all(best[certified] < BASIN_FLOOR)
 
     def test_unbounded_rows(self):
         targets = np.array([[10.0, 10.0, 4.0, 4.0]])

@@ -108,6 +108,27 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(SceneSpec(n_objects=1, duration=1))
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_full_crossover_of_an_odd_count(self, n):
+        # round(1.5) = 2 pairs asked for four objects of three; the odd one
+        # out now moves on its own.
+        spec = SceneSpec(n_objects=n, duration=10,
+                         motion=NonLinearMotion(crossover_rate=1.0), seed=2)
+        scene = generate(spec)
+        assert scene.frames[1].ids.tolist() == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n_objects, motion, field", [
+        (4, NonLinearMotion(crossover_rate=-0.1), "crossover_rate"),
+        (4, NonLinearMotion(crossover_rate=1.5), "crossover_rate"),
+        (4, CrowdedMotion(density=0.0), "density"),
+        (4, CrowdedMotion(density=-1.0), "density"),
+        (-1, LinearMotion(), "n_objects"),
+    ], ids=["crossover_below_0", "crossover_above_1", "density_0",
+            "density_negative", "negative_objects"])
+    def test_out_of_range_field_rejected(self, n_objects, motion, field):
+        with pytest.raises(ValueError, match=field):
+            generate(SceneSpec(n_objects=n_objects, duration=5, motion=motion))
+
 
 class TestPerturbBoxes:
     IMG = (1000, 1000)
