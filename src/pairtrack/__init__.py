@@ -11,12 +11,7 @@ from .denoiser import (
     FrameContext,
     OracleDenoiser,
 )
-from .diffusion import (
-    NoiseSchedule,
-    PaddingStrategy,
-    PerturbationSchedule,
-    cosine_schedule,
-)
+from .diffusion import PaddingStrategy, PerturbationSchedule
 from .geometry import BBox, giou, nms2d, nms3d
 from .metrics import MetricsReport, evaluate
 from .pipeline import PipelineConfig, Variant, run_pair, run_sequence
@@ -37,8 +32,6 @@ __all__ = [
     "giou",
     "nms2d",
     "nms3d",
-    "NoiseSchedule",
-    "cosine_schedule",
     "PaddingStrategy",
     "PerturbationSchedule",
     "CandidateBatch",

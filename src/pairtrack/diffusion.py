@@ -2,9 +2,10 @@
 
 Inference only refines: proposals are built from priors plus padding,
 corrupted toward noise by a motion-dependent amount, and denoised by a
-one-step or multi-step DDIM ladder over the cosine schedule.
-``single_step_noise`` is the forward Markov step that the schedule's
-``beta`` table defines; chaining it reproduces ``alpha_bar``.
+one-step or multi-step DDIM ladder over the cosine schedule. The schedule
+is this module's: one table of ``TIMESTEPS`` steps, which no caller builds
+or passes. ``single_step_noise`` is the forward Markov step that ``BETA``
+defines; chaining it reproduces ``ALPHA_BAR``.
 
 Box coordinates travel through three spaces: pixels, unit (normalized by
 image size into [0, 1]) and signal ([-SIGNAL_SCALE, SIGNAL_SCALE]).
@@ -30,8 +31,10 @@ from .denoiser import (
 )
 
 __all__ = [
-    "NoiseSchedule",
-    "cosine_schedule",
+    "TIMESTEPS",
+    "ALPHA_BAR",
+    "BETA",
+    "corruption_alpha",
     "single_step_noise",
     "PaddingStrategy",
     "PerturbationSchedule",
@@ -72,42 +75,43 @@ def signal_to_pixel(signal: np.ndarray, image_size: tuple[int, int]) -> np.ndarr
     return (signal / SIGNAL_SCALE + 1.0) / 2.0 * norm
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Cumulative signal-retention table for a T-step forward process.
-
-    ``alpha_bar`` has T + 1 entries with ``alpha_bar[0] == 1``;
-    ``beta`` is index-aligned with ``beta[0] == 0`` as padding so that
-    ``beta[t]`` is the per-step variance of step t in 1..T.
-    """
-
-    timesteps: int
-    alpha_bar: np.ndarray
-    beta: np.ndarray
+TIMESTEPS = 1000
 
 
-def cosine_schedule(timesteps: int = 1000, offset: float = 0.008) -> NoiseSchedule:
+def _cosine_tables() -> tuple[np.ndarray, np.ndarray]:
     """Squared-cosine schedule; betas clipped to keep every step in (0, 1)."""
-    if timesteps < 1:
-        raise ValueError("timesteps must be >= 1")
-    t = np.arange(timesteps + 1, dtype=np.float64)
-    f = np.cos((t / timesteps + offset) / (1 + offset) * math.pi / 2) ** 2
+    offset = 0.008
+    t = np.arange(TIMESTEPS + 1, dtype=np.float64)
+    f = np.cos((t / TIMESTEPS + offset) / (1 + offset) * math.pi / 2) ** 2
     alpha_bar = f / f[0]
-    beta = np.zeros(timesteps + 1)
+    beta = np.zeros(TIMESTEPS + 1)
     beta[1:] = np.clip(1.0 - alpha_bar[1:] / alpha_bar[:-1], 1e-8, 0.9995)
     # Rebuild the cumulative table from the clipped betas so the two stay
     # consistent and alpha_bar remains strictly positive and decreasing.
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta[1:])])
-    return NoiseSchedule(timesteps=timesteps, alpha_bar=alpha_bar, beta=beta)
+    for table in (alpha_bar, beta):
+        table.flags.writeable = False
+    return alpha_bar, beta
 
 
-def single_step_noise(
-    z: np.ndarray, t: int, sched: NoiseSchedule, noise: np.ndarray
-) -> np.ndarray:
+# The one forward process, which corruption follows and DDIM reverses:
+# cumulative signal retention ``ALPHA_BAR`` has TIMESTEPS + 1 entries with
+# ``ALPHA_BAR[0] == 1``; ``BETA`` is index-aligned with ``BETA[0] == 0`` as
+# padding, so ``BETA[t]`` is the per-step variance of step t in 1..TIMESTEPS.
+ALPHA_BAR, BETA = _cosine_tables()
+
+
+def corruption_alpha(t: int) -> float:
+    """The weight ``1 - sqrt(ALPHA_BAR[t])`` with which proposals at
+    timestep t are blended toward noise."""
+    return 1.0 - math.sqrt(ALPHA_BAR[t])
+
+
+def single_step_noise(z: np.ndarray, t: int, noise: np.ndarray) -> np.ndarray:
     """One Markov step from timestep t-1 to t."""
-    if not 1 <= t <= sched.timesteps:
-        raise ValueError(f"timestep {t} outside [1, {sched.timesteps}]")
-    b = sched.beta[t]
+    if not 1 <= t <= TIMESTEPS:
+        raise ValueError(f"timestep {t} outside [1, {TIMESTEPS}]")
+    b = BETA[t]
     return math.sqrt(1.0 - b) * np.asarray(z) + math.sqrt(b) * np.asarray(noise)
 
 
@@ -166,13 +170,11 @@ class PerturbationSchedule(Enum):
         return math.log(x + 1.0) / math.log(2.0)
 
 
-def perturbation_timestep(
-    x: float, schedule: PerturbationSchedule, t_max: int = 1000
-) -> int:
-    """t = round(1000 * f(x)), clamped into [0, t_max]."""
+def perturbation_timestep(x: float, schedule: PerturbationSchedule) -> int:
+    """t = round(TIMESTEPS * f(x)), clamped into [0, TIMESTEPS]."""
     x = min(max(x, 0.0), 1.0)
-    t = round_half_up(1000.0 * schedule.fraction(x))
-    return min(max(t, 0), t_max)
+    t = round_half_up(TIMESTEPS * schedule.fraction(x))
+    return min(max(t, 0), TIMESTEPS)
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ class ProposalSet:
     """
 
     pairs: np.ndarray        # (n_test, 8), signal space
-    timestep: int
     origin: np.ndarray       # (n_test,), ProposalOrigin values
 
     @property
@@ -199,7 +200,6 @@ def build_inference_proposals(
     strategy: PaddingStrategy,
     rng: np.random.Generator,
     image_size: tuple[int, int],
-    timestep: int = 0,
 ) -> ProposalSet:
     """Initialize a proposal batch from the previous frame's tracked boxes,
     a (k, 4) center-form pixel array (k may be 0).
@@ -229,7 +229,7 @@ def build_inference_proposals(
     origin = np.full(n_test, ProposalOrigin.PADDED, dtype=np.int8)
     origin[:n_prior] = ProposalOrigin.PRIOR
     signal = (rows * 2.0 - 1.0) * SIGNAL_SCALE
-    return ProposalSet(pairs=signal, timestep=timestep, origin=origin)
+    return ProposalSet(pairs=signal, origin=origin)
 
 
 def corrupt_proposals(
@@ -269,14 +269,15 @@ def _check_denoised(batch: DenoisedBatch, n: int) -> None:
 
 def ddim_refine(
     proposals: ProposalSet,
+    timestep: int,
     steps: int,
     denoiser: Denoiser,
     ctx: FrameContext,
-    sched: NoiseSchedule,
 ) -> CandidateBatch:
-    """Iteratively denoise a proposal batch into a pixel-space candidate batch.
+    """Iteratively denoise a proposal batch, corrupted to ``timestep``, into
+    a pixel-space candidate batch.
 
-    The timestep ladder descends from the proposal timestep to 0 in
+    The timestep ladder descends from ``timestep`` to 0 in
     ``steps`` evenly spaced stages. Every stage hands the denoiser the sample
     in pixels and maps its clean-sample prediction back into the (clamped)
     signal range; intermediate stages re-noise it to the next rung with the
@@ -289,7 +290,7 @@ def ddim_refine(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     n = proposals.pairs.shape[0]
-    ladder = np.rint(np.linspace(proposals.timestep, 0, steps + 1)).astype(int)
+    ladder = np.rint(np.linspace(timestep, 0, steps + 1)).astype(int)
     z = proposals.pairs.copy()
 
     for stage in range(steps):
@@ -302,8 +303,8 @@ def ddim_refine(
         if stage == steps - 1:
             break
         s_next = int(ladder[stage + 1])
-        a_cur = sched.alpha_bar[s_cur]
-        a_next = sched.alpha_bar[s_next]
+        a_cur = ALPHA_BAR[s_cur]
+        a_next = ALPHA_BAR[s_next]
         if 1.0 - a_cur < 1e-12:
             eps = np.zeros_like(z)
         else:

@@ -182,6 +182,8 @@ def _resolve_run(args):
 
 
 def _cmd_simulate(args) -> int:
+    if args.objects < 1:
+        raise UsageError(f"--objects must be >= 1, got {args.objects}")
     seed = args.seed if args.seed is not None else _default_seed()
     image_size = _parse_image_size(args.image_size)
     if args.motion == "linear":
@@ -296,8 +298,14 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_list(raw: str, kind) -> list:
-    return [kind(v.strip()) for v in raw.split(",") if v.strip()]
+def _parse_list(args, flag: str, kind) -> list:
+    """The comma-separated values of a grid flag; an empty grid is a usage
+    error."""
+    raw = getattr(args, flag.lstrip("-").replace("-", "_"))
+    values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
+    if not values:
+        raise UsageError(f"{flag} needs at least one value, got {raw!r}")
+    return values
 
 
 def _seeds(first: int, n: int) -> range:
@@ -311,17 +319,17 @@ def _cmd_experiment(args) -> int:
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
     if args.command == "ablate":
         run, grid = ablate, {
-            "proportions": _parse_list(args.proportions, float),
-            "paddings": _parse_list(args.paddings, PaddingStrategy),
-            "perturbations": _parse_list(args.perturbations, PerturbationSchedule),
+            "proportions": _parse_list(args, "--proportions", float),
+            "paddings": _parse_list(args, "--paddings", PaddingStrategy),
+            "perturbations": _parse_list(args, "--perturbations", PerturbationSchedule),
             "seed": seed,
         }
     elif args.command == "sweep":
-        run, grid = sweep, {"box_counts": _parse_list(args.boxes, int),
-                            "step_counts": _parse_list(args.step_counts, int),
+        run, grid = sweep, {"box_counts": _parse_list(args, "--boxes", int),
+                            "step_counts": _parse_list(args, "--step-counts", int),
                             "seeds": _seeds(seed, args.n_seeds)}
     else:
-        run, grid = robustness, {"alphas": _parse_list(args.alphas, float),
+        run, grid = robustness, {"alphas": _parse_list(args, "--alphas", float),
                                  "seeds": _seeds(seed, args.n_seeds)}
     rows = run(scene, cfg, fidelity, **grid)
     write_csv(rows, args.out)

@@ -14,7 +14,6 @@ proposal's origin, which decides how the tracker uses it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -22,12 +21,12 @@ import numpy as np
 
 from .denoiser import CandidateBatch, Denoiser, FrameContext, ProposalOrigin
 from .diffusion import (
-    NoiseSchedule,
+    ALPHA_BAR,
     PaddingStrategy,
     PerturbationSchedule,
     build_inference_proposals,
     corrupt_proposals,
-    cosine_schedule,
+    corruption_alpha,
     ddim_refine,
     perturbation_timestep,
 )
@@ -76,10 +75,11 @@ class PipelineConfig:
         if not 0.0 <= self.proportion <= 1.0:
             raise ValueError(f"proportion must be in [0, 1], got {self.proportion!r}")
 
-    def schedule(self) -> NoiseSchedule:
-        """The 1000-step cosine schedule that ``perturbation_timestep``'s
-        ``round(1000 * f(x))`` is written for."""
-        return cosine_schedule()
+    def schedule(self) -> np.ndarray:
+        """``diffusion.ALPHA_BAR``, the one schedule's table. Nothing in the
+        package calls this: ``perfbench`` calls it at set-up, and it goes
+        once the benchmark stops calling it."""
+        return ALPHA_BAR
 
 
 def _gate_and_suppress(
@@ -105,7 +105,6 @@ def run_pair(
     priors: np.ndarray,
     cfg: PipelineConfig,
     denoiser: Denoiser,
-    sched: NoiseSchedule,
     rng: np.random.Generator,
     motion_x: float,
 ) -> tuple[CandidateBatch, int]:
@@ -115,13 +114,13 @@ def run_pair(
     Returns the surviving rows (in proposal order, origins intact) and how
     many of them are prior-derived.
     """
-    t = perturbation_timestep(motion_x, cfg.perturbation, sched.timesteps)
-    alpha = 1.0 - math.sqrt(sched.alpha_bar[t])
+    t = perturbation_timestep(motion_x, cfg.perturbation)
+    alpha = corruption_alpha(t)
 
     baseline = cfg.variant is Variant.BASELINE
     props = build_inference_proposals(
         priors, cfg.n_test, 1.0 if baseline else cfg.proportion, cfg.padding,
-        rng, ctx.image_size, timestep=t,
+        rng, ctx.image_size,
     )
     if baseline and props.n_prior_slots:
         # The previous-frame member stays the condition.
@@ -131,7 +130,7 @@ def run_pair(
         props = corrupt_proposals(props, alpha, rng)
     steps = 1 if baseline else cfg.steps
 
-    batch = ddim_refine(props, steps, denoiser, ctx, sched)
+    batch = ddim_refine(props, t, steps, denoiser, ctx)
     kept = _gate_and_suppress(batch, cfg)
     return kept, int(np.count_nonzero(kept.origin == ProposalOrigin.PRIOR))
 
@@ -180,7 +179,6 @@ def run_sequence(
 
     rng = np.random.default_rng([seed, 0])
     perturb_rng = np.random.default_rng([seed, 1])
-    sched = cfg.schedule()
     tracker = Tracker(cfg.tracker)
     result = TrackingResult()
 
@@ -202,7 +200,7 @@ def run_sequence(
             det_cur=det_cur,
         )
         motion_x = _tracked_motion(result, frame - 1)
-        cands, _ = run_pair(ctx, priors, cfg, denoiser, sched, rng, motion_x)
+        cands, _ = run_pair(ctx, priors, cfg, denoiser, rng, motion_x)
         prev_rows, cur_rows = tracker.step(frame, cands)
         result.add(frame - 1, prev_rows)
         result.add(frame, cur_rows)

@@ -167,6 +167,8 @@ def _nonlinear_centers(spec: SceneSpec, rng, sizes) -> list[np.ndarray]:
     if not 0.0 <= motion.crossover_rate <= 1.0:
         raise ValueError(
             f"crossover_rate must lie in [0, 1], got {motion.crossover_rate!r}")
+    if not math.isfinite(motion.turn_rate):
+        raise ValueError(f"turn_rate must be finite, got {motion.turn_rate!r}")
     iw, ih = spec.image_size
     duration = spec.duration
     t = np.arange(duration, dtype=np.float64)
@@ -251,6 +253,11 @@ def generate(spec: SceneSpec) -> SceneGroundTruth:
         raise ValueError(f"n_objects must be >= 0, got {spec.n_objects!r}")
     if not 0.0 <= spec.occlusion_rate <= 1.0:
         raise ValueError("occlusion_rate must lie in [0, 1]")
+    for name in ("speed", "box_width", "aspect"):
+        lo, hi = getattr(spec, name)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"{name} must be a finite range with low <= high, "
+                             f"got ({lo!r}, {hi!r})")
     rng = np.random.default_rng(spec.seed)
     sizes = [
         (w, w * rng.uniform(*spec.aspect))

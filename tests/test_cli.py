@@ -85,6 +85,22 @@ def test_n_seeds_below_one_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("ablate", "--proportions"), ("ablate", "--paddings"),
+    ("ablate", "--perturbations"), ("sweep", "--boxes"),
+    ("sweep", "--step-counts"), ("robustness", "--alphas"),
+])
+def test_empty_grid_is_usage_error(tmp_path, capsys, command, flag):
+    # A grid that parsed to no values exited 0 with a 0-byte CSV.
+    scene_dir = _simulate(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 flag, " , "]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists() and not out.with_suffix(".manifest.json").exists()
+
+
 def test_spaced_grid_lists_write_the_same_csv(tmp_path):
     # The enum grids exited 2 on "repeat, gaussian" while the number grids
     # took their spaces.
@@ -106,13 +122,21 @@ def test_spaced_grid_lists_write_the_same_csv(tmp_path):
     (["--motion", "nonlinear", "--crossover-rate", "1", "--objects", "3"], 0, ""),
     (["--motion", "crowded", "--density", "0"], 2, "density"),
     (["--motion", "nonlinear", "--crossover-rate", "1.5"], 2, "crossover_rate"),
-    (["--objects", "-1"], 2, "n_objects"),
-], ids=["odd_crossover", "density_0", "crossover_above_1", "negative_objects"])
+    (["--objects", "-1"], 1, "--objects"),
+    (["--objects", "0", "--frames", "3"], 1, "--objects"),
+    (["--motion", "nonlinear", "--turn-rate", "nan"], 2, "turn_rate"),
+    (["--speed-min", "5", "--speed-max", "-2"], 2, "speed"),
+    (["--speed-min", "nan"], 2, "speed"),
+], ids=["odd_crossover", "density_0", "crossover_above_1", "negative_objects",
+        "zero_objects", "turn_rate_nan", "speed_reversed", "speed_nan"])
 def test_simulate_checks_its_motion_fields(tmp_path, capsys, flags, code, err):
-    # Each of these crashed with a traceback or a message naming no field.
+    # Each of these crashed with a traceback, named no field, or wrote a
+    # scene that ``track`` rejects (no rows, or nan boxes).
     assert main(["simulate", "--out", str(tmp_path), *flags, "--seed", "1"]) == code
     assert err in capsys.readouterr().err
     assert (tmp_path / "gt.txt").exists() == (code == 0)
+    if code:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_det_on_gt_file_skips_occluded_rows(tmp_path):

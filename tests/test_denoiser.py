@@ -27,7 +27,6 @@ from pairtrack.denoiser import (
 from pairtrack.diffusion import (
     PaddingStrategy,
     build_inference_proposals,
-    cosine_schedule,
     ddim_refine,
 )
 from pairtrack.geometry import iou_matrix, overlap
@@ -170,10 +169,10 @@ class TestOracleDenoiser:
         rng = np.random.default_rng(0)
         props = build_inference_proposals(
             np.array([[200.0, 200, 60, 100]]), 20, 0.25, PaddingStrategy.CAT_GAUSSIAN,
-            rng, IMAGE, timestep=500,
+            rng, IMAGE,
         )
         ctx = self.ctx()
-        ddim_refine(props, 4, OracleDenoiser(0.9), ctx, cosine_schedule(1000))
+        ddim_refine(props, 500, 4, OracleDenoiser(0.9), ctx)
         assert len(built) == 1 and built[0] is ctx
 
 

@@ -13,12 +13,15 @@ from pairtrack.denoiser import (
     OracleDenoiser,
 )
 from pairtrack.diffusion import (
+    ALPHA_BAR,
+    BETA,
+    TIMESTEPS,
     PaddingStrategy,
     PerturbationSchedule,
     ProposalOrigin,
     build_inference_proposals,
     corrupt_proposals,
-    cosine_schedule,
+    corruption_alpha,
     ddim_refine,
     perturbation_timestep,
     pixel_to_signal,
@@ -48,58 +51,52 @@ class TestSignalMapping:
 
 class TestCosineSchedule:
     def test_endpoints_and_monotonicity(self):
-        s = cosine_schedule(1000)
-        assert s.alpha_bar[0] == pytest.approx(1.0, abs=1e-6)
-        assert s.alpha_bar[-1] < 1e-3
-        assert np.all(np.diff(s.alpha_bar) < 0)
-        assert np.all(s.beta[1:] > 0) and np.all(s.beta[1:] < 1)
+        assert ALPHA_BAR.shape == BETA.shape == (TIMESTEPS + 1,)
+        assert ALPHA_BAR[0] == pytest.approx(1.0, abs=1e-6)
+        assert ALPHA_BAR[-1] < 1e-3
+        assert np.all(np.diff(ALPHA_BAR) < 0)
+        assert np.all(BETA[1:] > 0) and np.all(BETA[1:] < 1)
+        assert not (ALPHA_BAR.flags.writeable or BETA.flags.writeable)
 
     def test_midpoint_value(self):
         # Independent evaluation of the squared-cosine form at t = 500.
-        s = cosine_schedule(1000)
         offset = 0.008
         f = lambda u: math.cos((u + offset) / (1 + offset) * math.pi / 2) ** 2
-        assert s.alpha_bar[500] == pytest.approx(f(0.5) / f(0.0), rel=1e-6)
+        assert ALPHA_BAR[500] == pytest.approx(f(0.5) / f(0.0), rel=1e-6)
 
-    def test_small_t(self):
-        s = cosine_schedule(1)
-        assert s.alpha_bar.shape == (2,)
-        assert s.alpha_bar[1] < 1e-3
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_schedule(0)
+    def test_corruption_alpha(self):
+        alphas = [corruption_alpha(t) for t in range(TIMESTEPS + 1)]
+        assert alphas[0] == 0.0 and alphas[-1] > 0.96
+        assert alphas[500] == 1.0 - math.sqrt(ALPHA_BAR[500])
+        assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
 
 class TestSingleStepNoise:
-    def setup_method(self):
-        self.sched = cosine_schedule(1000)
-
     def test_zero_noise_scaling(self):
         z = np.ones(5)
-        out = single_step_noise(z, 10, self.sched, np.zeros(5))
-        assert np.allclose(out, math.sqrt(1.0 - self.sched.beta[10]))
+        out = single_step_noise(z, 10, np.zeros(5))
+        assert np.allclose(out, math.sqrt(1.0 - BETA[10]))
 
     def test_small_beta_near_identity(self):
         z = np.ones(3)
-        out = single_step_noise(z, 1, self.sched, np.zeros(3))
+        out = single_step_noise(z, 1, np.zeros(3))
         assert np.allclose(out, z, atol=1e-4)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            single_step_noise(np.zeros(1), 0, self.sched, np.zeros(1))
+        for t in (0, TIMESTEPS + 1):
+            with pytest.raises(ValueError):
+                single_step_noise(np.zeros(1), t, np.zeros(1))
 
     def test_composition_matches_marginal(self):
         # Chaining Markov steps 1..t reproduces the variance-preserving
         # closed form's moments (the printed (1-abar) form deviates).
         rng = np.random.default_rng(0)
         t = 60
-        sched = cosine_schedule(1000)
         n = 20_000
         z = np.full(n, 0.5)
         for step in range(1, t + 1):
-            z = single_step_noise(z, step, sched, rng.standard_normal(n))
-        abar = sched.alpha_bar[t]
+            z = single_step_noise(z, step, rng.standard_normal(n))
+        abar = ALPHA_BAR[t]
         assert z.mean() == pytest.approx(math.sqrt(abar) * 0.5, abs=0.01)
         assert z.std() == pytest.approx(math.sqrt(1.0 - abar), rel=0.05)
 
@@ -216,7 +213,9 @@ class TestPerturbationTimestep:
         assert perturbation_timestep(0.5, PerturbationSchedule.LOGARITHMIC) == 585
 
     def test_clamped(self):
-        assert perturbation_timestep(1.0, PerturbationSchedule.LINEAR, t_max=500) == 500
+        for sched in PerturbationSchedule:
+            for x in (1.0, 2.0):
+                assert 0 <= perturbation_timestep(x, sched) <= TIMESTEPS, sched
 
     def test_schedule_shapes(self):
         for sched in PerturbationSchedule:
@@ -250,7 +249,7 @@ class TestCorruptProposals:
     def test_half_blend_linearity(self):
         p = self.make()
         zero = type(p)(
-            pairs=np.zeros_like(p.pairs), timestep=p.timestep, origin=p.origin
+            pairs=np.zeros_like(p.pairs), origin=p.origin
         )
         noise = np.random.default_rng(3).standard_normal(p.pairs.shape)
         out = corrupt_proposals(zero, 0.5, np.random.default_rng(3))
@@ -291,22 +290,23 @@ class _ConstantDenoiser:
 
 
 class TestDdimRefine:
+    T = 500
+
     def setup_method(self):
-        self.sched = cosine_schedule(1000)
         self.ctx = FrameContext(image_size=IMAGE)
 
-    def proposals(self, n=8, t=500):
+    def proposals(self, n=8):
         rng = np.random.default_rng(0)
         p = build_inference_proposals(
             np.array([[500.0, 500, 100, 100]]), n, 0.5, PaddingStrategy.CAT_GAUSSIAN,
-            rng, IMAGE, timestep=t,
+            rng, IMAGE,
         )
         return corrupt_proposals(p, 0.4, rng)
 
     def test_single_step_equals_one_shot(self):
         p = self.proposals()
-        one = ddim_refine(p, 1, IdentityDenoiser(), self.ctx, self.sched)
-        direct = IdentityDenoiser().denoise_batch(p.pairs, p.timestep, self.ctx)
+        one = ddim_refine(p, self.T, 1, IdentityDenoiser(), self.ctx)
+        direct = IdentityDenoiser().denoise_batch(p.pairs, self.T, self.ctx)
         expected = np.clip(direct.pairs, -2.0, 2.0)
         got = one.pairs
         w, h = IMAGE
@@ -318,7 +318,7 @@ class TestDdimRefine:
         den = _ConstantDenoiser(target)
         p = self.proposals(n=4)
         for steps in (1, 2, 4, 7):
-            out = ddim_refine(p, steps, den, self.ctx, self.sched)
+            out = ddim_refine(p, self.T, steps, den, self.ctx)
             assert np.allclose(out.pairs, target), steps
 
     def test_denoiser_sees_pixels(self):
@@ -332,7 +332,7 @@ class TestDdimRefine:
                 return super().denoise_batch(boxes, s, ctx)
 
         p = self.proposals(n=6)
-        ddim_refine(p, 2, Spy(), self.ctx, self.sched)
+        ddim_refine(p, self.T, 2, Spy(), self.ctx)
         assert len(seen) == 2
         assert np.array_equal(seen[0], signal_to_pixel(p.pairs, IMAGE))
         assert np.all((seen[1] >= 0.0) & (seen[1] <= 1000.0))
@@ -343,23 +343,23 @@ class TestDdimRefine:
         gt_cur = np.array([[310.0, 305, 60, 120], [690, 650, 80, 80]])
         ctx = FrameContext(IMAGE, gt_prev=(ids, gt_prev), gt_cur=(ids, gt_cur))
         oracle = OracleDenoiser(fidelity=1.0)
-        p = self.proposals(n=32, t=700)
+        p = self.proposals(n=32)
         gt_rows = np.concatenate([gt_prev, gt_cur], axis=1)
         for steps in (1, 4):
-            cands = ddim_refine(p, steps, oracle, ctx, self.sched)
+            cands = ddim_refine(p, 700, steps, oracle, ctx)
             got = cands.pairs
             dists = np.abs(got[:, None, :] - gt_rows[None, :, :]).max(axis=2).min(axis=1)
             assert np.all(dists < 1e-6), steps
 
     def test_order_preserved_and_indices(self):
         p = self.proposals(n=16)
-        out = ddim_refine(p, 2, IdentityDenoiser(), self.ctx, self.sched)
+        out = ddim_refine(p, self.T, 2, IdentityDenoiser(), self.ctx)
         assert len(out) == 16
         assert np.array_equal(out.origin, p.origin)
 
     def test_candidates_built_for_requested_rows(self):
         p = self.proposals(n=6)
-        out = ddim_refine(p, 1, IdentityDenoiser(), self.ctx, self.sched)
+        out = ddim_refine(p, self.T, 1, IdentityDenoiser(), self.ctx)
         rows = [4, 1]
         sub = out.take(rows)
         assert len(sub) == 2
@@ -370,7 +370,7 @@ class TestDdimRefine:
 
     def test_steps_zero_rejected(self):
         with pytest.raises(ValueError):
-            ddim_refine(self.proposals(), 0, IdentityDenoiser(), self.ctx, self.sched)
+            ddim_refine(self.proposals(), self.T, 0, IdentityDenoiser(), self.ctx)
 
     def test_row_count_change_rejected(self):
         # A denoiser that drops a row breaks the one-output-per-proposal
@@ -378,7 +378,7 @@ class TestDdimRefine:
         p = self.proposals(n=5)
         den = _ConstantDenoiser(np.zeros((4, 8)))
         with pytest.raises(ValueError, match="row count"):
-            ddim_refine(p, 1, den, self.ctx, self.sched)
+            ddim_refine(p, self.T, 1, den, self.ctx)
 
     def test_non_finite_output_rejected(self):
         # NaN boxes or scores from a denoiser must not flow on into the gates.
@@ -386,12 +386,12 @@ class TestDdimRefine:
         pairs = np.zeros((4, 8))
         pairs[2, 5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            ddim_refine(p, 1, _ConstantDenoiser(pairs), self.ctx, self.sched)
+            ddim_refine(p, self.T, 1, _ConstantDenoiser(pairs), self.ctx)
         score = [1.0, np.nan, 1.0, 1.0]
         for field in ("cls_prev", "cls_cur", "assoc"):
             den = _ConstantDenoiser(np.zeros((4, 8)), **{field: score})
             with pytest.raises(ValueError, match="non-finite"):
-                ddim_refine(p, 2, den, self.ctx, self.sched)
+                ddim_refine(p, self.T, 2, den, self.ctx)
 
     def test_score_outside_unit_interval_rejected(self):
         p = self.proposals(n=4)
@@ -400,4 +400,4 @@ class TestDdimRefine:
                 score = [0.5, bad, 0.5, 0.5]
                 den = _ConstantDenoiser(np.zeros((4, 8)), **{field: score})
                 with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
-                    ddim_refine(p, 1, den, self.ctx, self.sched)
+                    ddim_refine(p, self.T, 1, den, self.ctx)

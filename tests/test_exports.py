@@ -42,3 +42,17 @@ def test_signal_space_owned_by_diffusion():
             if name in getattr(importlib.import_module(m), "__all__", [])
         ]
         assert owners == ["pairtrack.diffusion"], name
+
+
+def test_schedule_owned_by_diffusion():
+    # One schedule, built once in the DDIM loop's module: no caller builds,
+    # passes or sizes one.
+    for name in ("TIMESTEPS", "ALPHA_BAR", "BETA"):
+        owners = [
+            m for m in MODULES
+            if name in getattr(importlib.import_module(m), "__all__", [])
+        ]
+        assert owners == ["pairtrack.diffusion"], name
+    for m in MODULES:
+        exported = getattr(importlib.import_module(m), "__all__", [])
+        assert not {"NoiseSchedule", "cosine_schedule"} & set(exported), m

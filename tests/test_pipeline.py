@@ -14,7 +14,6 @@ from pairtrack.denoiser import (
     OracleDenoiser,
     ProposalOrigin,
 )
-from pairtrack.diffusion import cosine_schedule
 from pairtrack.geometry import overlap
 from pairtrack.metrics import evaluate
 from pairtrack.pipeline import (
@@ -53,13 +52,12 @@ class TestRunPair:
     def test_perfect_oracle_recovers_gt(self):
         scene = small_scene()
         cfg = PipelineConfig(n_test=100)
-        sched = cfg.schedule()
         ctx = FrameContext(
             scene.image_size,
             gt_prev=scene.visible(1), gt_cur=scene.visible(2),
         )
         cands, n_prior = run_pair(
-            ctx, [], cfg, OracleDenoiser(1.0), sched,
+            ctx, [], cfg, OracleDenoiser(1.0),
             np.random.default_rng(0), 0.25,
         )
         assert n_prior == 0
@@ -71,13 +69,12 @@ class TestRunPair:
     def test_gating_soundness(self):
         scene = small_scene()
         cfg = PipelineConfig(n_test=64)
-        sched = cfg.schedule()
         ctx = FrameContext(
             scene.image_size,
             gt_prev=scene.visible(1), gt_cur=scene.visible(2),
         )
         cands, _ = run_pair(
-            ctx, scene.visible_boxes(1), cfg, OracleDenoiser(0.9), sched,
+            ctx, scene.visible_boxes(1), cfg, OracleDenoiser(0.9),
             np.random.default_rng(3), 0.3,
         )
         assert all(a > cfg.tracker.conf_threshold for a in cands.assoc)
@@ -142,7 +139,7 @@ class TestRunPair:
         cands, n_prior = run_pair(
             FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
-            [], cfg, OracleDenoiser(0.9), cfg.schedule(),
+            [], cfg, OracleDenoiser(0.9),
             np.random.default_rng(0), 0.25,
         )
         assert n_prior == 0
@@ -154,7 +151,7 @@ class TestRunPair:
         ctx = FrameContext(scene.image_size, gt_prev=gt, gt_cur=gt)
         cfg = PipelineConfig(n_test=64)
         cands, _ = run_pair(
-            ctx, scene.visible_boxes(3), cfg, OracleDenoiser(1.0), cfg.schedule(),
+            ctx, scene.visible_boxes(3), cfg, OracleDenoiser(1.0),
             np.random.default_rng(0), 0.25,
         )
         assert cands
@@ -174,7 +171,7 @@ class TestRunPair:
         run_pair(
             FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
-            scene.visible_boxes(1), cfg, Spy(), cfg.schedule(),
+            scene.visible_boxes(1), cfg, Spy(),
             np.random.default_rng(0), 0.25,
         )
         assert seen["conditional"] is True
@@ -193,7 +190,7 @@ class TestRunPair:
         run_pair(
             FrameContext(scene.image_size, gt_prev=scene.visible(1),
                          gt_cur=scene.visible(2)),
-            [], cfg, Spy(), cfg.schedule(), np.random.default_rng(0), 0.25,
+            [], cfg, Spy(), np.random.default_rng(0), 0.25,
         )
         assert seen["conditional"] is False
 

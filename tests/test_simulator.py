@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,11 +125,35 @@ class TestGenerate:
         (4, CrowdedMotion(density=0.0), "density"),
         (4, CrowdedMotion(density=-1.0), "density"),
         (-1, LinearMotion(), "n_objects"),
+        (4, NonLinearMotion(turn_rate=math.nan), "turn_rate"),
+        (4, NonLinearMotion(turn_rate=math.inf), "turn_rate"),
     ], ids=["crossover_below_0", "crossover_above_1", "density_0",
-            "density_negative", "negative_objects"])
+            "density_negative", "negative_objects", "turn_rate_nan",
+            "turn_rate_inf"])
     def test_out_of_range_field_rejected(self, n_objects, motion, field):
         with pytest.raises(ValueError, match=field):
             generate(SceneSpec(n_objects=n_objects, duration=5, motion=motion))
+
+    @pytest.mark.parametrize("field, bounds", [
+        ("speed", (5.0, -2.0)),
+        ("speed", (math.nan, 8.0)),
+        ("speed", (2.0, math.inf)),
+        ("box_width", (90.0, 40.0)),
+        ("box_width", (40.0, math.nan)),
+        ("aspect", (2.4, 1.6)),
+        ("aspect", (-math.inf, 2.4)),
+    ], ids=["speed_reversed", "speed_nan", "speed_inf", "box_width_reversed",
+            "box_width_nan", "aspect_reversed", "aspect_inf"])
+    def test_bad_range_rejected(self, field, bounds):
+        # numpy raised on these with "high - low < 0" or an OverflowError,
+        # naming no field.
+        with pytest.raises(ValueError, match=field):
+            generate(SceneSpec(n_objects=4, duration=5, **{field: bounds}))
+
+    def test_equal_bounds_accepted(self):
+        spec = SceneSpec(n_objects=2, duration=5, speed=(3.0, 3.0),
+                         box_width=(50.0, 50.0), aspect=(2.0, 2.0))
+        assert generate(spec).frames[5].boxes[:, 2].tolist() == [50.0, 50.0]
 
 
 class TestPerturbBoxes:
