@@ -337,6 +337,20 @@ class TestDdimRefine:
         assert np.array_equal(seen[0], signal_to_pixel(p.pairs, IMAGE))
         assert np.all((seen[1] >= 0.0) & (seen[1] <= 1000.0))
 
+    def test_ladder_starts_at_the_given_timestep(self):
+        seen = []
+
+        class Spy(IdentityDenoiser):
+            def denoise_batch(self, boxes, s, ctx):
+                seen.append(s)
+                return super().denoise_batch(boxes, s, ctx)
+
+        p = self.proposals(n=4)
+        for t, steps, ladder in ((700, 4, [700, 525, 350, 175]), (585, 1, [585])):
+            seen.clear()
+            ddim_refine(p, t, steps, Spy(), self.ctx)
+            assert seen == ladder
+
     def test_perfect_oracle_reaches_gt_any_steps(self):
         ids = np.array([1, 2])
         gt_prev = np.array([[300.0, 300, 60, 120], [700, 650, 80, 80]])
