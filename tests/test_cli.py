@@ -6,6 +6,7 @@ import csv
 import json
 import re
 from dataclasses import replace
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -167,6 +168,77 @@ def test_detection_rows_keep_unknown_visibility(tmp_path):
     assert dets[1][:, 4].tolist() == [0.9]
     assert dets[2].shape == (0, 5)
     assert dets[3][:, 0].tolist() == [64.0]
+
+
+_MANIFEST_KEYS = {"artifact_version", "command", "config", "extra", "inputs",
+                  "outputs", "seed", "timestamp"}
+_DEFAULT_TRACKER = {"conf_threshold": 0.25, "det_threshold": 0.7,
+                    "nms3d_threshold": 0.6, "nms2d_threshold": 0.7,
+                    "init_score_threshold": 0.7, "iou_match_threshold": 0.3,
+                    "max_lost_age": 30}
+
+
+def _read_manifest(path):
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == _MANIFEST_KEYS
+    assert manifest["artifact_version"] == "0.1.0"
+    assert datetime.fromisoformat(manifest["timestamp"]).utcoffset() == timedelta(0)
+    return manifest
+
+
+def test_manifests_record_each_run(tmp_path):
+    # Every manifest holds the same eight keys; a pipeline config is
+    # recorded with its enums as their values and the tracker nested.
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--out", str(scene_dir), "--objects", "3",
+                 "--frames", "5", "--motion", "nonlinear", "--image-size",
+                 "640x480", "--seed", "4"]) == 0
+    manifest = _read_manifest(scene_dir / "manifest.json")
+    gt = scene_dir / "gt.txt"
+    assert manifest["command"] == "simulate" and manifest["seed"] == 4
+    assert manifest["config"] == {
+        "objects": 3, "frames": 5, "motion": "nonlinear", "turn_rate": 0.5,
+        "crossover_rate": 0.5, "density": 0.35, "occlusion": 0.0,
+        "speed": [2.0, 8.0], "image_size": [640, 480],
+    }
+    assert manifest["inputs"] == {} and manifest["extra"] == {}
+    assert manifest["outputs"] == {"gt": str(gt),
+                                   "seqinfo": str(scene_dir / "seqinfo.ini")}
+
+    config = tmp_path / "c.ini"
+    config.write_text("[pipeline]\nsteps = 2\npadding = uniform\n"
+                      "[tracker]\nmax_lost_age = 7\n[oracle]\nfidelity = 0.5\n")
+    result = tmp_path / "result.txt"
+    assert main(["track", "--gt", str(gt), "--config", str(config), "--out",
+                 str(result), "--n-test", "32", "--variant", "baseline",
+                 "--seed", "5"]) == 0
+    manifest = _read_manifest(result.with_suffix(".manifest.json"))
+    assert manifest["command"] == "track" and manifest["seed"] == 5
+    assert manifest["config"] == {
+        "n_test": 32, "steps": 2, "proportion": 0.25, "padding": "uniform",
+        "perturbation": "logarithmic", "variant": "baseline",
+        "tracker": {**_DEFAULT_TRACKER, "max_lost_age": 7},
+    }
+    assert manifest["inputs"] == {"gt": str(gt), "det": ""}
+    assert manifest["outputs"] == {"result": str(result)}
+    assert manifest["extra"] == {"denoiser": "oracle", "fidelity": 0.5,
+                                 "image_size": [640, 480]}
+
+    out = tmp_path / "ablate.csv"
+    argv = ["ablate", "--gt", str(gt), "--out", str(out), "--n-test", "16",
+            "--seed", "6", "--proportions", "0.5", "--paddings", "repeat",
+            "--perturbations", "constant"]
+    assert main(argv) == 0
+    manifest = _read_manifest(out.with_suffix(".manifest.json"))
+    assert manifest["command"] == "ablate" and manifest["seed"] == 6
+    assert manifest["config"] == {
+        "n_test": 16, "steps": 1, "proportion": 0.25, "padding": "gaussian",
+        "perturbation": "logarithmic", "variant": "diffusion",
+        "tracker": _DEFAULT_TRACKER,
+    }
+    assert manifest["inputs"] == {"gt": str(gt)}
+    assert manifest["outputs"] == {"csv": str(out)}
+    assert manifest["extra"] == {"fidelity": 0.9, "argv": argv}
 
 
 def test_track_det_reads_sidecar_seqinfo(tmp_path):
