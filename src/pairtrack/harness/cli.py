@@ -8,8 +8,12 @@ PAIRTRACK_SEED when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
+from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 from ..denoiser import DetectionSnapDenoiser, OracleDenoiser
@@ -23,12 +27,7 @@ from ..simulator import (
     SceneSpec,
     generate,
 )
-from .config import (
-    config_snapshot,
-    load_config_file,
-    resolve_oracle,
-    resolve_pipeline_config,
-)
+from .config import load_config_file, resolve_run_config
 from .experiments import ablate, detection_stream, robustness, sweep, write_csv
 from .io import (
     MotFormatError,
@@ -41,9 +40,10 @@ from .io import (
     write_results,
     write_seqinfo,
 )
-from .manifest import RunManifest, write_manifest
 
 __all__ = ["main"]
+
+_DEFAULT_IMAGE_SIZE = (1920, 1080)
 
 
 class UsageError(Exception):
@@ -55,8 +55,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PAIRTRACK_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, then PAIRTRACK_SEED, then 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("PAIRTRACK_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"PAIRTRACK_SEED must be an integer, got {raw!r}") from None
+
+
+def _json_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} {value!r} has no JSON form")
+
+
+def _write_manifest(path, command: str, seed: int, config: dict, *,
+                    inputs=None, outputs=None, extra=None) -> None:
+    """Write one run's JSON record, enough to repeat the run."""
+    record = {
+        "artifact_version": "0.1.0",
+        "command": command,
+        "config": config,
+        "extra": extra or {},
+        "inputs": inputs or {},
+        "outputs": outputs or {},
+        "seed": seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    text = json.dumps(record, indent=2, sort_keys=True, default=_json_value)
+    Path(path).write_text(text + "\n")
 
 
 def _add_common_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -121,7 +151,6 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="score a result against ground truth")
     ev.add_argument("--gt", required=True)
     ev.add_argument("--result", required=True)
-    ev.add_argument("--image-size", default="1920x1080")
     ev.add_argument("--csv", help="append a CSV row here")
 
     ab = _add_experiment(sub, "ablate", "factor-grid ablations")
@@ -156,7 +185,7 @@ def _parse_image_size(raw: str) -> tuple[int, int]:
 
 def _resolve_image_size(args) -> tuple[int, int]:
     """--seqinfo, then --image-size, then a seqinfo.ini beside the input
-    file, then 1920x1080."""
+    file, then ``_DEFAULT_IMAGE_SIZE``."""
     if args.seqinfo:
         return parse_seqinfo(args.seqinfo)[0]
     if args.image_size:
@@ -164,27 +193,15 @@ def _resolve_image_size(args) -> tuple[int, int]:
     sidecar = Path(args.gt or args.det).parent / "seqinfo.ini"
     if sidecar.exists():
         return parse_seqinfo(sidecar)[0]
-    return (1920, 1080)
-
-
-def _resolve_run(args):
-    """Seed, pipeline config and oracle fidelity of a run: flag over
-    config-file key over default."""
-    seed = args.seed if args.seed is not None else _default_seed()
-    file_values = load_config_file(args.config)
-    overrides = {
-        k: getattr(args, k)
-        for k in ("n_test", "steps", "proportion", "padding", "perturbation",
-                  "variant")
-    }
-    cfg = resolve_pipeline_config(file_values, **overrides)
-    return seed, cfg, resolve_oracle(file_values, fidelity=args.fidelity)
+    return _DEFAULT_IMAGE_SIZE
 
 
 def _cmd_simulate(args) -> int:
     if args.objects < 1:
         raise UsageError(f"--objects must be >= 1, got {args.objects}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.frames < 2:
+        raise UsageError(f"--frames must be >= 2, got {args.frames}")
+    seed = _seed(args)
     image_size = _parse_image_size(args.image_size)
     if args.motion == "linear":
         motion = LinearMotion()
@@ -208,24 +225,20 @@ def _cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_gt(scene, out / "gt.txt")
     write_seqinfo(out / "seqinfo.ini", image_size, scene.n_frames)
-    write_manifest(
-        RunManifest(
-            command="simulate",
-            seed=seed,
-            config={
-                "objects": args.objects,
-                "frames": args.frames,
-                "motion": args.motion,
-                "turn_rate": args.turn_rate,
-                "crossover_rate": args.crossover_rate,
-                "density": args.density,
-                "occlusion": args.occlusion,
-                "speed": [args.speed_min, args.speed_max],
-                "image_size": list(image_size),
-            },
-            outputs={"gt": str(out / "gt.txt"), "seqinfo": str(out / "seqinfo.ini")},
-        ),
-        out / "manifest.json",
+    _write_manifest(
+        out / "manifest.json", "simulate", seed,
+        {
+            "objects": args.objects,
+            "frames": args.frames,
+            "motion": args.motion,
+            "turn_rate": args.turn_rate,
+            "crossover_rate": args.crossover_rate,
+            "density": args.density,
+            "occlusion": args.occlusion,
+            "speed": [args.speed_min, args.speed_max],
+            "image_size": list(image_size),
+        },
+        outputs={"gt": str(out / "gt.txt"), "seqinfo": str(out / "seqinfo.ini")},
     )
     print(f"wrote {out / 'gt.txt'} ({scene.n_frames} frames)")
     return 0
@@ -243,7 +256,8 @@ def _read_mot(path, convert, *args):
 
 def _cmd_track(args) -> int:
     image_size = _resolve_image_size(args)
-    seed, cfg, fidelity = _resolve_run(args)
+    seed = _seed(args)
+    cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
 
     scene = None
     detections = None
@@ -267,25 +281,20 @@ def _cmd_track(args) -> int:
         image_size=image_size, seed=seed,
     )
     write_results(result, args.out)
-    write_manifest(
-        RunManifest(
-            command="track",
-            seed=seed,
-            config=config_snapshot(cfg),
-            inputs={"gt": args.gt or "", "det": args.det or ""},
-            outputs={"result": args.out},
-            extra={"denoiser": denoiser_kind, "fidelity": fidelity,
-                   "image_size": list(image_size)},
-        ),
-        Path(args.out).with_suffix(".manifest.json"),
+    _write_manifest(
+        Path(args.out).with_suffix(".manifest.json"), "track", seed,
+        dataclasses.asdict(cfg),
+        inputs={"gt": args.gt or "", "det": args.det or ""},
+        outputs={"result": args.out},
+        extra={"denoiser": denoiser_kind, "fidelity": fidelity,
+               "image_size": list(image_size)},
     )
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    image_size = _parse_image_size(args.image_size)
-    scene = _read_mot(args.gt, scene_from_gt, image_size)
+    scene = _read_mot(args.gt, scene_from_gt, _DEFAULT_IMAGE_SIZE)
     result = parse_results(args.result)
     report = evaluate(scene, result)
     print(report.to_text())
@@ -315,7 +324,8 @@ def _seeds(first: int, n: int) -> range:
 
 
 def _cmd_experiment(args) -> int:
-    seed, cfg, fidelity = _resolve_run(args)
+    seed = _seed(args)
+    cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
     if args.command == "ablate":
         run, grid = ablate, {
@@ -333,16 +343,12 @@ def _cmd_experiment(args) -> int:
                                  "seeds": _seeds(seed, args.n_seeds)}
     rows = run(scene, cfg, fidelity, **grid)
     write_csv(rows, args.out)
-    write_manifest(
-        RunManifest(
-            command=args.command,
-            seed=seed,
-            config=config_snapshot(cfg),
-            inputs={"gt": args.gt},
-            outputs={"csv": args.out},
-            extra={"fidelity": fidelity, "argv": args.argv},
-        ),
-        Path(args.out).with_suffix(".manifest.json"),
+    _write_manifest(
+        Path(args.out).with_suffix(".manifest.json"), args.command, seed,
+        dataclasses.asdict(cfg),
+        inputs={"gt": args.gt},
+        outputs={"csv": args.out},
+        extra={"fidelity": fidelity, "argv": args.argv},
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

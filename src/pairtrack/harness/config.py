@@ -34,8 +34,7 @@ from typing import Any, get_type_hints
 from ..pipeline import PipelineConfig
 from ..tracker import TrackerConfig
 
-__all__ = ["load_config_file", "resolve_pipeline_config", "resolve_oracle",
-           "config_snapshot"]
+__all__ = ["load_config_file", "resolve_run_config"]
 
 
 def _fields(cls) -> dict[str, Any]:
@@ -87,51 +86,29 @@ def _coerce(kind: Any, raw: str):
     return kind(raw)
 
 
-def _layer(section: str, file_values: dict | None, overrides: dict) -> dict:
-    """Typed keyword arguments for one section's config, file then overrides;
-    string values are coerced to the field's type."""
-    file_section = (file_values or {}).get(section, {})
-    out = {}
-    for name, kind in _SCHEMA[section].items():
-        value = overrides.get(name)
-        if value is None:
-            value = file_section.get(name)
-        if value is not None:
-            out[name] = _coerce(kind, value) if isinstance(value, str) else value
-    return out
-
-
-def resolve_pipeline_config(
-    file_values: dict[str, dict[str, str]] | None = None,
+def resolve_run_config(
+    file_values: dict[str, dict[str, Any]] | None = None,
     **overrides,
-) -> PipelineConfig:
-    """Build a pipeline config from defaults, file values, then overrides."""
-    pipeline_kwargs = _layer("pipeline", file_values, overrides)
-    tracker_kwargs = _layer("tracker", file_values, overrides)
-    return PipelineConfig(
-        tracker=TrackerConfig(**tracker_kwargs), **pipeline_kwargs
+) -> tuple[PipelineConfig, float]:
+    """A run's pipeline config and oracle fidelity.
+
+    Every section is layered the same way: an override that is not None
+    wins over a file key, which wins over the default. String values get
+    their field's type; overrides that name no field are ignored.
+    """
+    sections = {}
+    for section, fields in _SCHEMA.items():
+        file_section = (file_values or {}).get(section, {})
+        sections[section] = {}
+        for name, kind in fields.items():
+            value = overrides.get(name)
+            if value is None:
+                value = file_section.get(name)
+            if isinstance(value, str):
+                value = _coerce(kind, value)
+            if value is not None:
+                sections[section][name] = value
+    cfg = PipelineConfig(
+        tracker=TrackerConfig(**sections["tracker"]), **sections["pipeline"]
     )
-
-
-def resolve_oracle(
-    file_values: dict[str, dict[str, str]] | None = None,
-    **overrides,
-) -> float:
-    """Oracle fidelity from the same layers."""
-    return _layer("oracle", file_values, overrides).get("fidelity", 0.9)
-
-
-def config_snapshot(cfg) -> dict:
-    """Flatten a config dataclass into JSON-ready primitives for a manifest."""
-
-    def plain(value):
-        if dataclasses.is_dataclass(value):
-            return {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        if isinstance(value, Enum):
-            return value.value
-        return value
-
-    return plain(cfg)
+    return cfg, sections["oracle"].get("fidelity", 0.9)

@@ -263,6 +263,11 @@ def generate(spec: SceneSpec) -> SceneGroundTruth:
         (w, w * rng.uniform(*spec.aspect))
         for w in rng.uniform(*spec.box_width, size=spec.n_objects)
     ]
+    iw, ih = spec.image_size
+    for w, h in sizes:
+        if w > iw or h > ih:
+            raise ValueError(f"a {w:.1f} x {h:.1f} box drawn from box_width and "
+                             f"aspect is larger than the {iw}x{ih} image")
 
     if isinstance(spec.motion, LinearMotion):
         centers = _linear_centers(spec, rng, sizes)

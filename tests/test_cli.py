@@ -5,18 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta
 
 import pytest
 
 from pairtrack.diffusion import PaddingStrategy, PerturbationSchedule
-from pairtrack.harness.cli import main
-from pairtrack.harness.config import (
-    config_snapshot,
-    resolve_oracle,
-    resolve_pipeline_config,
-)
+from pairtrack.harness.cli import _write_manifest, main
+from pairtrack.harness.config import resolve_run_config
 from pairtrack.harness.io import (
     MotFormatError,
     detections_from_rows,
@@ -128,11 +124,16 @@ def test_spaced_grid_lists_write_the_same_csv(tmp_path):
     (["--motion", "nonlinear", "--turn-rate", "nan"], 2, "turn_rate"),
     (["--speed-min", "5", "--speed-max", "-2"], 2, "speed"),
     (["--speed-min", "nan"], 2, "speed"),
+    (["--frames", "1"], 1, "--frames"),
+    (["--image-size", "20x20", "--objects", "3", "--frames", "5"], 2,
+     "box_width and aspect"),
 ], ids=["odd_crossover", "density_0", "crossover_above_1", "negative_objects",
-        "zero_objects", "turn_rate_nan", "speed_reversed", "speed_nan"])
+        "zero_objects", "turn_rate_nan", "speed_reversed", "speed_nan",
+        "one_frame", "box_larger_than_image"])
 def test_simulate_checks_its_motion_fields(tmp_path, capsys, flags, code, err):
-    # Each of these crashed with a traceback, named no field, or wrote a
-    # scene that ``track`` rejects (no rows, or nan boxes).
+    # Each of these crashed with a traceback, named no field or flag, or
+    # wrote a scene that ``track`` rejects (no rows, or nan boxes) or that
+    # spills out of its image.
     assert main(["simulate", "--out", str(tmp_path), *flags, "--seed", "1"]) == code
     assert err in capsys.readouterr().err
     assert (tmp_path / "gt.txt").exists() == (code == 0)
@@ -471,8 +472,7 @@ def test_duplicate_gt_id_in_a_frame_is_data_error(tmp_path, capsys):
     result = tmp_path / "result.txt"
     for argv in (["track", "--gt", str(gt), "--image-size", "100x100",
                   "--out", str(result)],
-                 ["eval", "--gt", str(gt), "--result", str(gt),
-                  "--image-size", "100x100"]):
+                 ["eval", "--gt", str(gt), "--result", str(gt)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "data error" in err and f"{gt}: frame 2: track id 1" in err
@@ -488,8 +488,7 @@ def test_duplicate_result_id_in_a_frame_is_data_error(tmp_path, capsys):
     result = tmp_path / "r.txt"
     result.write_text("1,1,10,10,20,20,0.9,-1,-1,-1\n" * 2
                       + "2,1,12,10,20,20,0.9,-1,-1,-1\n" * 2)
-    assert main(["eval", "--gt", str(gt), "--result", str(result),
-                 "--image-size", "100x100"]) == 2
+    assert main(["eval", "--gt", str(gt), "--result", str(result)]) == 2
     captured = capsys.readouterr()
     assert "IDF1" not in captured.out
     assert f"data error: {result}: frame 1: track id 1 listed twice" in captured.err
@@ -549,8 +548,8 @@ def test_bad_frame_or_id_field_is_data_error(tmp_path, capsys):
     assert not result.exists()
 
 
-def test_config_round_trip():
-    # A manifest snapshot written back as a config file resolves to the same
+def test_config_round_trip(tmp_path):
+    # A manifest's config written back as a config file resolves to the same
     # configs: every field is a key, and every key reads back its type.
     cfg = PipelineConfig(
         n_test=64, steps=2, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
@@ -558,13 +557,29 @@ def test_config_round_trip():
         variant=Variant.BASELINE,
         tracker=TrackerConfig(conf_threshold=0.3, max_lost_age=7),
     )
-    snap = config_snapshot(cfg)
+    path = tmp_path / "run.manifest.json"
+    _write_manifest(path, "track", 0, asdict(cfg))
+    snap = json.loads(path.read_text())["config"]
     values = {
         "pipeline": {k: str(v) for k, v in snap.items() if k != "tracker"},
         "tracker": {k: str(v) for k, v in snap["tracker"].items()},
         "oracle": {"fidelity": "0.5"},
     }
-    assert resolve_pipeline_config(values) == cfg
-    assert resolve_oracle(values) == 0.5
-    overridden = resolve_pipeline_config(values, n_test=16, padding="full")
+    assert resolve_run_config(values) == (cfg, 0.5)
+    overridden, fidelity = resolve_run_config(values, n_test=16, padding="full")
     assert overridden == replace(cfg, n_test=16, padding=PaddingStrategy.CAT_FULL)
+    assert fidelity == 0.5
+
+
+def test_pairtrack_seed_sets_the_default_seed(tmp_path, capsys, monkeypatch):
+    # A value int() rejects exited 2 with int()'s message, naming neither
+    # the variable nor the setting.
+    monkeypatch.setenv("PAIRTRACK_SEED", "7")
+    assert main(["simulate", "--out", str(tmp_path / "a"), "--objects", "3",
+                 "--frames", "5"]) == 0
+    assert _read_manifest(tmp_path / "a" / "manifest.json")["seed"] == 7
+    monkeypatch.setenv("PAIRTRACK_SEED", "abc")
+    assert main(["simulate", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "PAIRTRACK_SEED" in err
+    assert not (tmp_path / "b").exists()
