@@ -148,6 +148,13 @@ TIE_MARGIN = 0.05
 SCORE_FLOOR = 0.75
 SNAP_CAP = 0.035
 
+# Snap model of the detection denoiser. A member whose best overlap with any
+# detection is at or below SNAP_FLOOR matches none of them: it keeps its
+# input box and gets class score 0, so the detection gate drops its row. With
+# no floor, members that overlap nothing all tie at 0 and snap onto the same
+# detection, pairing two different objects across the frames.
+SNAP_FLOOR = 0.1
+
 # Relative margin by which a row's overlap ceiling must lie below BASIN_FLOOR
 # for the row to count as weak without its row of the snap matrix. The
 # ceiling and the computed overlaps are each off by at most a few units in
@@ -342,21 +349,30 @@ class DetectionSnapDenoiser:
 
     Previous members snap to frame t-1 detections, current members to
     frame t detections (independently, ties broken by higher confidence
-    then lower index). Class scores copy the detection confidences; the
-    association score blends the snapped pair's geometric consistency,
-    the row-aligned ``overlap`` of its previous and current members, with
-    min(conf_prev, conf_cur).
+    then lower index). Class scores copy the detection confidences; a
+    member whose best overlap is at or below ``SNAP_FLOOR`` keeps its input
+    box with class score 0. The association score blends the snapped
+    pair's geometric consistency, the row-aligned ``overlap`` of its
+    previous and current members, with min(conf_prev, conf_cur).
     """
 
     @staticmethod
     def _snap_frame(boxes_pix: np.ndarray, dets: np.ndarray):
+        """Each member's snapped box, class score and detection index; -1
+        for a member left at its input box."""
         det_arr, confs = dets[:, :4], dets[:, 4]
         overlaps = iou_matrix(boxes_pix, det_arr)
+        best = overlaps.max(axis=1)
         # Highest overlap, then highest confidence among the detections
         # sharing it, then the lowest index (argmax takes the first).
-        top = overlaps == overlaps.max(axis=1, keepdims=True)
+        top = overlaps == best[:, None]
         pick = np.argmax(np.where(top, confs[None, :], -np.inf), axis=1)
-        return det_arr[pick], confs[pick], pick
+        near = best > SNAP_FLOOR
+        return (
+            np.where(near[:, None], det_arr[pick], boxes_pix),
+            np.where(near, confs[pick], 0.0),
+            np.where(near, pick, -1),
+        )
 
     def denoise_batch(self, boxes: np.ndarray, s: int, ctx: FrameContext) -> DenoisedBatch:
         boxes = np.asarray(boxes, dtype=np.float64)

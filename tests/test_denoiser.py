@@ -19,6 +19,7 @@ from pairtrack.denoiser import (
     MISSING_CLS,
     MISSING_PENALTY,
     SCORE_FLOOR,
+    SNAP_FLOOR,
     TIE_MARGIN,
     DetectionSnapDenoiser,
     FrameContext,
@@ -30,6 +31,7 @@ from pairtrack.diffusion import (
     ddim_refine,
 )
 from pairtrack.geometry import iou_matrix, overlap
+from pairtrack.tracker import TrackerConfig
 from stubs import IdentityDenoiser
 
 IMAGE = (1000, 800)
@@ -503,6 +505,13 @@ class TestTargetMemo:
             ctx.conditional = True
 
 
+snap_coord = st.floats(0.0, 300.0, allow_nan=False)
+snap_size = st.floats(5.0, 150.0, allow_nan=False)
+snap_box = st.tuples(snap_coord, snap_coord, snap_size, snap_size)
+snap_dets = st.lists(st.tuples(snap_box, st.floats(0.01, 1.0)).map(
+    lambda t: t[0] + (t[1],)), max_size=6)
+
+
 class TestDetectionSnapDenoiser:
     def test_single_detection_pair(self):
         ctx = FrameContext(
@@ -510,7 +519,7 @@ class TestDetectionSnapDenoiser:
             det_prev=np.array([[300.0, 300, 60, 60, 0.9]]),
             det_cur=np.array([[320.0, 300, 60, 60, 0.8]]),
         )
-        boxes = np.tile([500.0, 500, 80, 80, 500, 500, 80, 80], (3, 1))
+        boxes = np.tile([310.0, 310, 80, 80, 330, 290, 80, 80], (3, 1))
         out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
         for i in range(3):
             pix = out.pairs[i]
@@ -518,6 +527,48 @@ class TestDetectionSnapDenoiser:
             assert np.allclose(pix[4:], [320, 300, 60, 60])
             assert out.cls_prev[i] == pytest.approx(0.9)
             assert out.cls_cur[i] == pytest.approx(0.8)
+
+    def test_member_overlapping_no_detection_keeps_its_box(self):
+        # Frame t misses the object; its only detection is a neighbour the
+        # current member does not overlap. The member must not snap onto
+        # it, and the row must fail the detection gate.
+        ctx = FrameContext(
+            IMAGE,
+            det_prev=np.array([[20.0, 20, 10, 10, 0.9]]),
+            det_cur=np.array([[80.0, 80, 10, 10, 0.9]]),
+        )
+        boxes = np.array([[20.0, 20, 10, 10, 20, 20, 10, 10]])
+        out = DetectionSnapDenoiser().denoise_batch(boxes, 0, ctx)
+        assert out.pairs[0].tolist() == boxes[0].tolist()
+        assert out.cls_prev.tolist() == [0.9]
+        assert out.cls_cur.tolist() == [0.0]
+        assert out.cls_cur[0] <= TrackerConfig().det_threshold
+
+    @given(
+        det_prev=snap_dets, det_cur=snap_dets,
+        rows=st.lists(st.tuples(snap_box, snap_box).map(lambda t: t[0] + t[1]),
+                      min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scored_members_equal_a_detection_above_the_floor(
+        self, det_prev, det_cur, rows
+    ):
+        dets = [np.array(d, dtype=float).reshape(-1, 5) for d in (det_prev, det_cur)]
+        boxes = np.array(rows)
+        out = DetectionSnapDenoiser().denoise_batch(
+            boxes, 0, FrameContext(IMAGE, det_prev=dets[0], det_cur=dets[1]))
+        for member, frame_dets, cls in ((slice(0, 4), dets[0], out.cls_prev),
+                                        (slice(4, 8), dets[1], out.cls_cur)):
+            ov = iou_matrix(boxes[:, member], frame_dets[:, :4])
+            for i in range(len(boxes)):
+                if cls[i] > 0:
+                    hits = np.flatnonzero(
+                        (frame_dets[:, :4] == out.pairs[i, member]).all(axis=1)
+                        & (frame_dets[:, 4] == cls[i]) & (ov[i] > SNAP_FLOOR))
+                    assert hits.size
+                else:
+                    assert cls[i] == 0.0
+                    assert out.pairs[i, member].tolist() == boxes[i, member].tolist()
 
     def test_stationary_full_confidence(self):
         b = np.array([[300.0, 300, 60, 60, 1.0]])

@@ -105,7 +105,9 @@ def _digest(result, tmp_path):
 def test_snap_run_from_written_gt_pinned(tmp_path):
     # NonLinearMotion, 8 objects x 15 frames, 30% occlusion, scene seed 3,
     # written as a GT file and read back as detections (occluded rows
-    # dropped); snap denoiser, n_test=100, two steps, run seed 4.
+    # dropped); snap denoiser, n_test=100, two steps, run seed 4. Pinned
+    # with the snap floor: MOTA 0.903 and 3 IDSW, against 0.735 and 17 when
+    # members snapped onto detections they did not overlap.
     spec = pt.SceneSpec(n_objects=8, duration=15, motion=pt.NonLinearMotion(),
                         occlusion_rate=0.3, seed=3)
     scene = pt.generate(spec)
@@ -119,7 +121,7 @@ def test_snap_run_from_written_gt_pinned(tmp_path):
         detections=detections, image_size=scene.image_size, seed=4,
     )
     assert _digest(result, tmp_path) == (
-        "1216781ed67b92e2eff47aaa52b5801f3dc909de1d3ca0ecafea21651a26d36a", 106,
+        "7e55f9257248c945a6e84367af930136fa57658856a2f8ff51ca5a4a05d2194b", 105,
     )
 
 
