@@ -56,14 +56,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed, then PAIRTRACK_SEED, then 0."""
+    """--seed, then PAIRTRACK_SEED, then 0; a negative seed is a usage
+    error naming its source."""
     if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("PAIRTRACK_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PAIRTRACK_SEED must be an integer, got {raw!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get("PAIRTRACK_SEED", "0")
+        try:
+            seed, source = int(raw), "PAIRTRACK_SEED"
+        except ValueError:
+            raise UsageError(
+                f"PAIRTRACK_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _json_value(value):
@@ -99,8 +105,11 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser) -> None:
         "--perturbation", choices=[s.value for s in PerturbationSchedule]
     )
     p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--fidelity", type=float)
     p.add_argument("--seed", type=int, default=None)
+
+
+def _add_fidelity_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fidelity", type=float, help="oracle denoiser fidelity")
 
 
 def _add_experiment(sub, name: str, help: str) -> argparse.ArgumentParser:
@@ -147,6 +156,7 @@ def _build_parser() -> _Parser:
         help="defaults to oracle with --gt, snap with --det",
     )
     _add_common_pipeline_flags(trk)
+    _add_fidelity_flag(trk)
 
     ev = sub.add_parser("eval", help="score a result against ground truth")
     ev.add_argument("--gt", required=True)
@@ -154,6 +164,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--csv", help="append a CSV row here")
 
     ab = _add_experiment(sub, "ablate", "factor-grid ablations")
+    _add_fidelity_flag(ab)
     ab.add_argument("--proportions", default="0,0.25,0.5,0.75,1.0")
     ab.add_argument("--paddings", default="repeat,gaussian,poisson,uniform,full")
     ab.add_argument(
@@ -161,11 +172,14 @@ def _build_parser() -> _Parser:
     )
 
     sw = _add_experiment(sub, "sweep", "box-count x step-count grid")
+    _add_fidelity_flag(sw)
     sw.add_argument("--boxes", default="100,500")
     sw.add_argument("--step-counts", default="1,2,4")
     sw.add_argument("--n-seeds", type=int, default=3)
 
-    rb = _add_experiment(sub, "robustness", "MOTA vs detection perturbation")
+    rb = _add_experiment(
+        sub, "robustness", "MOTA vs detection noise, snap path against greedy"
+    )
     rb.add_argument("--alphas", default="0,0.1,0.2,0.3,0.4,0.5")
     rb.add_argument("--n-seeds", type=int, default=5)
 
@@ -201,6 +215,8 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--objects must be >= 1, got {args.objects}")
     if args.frames < 2:
         raise UsageError(f"--frames must be >= 2, got {args.frames}")
+    if not 0.0 <= args.occlusion <= 1.0:
+        raise UsageError(f"--occlusion must lie in [0, 1], got {args.occlusion}")
     seed = _seed(args)
     image_size = _parse_image_size(args.image_size)
     if args.motion == "linear":
@@ -307,11 +323,17 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_list(args, flag: str, kind) -> list:
-    """The comma-separated values of a grid flag; an empty grid is a usage
-    error."""
+def _parse_list(args, flag: str, kind, check=lambda value: None) -> list:
+    """The comma-separated values of a grid flag. An empty grid, or a value
+    that ``kind`` or ``check`` rejects with ``ValueError``, is a usage
+    error naming the flag."""
     raw = getattr(args, flag.lstrip("-").replace("-", "_"))
-    values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
+    try:
+        values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
+        for value in values:
+            check(value)
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {raw!r}: {exc}") from None
     if not values:
         raise UsageError(f"{flag} needs at least one value, got {raw!r}")
     return values
@@ -323,32 +345,52 @@ def _seeds(first: int, n: int) -> range:
     return range(first, first + n)
 
 
+def _unit_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+
+
 def _cmd_experiment(args) -> int:
     seed = _seed(args)
     cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
+
+    def field(name):  # a grid value PipelineConfig rejects
+        return lambda value: dataclasses.replace(cfg, **{name: value})
+
+    # The oracle's fidelity is a setting of ablate and sweep only:
+    # robustness runs the snap denoiser on detections.
     if args.command == "ablate":
         run, grid = ablate, {
-            "proportions": _parse_list(args, "--proportions", float),
+            "fidelity": fidelity,
+            "proportions": _parse_list(args, "--proportions", float,
+                                       field("proportion")),
             "paddings": _parse_list(args, "--paddings", PaddingStrategy),
             "perturbations": _parse_list(args, "--perturbations", PerturbationSchedule),
             "seed": seed,
         }
     elif args.command == "sweep":
-        run, grid = sweep, {"box_counts": _parse_list(args, "--boxes", int),
-                            "step_counts": _parse_list(args, "--step-counts", int),
-                            "seeds": _seeds(seed, args.n_seeds)}
+        run, grid = sweep, {
+            "fidelity": fidelity,
+            "box_counts": _parse_list(args, "--boxes", int, field("n_test")),
+            "step_counts": _parse_list(args, "--step-counts", int, field("steps")),
+            "seeds": _seeds(seed, args.n_seeds),
+        }
     else:
-        run, grid = robustness, {"alphas": _parse_list(args, "--alphas", float),
+        run, grid = robustness, {"alphas": _parse_list(args, "--alphas", float,
+                                                       _unit_alpha),
                                  "seeds": _seeds(seed, args.n_seeds)}
-    rows = run(scene, cfg, fidelity, **grid)
+    rows = run(scene, cfg, **grid)
     write_csv(rows, args.out)
+    extra = {"argv": args.argv}
+    if "fidelity" in grid:
+        extra["fidelity"] = fidelity
     _write_manifest(
         Path(args.out).with_suffix(".manifest.json"), args.command, seed,
         dataclasses.asdict(cfg),
         inputs={"gt": args.gt},
         outputs={"csv": args.out},
-        extra={"fidelity": fidelity, "argv": args.argv},
+        extra=extra,
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -1,4 +1,4 @@
-"""Experiment drivers: ablation grids, box/step sweeps and perturbation
+"""Experiment drivers: ablation grids, box/step sweeps and detection-noise
 robustness, each returning plain row dicts ready for CSV emission."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..denoiser import OracleDenoiser
+from ..denoiser import DetectionSnapDenoiser, OracleDenoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
 from ..pipeline import DetectionStream, PipelineConfig, run_sequence
@@ -34,18 +34,11 @@ def write_csv(rows: Sequence[dict], path: str | Path) -> None:
 
 
 def _run_once(
-    scene: SceneGroundTruth,
-    cfg: PipelineConfig,
-    fidelity: float,
-    seed: int,
-    prior_perturbation: float = 0.0,
+    scene: SceneGroundTruth, cfg: PipelineConfig, fidelity: float, seed: int
 ):
     denoiser = OracleDenoiser(fidelity)
     started = time.perf_counter()
-    result = run_sequence(
-        cfg, denoiser, scene=scene, seed=seed,
-        prior_perturbation=prior_perturbation,
-    )
+    result = run_sequence(cfg, denoiser, scene=scene, seed=seed)
     elapsed = time.perf_counter() - started
     report = evaluate(scene, result)
     latency = elapsed / max(scene.n_frames - 1, 1)
@@ -151,23 +144,23 @@ def greedy_track(
 def robustness(
     scene: SceneGroundTruth,
     base_cfg: PipelineConfig,
-    fidelity: float,
     alphas: Iterable[float],
     seeds: Iterable[int],
 ) -> list[dict]:
-    """MOTA versus perturbation strength for the diffusion pipeline and the
-    greedy-IoU reference fed equally perturbed boxes."""
+    """MOTA versus detection noise for the diffusion pipeline, through the
+    snap denoiser, and for the greedy-IoU reference. Both trackers get the
+    same detection stream, built once per (seed, alpha)."""
     rows = []
     seeds = list(seeds)
     for alpha in alphas:
         diff_motas, greedy_motas = [], []
         for seed in seeds:
-            report, _ = _run_once(
-                scene, base_cfg, fidelity, seed, prior_perturbation=alpha
-            )
-            diff_motas.append(report.mota)
-
             stream = detection_stream(scene, alpha, np.random.default_rng([seed, 2]))
+            diffusion = run_sequence(
+                base_cfg, DetectionSnapDenoiser(), detections=stream,
+                image_size=scene.image_size, seed=seed,
+            )
+            diff_motas.append(evaluate(scene, diffusion).mota)
             greedy = greedy_track(stream, scene.n_frames)
             greedy_motas.append(evaluate(scene, greedy).mota)
         rows.append(

@@ -31,7 +31,7 @@ from .diffusion import (
     perturbation_timestep,
 )
 from .geometry import nms2d, nms3d
-from .simulator import SceneGroundTruth, mean_motion, perturb_boxes
+from .simulator import SceneGroundTruth, mean_motion
 from .tracker import Tracker, TrackerConfig, TrackingResult
 
 __all__ = [
@@ -149,22 +149,13 @@ def run_sequence(
     detections: DetectionStream | None = None,
     image_size: tuple[int, int] | None = None,
     seed: int = 0,
-    prior_perturbation: float = 0.0,
 ) -> TrackingResult:
     """Track a whole sequence, feeding each frame's output boxes forward.
 
     ``scene`` provides ground truth for oracle denoisers; ``detections``
     provides per-frame external boxes, which then also serve as the prior
     source. With neither priors come from the tracker's own output.
-    ``prior_perturbation`` in [0, 1] blends every prior box toward noise
-    before proposal construction (robustness protocol); it draws from a
-    stream independent of the pipeline's so a zero setting is
-    byte-identical to no perturbation.
     """
-    if not 0.0 <= prior_perturbation <= 1.0:
-        raise ValueError(
-            f"prior_perturbation must lie in [0, 1], got {prior_perturbation!r}"
-        )
     if scene is None and detections is None:
         raise ValueError("need a scene or a detection stream")
     if scene is not None:
@@ -178,7 +169,6 @@ def run_sequence(
         raise ValueError("need at least 2 frames")
 
     rng = np.random.default_rng([seed, 0])
-    perturb_rng = np.random.default_rng([seed, 1])
     tracker = Tracker(cfg.tracker)
     result = TrackingResult()
 
@@ -190,7 +180,6 @@ def run_sequence(
         else:
             det_prev = det_cur = None
             priors = tracker.prior_boxes()
-        priors = perturb_boxes(priors, prior_perturbation, perturb_rng, image_size)
 
         ctx = FrameContext(
             image_size=image_size,

@@ -68,6 +68,17 @@ def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header
     manifest = json.loads(out.with_suffix(".manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["extra"]["argv"] == argv
+    # Robustness runs the snap denoiser, so it has no oracle fidelity.
+    assert ("fidelity" in manifest["extra"]) == (command != "robustness")
+
+
+def test_robustness_takes_no_fidelity(tmp_path, capsys):
+    scene_dir = _simulate(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["robustness", "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 "--fidelity", "0.5"]) == 1
+    assert "--fidelity" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "robustness"])
@@ -583,3 +594,47 @@ def test_pairtrack_seed_sets_the_default_seed(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "usage error" in err and "PAIRTRACK_SEED" in err
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("seed_flag, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    ([], "-3", "PAIRTRACK_SEED"),
+], ids=["flag", "env"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, seed_flag,
+                                      env, source):
+    # Both exited 2 with numpy's "expected non-negative integer".
+    if env is not None:
+        monkeypatch.setenv("PAIRTRACK_SEED", env)
+    out = tmp_path / "scene"
+    assert main(["simulate", "--out", str(out), *seed_flag]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and source in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, flag", [
+    ("simulate", ["--occlusion", "1.5"], "--occlusion"),
+    ("simulate", ["--occlusion", "nan"], "--occlusion"),
+    ("sweep", ["--boxes", "100,0"], "--boxes"),
+    ("sweep", ["--boxes", "1.5"], "--boxes"),
+    ("sweep", ["--step-counts", "0"], "--step-counts"),
+    ("ablate", ["--proportions", "0,1.5"], "--proportions"),
+    ("robustness", ["--alphas", "0,1.5"], "--alphas"),
+], ids=["occlusion_above_1", "occlusion_nan", "boxes_0", "boxes_fraction",
+        "step_counts_0", "proportion_above_1", "alpha_above_1"])
+def test_out_of_range_scene_or_grid_flag_is_usage_error(tmp_path, capsys, command,
+                                                        flags, flag):
+    # The scene and pipeline checks exited 2 naming the field (occlusion_rate,
+    # n_test, steps), not the flag.
+    if command == "simulate":
+        out = tmp_path / "scene"
+        argv = ["simulate", "--out", str(out), "--seed", "1", *flags]
+    else:
+        scene_dir = _simulate(tmp_path)
+        out = tmp_path / "out.csv"
+        argv = [command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                "--n-test", "16", *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert not out.exists()

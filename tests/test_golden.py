@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import pairtrack as pt
-from pairtrack.harness.experiments import ablate, robustness, sweep
+from pairtrack.harness import experiments
+from pairtrack.harness.experiments import (
+    ablate,
+    detection_stream,
+    robustness,
+    sweep,
+)
 from pairtrack.harness.io import (
     detections_from_rows,
     parse_motchallenge,
@@ -125,20 +132,6 @@ def test_snap_run_from_written_gt_pinned(tmp_path):
     )
 
 
-def test_perturbed_prior_run_pinned(tmp_path):
-    # CrowdedMotion(0.35), 8 objects x 15 frames, 30% occlusion, scene seed
-    # 7; oracle, n_test=100, two steps, run seed 3, priors perturbed at 0.3.
-    spec = pt.SceneSpec(n_objects=8, duration=15, motion=pt.CrowdedMotion(0.35),
-                        occlusion_rate=0.3, seed=7)
-    result = pt.run_sequence(
-        pt.PipelineConfig(n_test=100, steps=2), pt.OracleDenoiser(0.9),
-        scene=pt.generate(spec), seed=3, prior_perturbation=0.3,
-    )
-    assert _digest(result, tmp_path) == (
-        "a2c9776247c44aec47ca2bb0f810ab13f03cd9c5f288fa32b4fcd864be9dd674", 114,
-    )
-
-
 def _linear_scene():
     # LinearMotion, 5 objects x 12 frames, 30% occlusion, scene seed 2.
     return pt.generate(pt.SceneSpec(n_objects=5, duration=12,
@@ -146,17 +139,51 @@ def _linear_scene():
 
 
 def test_robustness_rows_pinned():
-    # n_test=50, fidelity 0.9, seeds 0 and 1.
-    rows = robustness(_linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
+    # n_test=50, seeds 0 and 1. Both arms track one detection stream per
+    # (seed, alpha); the diffusion arm read 0.973684, 0.973684, 0.973684
+    # and 0.964912 while it ran the oracle on perturbed priors instead.
+    rows = robustness(_linear_scene(), pt.PipelineConfig(n_test=50),
                       alphas=[0.0, 0.02, 0.05, 0.5], seeds=[0, 1])
     assert rows == [
-        {"alpha": 0.0, "seeds": 2, "diffusion_mota": 0.973684, "greedy_mota": 1.0},
-        {"alpha": 0.02, "seeds": 2, "diffusion_mota": 0.973684,
+        {"alpha": 0.0, "seeds": 2, "diffusion_mota": 0.929825, "greedy_mota": 1.0},
+        {"alpha": 0.02, "seeds": 2, "diffusion_mota": 0.684211,
          "greedy_mota": 0.701754},
-        {"alpha": 0.05, "seeds": 2, "diffusion_mota": 0.973684,
+        {"alpha": 0.05, "seeds": 2, "diffusion_mota": -0.614035,
          "greedy_mota": -0.684211},
-        {"alpha": 0.5, "seeds": 2, "diffusion_mota": 0.964912, "greedy_mota": -1.0},
+        {"alpha": 0.5, "seeds": 2, "diffusion_mota": -0.684211, "greedy_mota": -1.0},
     ]
+
+
+def test_robustness_feeds_one_stream_to_both_trackers(monkeypatch):
+    # The diffusion arm ran the oracle on ground truth with perturbed
+    # priors, while only the greedy arm saw perturbed detections.
+    scene = _linear_scene()
+    diffusion_calls, greedy_calls = [], []
+    real_run, real_greedy = experiments.run_sequence, experiments.greedy_track
+
+    def run_spy(cfg, denoiser, **kwargs):
+        diffusion_calls.append((denoiser, kwargs))
+        return real_run(cfg, denoiser, **kwargs)
+
+    def greedy_spy(stream, n_frames):
+        greedy_calls.append(stream)
+        return real_greedy(stream, n_frames)
+
+    monkeypatch.setattr(experiments, "run_sequence", run_spy)
+    monkeypatch.setattr(experiments, "greedy_track", greedy_spy)
+    robustness(scene, pt.PipelineConfig(n_test=20), alphas=[0.0, 0.05],
+               seeds=[0, 1])
+    cells = [(alpha, seed) for alpha in (0.0, 0.05) for seed in (0, 1)]
+    assert len(diffusion_calls) == len(greedy_calls) == len(cells)
+    for (denoiser, kwargs), stream, (alpha, seed) in zip(
+        diffusion_calls, greedy_calls, cells
+    ):
+        assert isinstance(denoiser, pt.DetectionSnapDenoiser)
+        assert kwargs["detections"] is stream
+        assert kwargs["seed"] == seed and "scene" not in kwargs
+        want = detection_stream(scene, alpha, np.random.default_rng([seed, 2]))
+        assert stream.keys() == want.keys()
+        assert all(np.array_equal(stream[f], want[f]) for f in want)
 
 
 def test_ablate_rows_pinned():

@@ -295,32 +295,6 @@ class TestRunSequence:
             assert ra.ids.tolist() == rb.ids.tolist()
             assert ra.boxes.tolist() == rb.boxes.tolist()
 
-    def test_prior_perturbation_zero_is_identity(self):
-        scene = small_scene(duration=8)
-        cfg = PipelineConfig(n_test=64)
-        a = run_sequence(cfg, OracleDenoiser(0.9), scene=scene, seed=5)
-        b = run_sequence(
-            cfg, OracleDenoiser(0.9), scene=scene, seed=5, prior_perturbation=0.0
-        )
-        for f in a.frame_numbers():
-            ra, rb = a.rows(f), b.rows(f)
-            assert ra.ids.tolist() == rb.ids.tolist()
-            assert ra.boxes.tolist() == rb.boxes.tolist()
-
-    @pytest.mark.parametrize("alpha", [-0.3, 1.5])
-    def test_prior_perturbation_range_checked_before_any_pair(self, alpha):
-        calls = []
-
-        class Spy(OracleDenoiser):
-            def denoise_batch(self, boxes, s, ctx):
-                calls.append(s)
-                return super().denoise_batch(boxes, s, ctx)
-
-        with pytest.raises(ValueError, match="prior_perturbation"):
-            run_sequence(PipelineConfig(n_test=16), Spy(0.9),
-                         scene=small_scene(duration=4), prior_perturbation=alpha)
-        assert calls == []
-
     def test_requires_source(self):
         with pytest.raises(ValueError):
             run_sequence(PipelineConfig(), OracleDenoiser(1.0))
