@@ -108,10 +108,6 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def _add_fidelity_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fidelity", type=float, help="oracle denoiser fidelity")
-
-
 def _add_experiment(sub, name: str, help: str) -> argparse.ArgumentParser:
     """An experiment subcommand with the flags every experiment takes; the
     caller adds its grid."""
@@ -156,7 +152,6 @@ def _build_parser() -> _Parser:
         help="defaults to oracle with --gt, snap with --det",
     )
     _add_common_pipeline_flags(trk)
-    _add_fidelity_flag(trk)
 
     ev = sub.add_parser("eval", help="score a result against ground truth")
     ev.add_argument("--gt", required=True)
@@ -164,7 +159,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--csv", help="append a CSV row here")
 
     ab = _add_experiment(sub, "ablate", "factor-grid ablations")
-    _add_fidelity_flag(ab)
     ab.add_argument("--proportions", default="0,0.25,0.5,0.75,1.0")
     ab.add_argument("--paddings", default="repeat,gaussian,poisson,uniform,full")
     ab.add_argument(
@@ -172,16 +166,17 @@ def _build_parser() -> _Parser:
     )
 
     sw = _add_experiment(sub, "sweep", "box-count x step-count grid")
-    _add_fidelity_flag(sw)
     sw.add_argument("--boxes", default="100,500")
     sw.add_argument("--step-counts", default="1,2,4")
     sw.add_argument("--n-seeds", type=int, default=3)
 
-    rb = _add_experiment(
-        sub, "robustness", "MOTA vs detection noise, snap path against greedy"
-    )
+    rb = _add_experiment(sub, "robustness", "MOTA vs detection noise")
     rb.add_argument("--alphas", default="0,0.1,0.2,0.3,0.4,0.5")
     rb.add_argument("--n-seeds", type=int, default=5)
+
+    # Robustness runs the snap denoiser, so only these take the oracle's.
+    for p in (trk, ab, sw):
+        p.add_argument("--fidelity", type=float, help="oracle denoiser fidelity")
 
     return parser
 
@@ -355,11 +350,9 @@ def _cmd_experiment(args) -> int:
     cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
 
-    def field(name):  # a grid value PipelineConfig rejects
+    def field(name):  # raises ValueError where PipelineConfig rejects the value
         return lambda value: dataclasses.replace(cfg, **{name: value})
 
-    # The oracle's fidelity is a setting of ablate and sweep only:
-    # robustness runs the snap denoiser on detections.
     if args.command == "ablate":
         run, grid = ablate, {
             "fidelity": fidelity,
