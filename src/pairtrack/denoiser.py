@@ -113,6 +113,16 @@ _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_BOXES = np.zeros((0, 4))
 
 
+def id_set(*ids: np.ndarray) -> np.ndarray:
+    """The distinct entries of one or more id arrays, ascending, as NumPy's
+    ``union1d`` and ``unique`` return them. Those import ``numpy.ma`` on
+    first call; a sort and an adjacent-difference mask import nothing."""
+    ids = np.sort(np.concatenate(ids))
+    if not ids.size:
+        return ids
+    return ids[np.concatenate([[True], ids[1:] != ids[:-1]])]
+
+
 def _member(ids: np.ndarray, union: np.ndarray) -> np.ndarray:
     """Mask over the ascending ``union`` of the entries found in ``ids``, an
     ascending subset of it."""
@@ -201,7 +211,7 @@ class OracleDenoiser:
         """
         empty = (_NO_IDS, _NO_BOXES)
         (ids_p, boxes_p), (ids_c, boxes_c) = ctx.gt_prev or empty, ctx.gt_cur or empty
-        ids = np.union1d(ids_p, ids_c)
+        ids = id_set(ids_p, ids_c)
         if not ids.size:
             return None
         in_prev, in_cur = _member(ids_p, ids), _member(ids_c, ids)

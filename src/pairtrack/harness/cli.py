@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -212,15 +213,26 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--frames must be >= 2, got {args.frames}")
     if not 0.0 <= args.occlusion <= 1.0:
         raise UsageError(f"--occlusion must lie in [0, 1], got {args.occlusion}")
+    low, high = args.speed_min, args.speed_max
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise UsageError("--speed-min and --speed-max must be finite with "
+                         f"--speed-min <= --speed-max, got {low} and {high}")
     seed = _seed(args)
     image_size = _parse_image_size(args.image_size)
     if args.motion == "linear":
         motion = LinearMotion()
     elif args.motion == "nonlinear":
+        if not 0.0 <= args.crossover_rate <= 1.0:
+            raise UsageError(
+                f"--crossover-rate must lie in [0, 1], got {args.crossover_rate}")
+        if not math.isfinite(args.turn_rate):
+            raise UsageError(f"--turn-rate must be finite, got {args.turn_rate}")
         motion = NonLinearMotion(
             turn_rate=args.turn_rate, crossover_rate=args.crossover_rate
         )
     else:
+        if not args.density > 0.0:
+            raise UsageError(f"--density must be > 0, got {args.density}")
         motion = CrowdedMotion(density=args.density)
     spec = SceneSpec(
         n_objects=args.objects,
@@ -266,6 +278,12 @@ def _read_mot(path, convert, *args):
 
 
 def _cmd_track(args) -> int:
+    denoiser_kind = args.denoiser or ("oracle" if args.gt else "snap")
+    if denoiser_kind == "oracle" and not args.gt:
+        raise UsageError("the oracle denoiser needs --gt")
+    if denoiser_kind == "snap" and args.fidelity is not None:
+        raise UsageError("--fidelity sets the oracle denoiser; the snap "
+                         "denoiser takes none")
     image_size = _resolve_image_size(args)
     seed = _seed(args)
     cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
@@ -274,14 +292,12 @@ def _cmd_track(args) -> int:
     detections = None
     if args.gt:
         scene = _read_mot(args.gt, scene_from_gt, image_size)
-        denoiser_kind = args.denoiser or "oracle"
     else:
         detections = _read_mot(args.det, detections_from_rows)
-        denoiser_kind = args.denoiser or "snap"
+    extra = {"denoiser": denoiser_kind, "image_size": list(image_size)}
     if denoiser_kind == "oracle":
-        if scene is None:
-            raise UsageError("the oracle denoiser needs --gt")
         denoiser = OracleDenoiser(fidelity)
+        extra["fidelity"] = fidelity
     else:
         denoiser = DetectionSnapDenoiser()
         if detections is None:
@@ -297,8 +313,7 @@ def _cmd_track(args) -> int:
         dataclasses.asdict(cfg),
         inputs={"gt": args.gt or "", "det": args.det or ""},
         outputs={"result": args.out},
-        extra={"denoiser": denoiser_kind, "fidelity": fidelity,
-               "image_size": list(image_size)},
+        extra=extra,
     )
     print(f"wrote {args.out}")
     return 0

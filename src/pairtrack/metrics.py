@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .denoiser import id_set
 from .geometry import iou_matrix
 from .matching import linear_sum_assignment
 from .simulator import SceneGroundTruth
@@ -79,8 +80,8 @@ def evaluate(
     gt_frames = [gt.visible(f) for f in frames]
     pred_frames = [result.rows(f) for f in frames]
     no_ids = np.zeros(0, dtype=np.int64)
-    gt_ids = np.unique(np.concatenate([no_ids] + [ids for ids, _ in gt_frames]))
-    pred_ids = np.unique(np.concatenate([no_ids] + [r.ids for r in pred_frames]))
+    gt_ids = id_set(no_ids, *(ids for ids, _ in gt_frames))
+    pred_ids = id_set(no_ids, *(r.ids for r in pred_frames))
 
     # Over ground-truth indices: the result index matched in the last frame
     # and the last one ever matched (-1 for none), whether it was missed

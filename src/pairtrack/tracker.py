@@ -13,11 +13,14 @@ a sighting all the same and joins the padded rows, as a confident
 unmatched box starts a track in ByteTrack.
 
 The tracker's state is one table of arrays with a row per track: id,
-Kalman mean (8,) and covariance (8, 8), last box, score, lost age and the
-last frame a row was emitted for. Activated rows come first and have lost
-age 0; lost rows follow. The constant-velocity Kalman filter runs on
-stacks of rows, as ByteTrack's ``multi_predict`` does: each step predicts
-every track at once and updates every matched track at once. A step emits
+Kalman mean (8,) and covariance, last box, score, lost age and the last
+frame a row was emitted for. The covariance is kept as its four 2x2
+(position, velocity) blocks, one per coordinate, in a (4, 4) row: the
+other entries of the 8x8 matrix stay zero. Activated rows come first and
+have lost age 0; lost rows follow. The constant-velocity Kalman filter
+runs on stacks of rows, as ByteTrack's ``multi_predict`` does: each step
+predicts every track at once and updates every matched track at once,
+with elementwise arithmetic and no matrix products or solves. A step emits
 its result rows as arrays (``FrameRows``), and ``TrackingResult`` keeps
 them per frame; ``prior_boxes`` hands on a slice of the table.
 """
@@ -39,7 +42,6 @@ __all__ = [
     "TrackingResult",
     "FrameRows",
     "ResultRow",
-    "MOTION_MAT",
     "kalman_initiate",
     "kalman_predict",
     "kalman_update",
@@ -82,57 +84,65 @@ class TrackerConfig:
 
 
 # Constant-velocity Kalman filter on (cx, cy, aspect, height) and their
-# velocities, over stacks of tracks: means (k, 8), covariances (k, 8, 8).
-MOTION_MAT = np.eye(8)
-MOTION_MAT[:4, 4:] = np.eye(4)
+# velocities, over stacks of tracks. Each coordinate moves and is measured
+# on its own, so a track's 8x8 covariance holds only the four 2x2 (position,
+# velocity) blocks of its coordinates: covariances are (k, 4, 4), with the
+# pp, pv, vp and vv entries along axis 1 and the coordinates along axis 2.
+# The steps repeat the 8x8 filter's non-zero arithmetic in its order, so
+# they give its means and covariances bit for bit.
 _POS, _VEL = 1.0 / 20, 1.0 / 160
-# Noise standard deviations per unit of box height; the aspect ratio and
-# its velocity (entries 2 and 6) take fixed ones instead.
-_INIT_STD = np.array([2 * _POS, 2 * _POS, 0, 2 * _POS,
-                      10 * _VEL, 10 * _VEL, 0, 10 * _VEL])
-_MOTION_STD = np.array([_POS, _POS, 0, _POS, _VEL, _VEL, 0, _VEL])
-_MEASURE_STD = np.array([_POS, _POS, 0, _POS])
 
 
-def _noise_cov(h: np.ndarray, per_height: np.ndarray, aspect) -> np.ndarray:
-    """Diagonal covariances (k, n, n) of standard deviations
-    ``h * per_height``, with ``aspect`` at entries 2 and 6."""
-    std = h[:, None] * per_height
-    std[:, 2::4] = aspect
-    n = per_height.size
-    cov = np.zeros((len(h), n, n))
-    cov[:, np.arange(n), np.arange(n)] = np.square(std)
-    return cov
+def _noise_var(h: np.ndarray, per_height: float, aspect: float) -> np.ndarray:
+    """Variances (k, 4) of noise with standard deviation ``h * per_height``
+    on each coordinate but the aspect ratio, which takes ``aspect``."""
+    std = np.repeat((h * per_height)[:, None], 4, axis=1)
+    std[:, 2] = aspect
+    return np.square(std)
 
 
 def kalman_initiate(meas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States of new tracks at rest from (k, 4) xyah measurements."""
     means = np.zeros((len(meas), 8))
     means[:, :4] = meas
-    return means, _noise_cov(meas[:, 3], _INIT_STD, (1e-2, 1e-5))
+    covs = np.zeros((len(meas), 4, 4))
+    covs[:, 0] = _noise_var(meas[:, 3], 2 * _POS, 1e-2)
+    covs[:, 3] = _noise_var(meas[:, 3], 10 * _VEL, 1e-5)
+    return means, covs
 
 
 def kalman_predict(
     means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate every state one frame ahead."""
-    motion_cov = _noise_cov(means[:, 3], _MOTION_STD, (1e-2, 1e-5))
-    return means @ MOTION_MAT.T, MOTION_MAT @ covs @ MOTION_MAT.T + motion_cov
+    """Propagate every state one frame ahead: F P F^T plus the motion noise,
+    F adding each velocity to its position."""
+    pos, vel, h = means[:, :4], means[:, 4:], means[:, 3]
+    pp, pv, vp, vv = covs.swapaxes(0, 1)
+    covs = np.stack([(pp + vp) + (pv + vv) + _noise_var(h, _POS, 1e-2),
+                     pv + vv, vp + vv, vv + _noise_var(h, _VEL, 1e-5)], axis=1)
+    return np.concatenate([pos + vel, vel], axis=1), covs
 
 
 def kalman_update(
     means: np.ndarray, covs: np.ndarray, meas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correct every state with its row of the (k, 4) xyah measurements,
-    which observe the first four state entries."""
-    innovation_cov = _noise_cov(means[:, 3], _MEASURE_STD, 1e-1)
-    projected_cov = covs[:, :4, :4] + innovation_cov
-    gain = np.linalg.solve(
-        projected_cov.swapaxes(1, 2), covs[:, :, :4].swapaxes(1, 2)
-    ).swapaxes(1, 2)
+    which observe the positions.
+
+    The innovation covariance is diagonal, so the gain is each
+    coordinate's (pp, vp) column times the reciprocal of its innovation
+    variance, as LAPACK's solve computes it for a diagonal system.
+    """
+    pp, pv, vp, vv = covs.swapaxes(0, 1)
+    s = pp + _noise_var(means[:, 3], _POS, 1e-1)
+    inv = 1.0 / s
+    gain_p, gain_v = pp * inv, vp * inv
     innovation = meas - means[:, :4]
-    means = means + (gain @ innovation[:, :, None])[:, :, 0]
-    covs = covs - gain @ projected_cov @ gain.swapaxes(1, 2)
+    means = np.concatenate([means[:, :4] + gain_p * innovation,
+                            means[:, 4:] + gain_v * innovation], axis=1)
+    gs_p, gs_v = gain_p * s, gain_v * s
+    covs = np.stack([pp - gs_p * gain_p, pv - gs_p * gain_v,
+                     vp - gs_v * gain_p, vv - gs_v * gain_v], axis=1)
     return means, covs
 
 
@@ -152,11 +162,15 @@ def _state_boxes(means: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Tracks:
-    """The track table: row i of every column belongs to one track."""
+    """The track table: row i of every column belongs to one track.
+
+    ``covs[i]`` holds track i's covariance blocks: rows pp, pv, vp and vv,
+    columns cx, cy, aspect and height.
+    """
 
     ids: np.ndarray       # (k,)
     means: np.ndarray     # (k, 8)
-    covs: np.ndarray      # (k, 8, 8)
+    covs: np.ndarray      # (k, 4, 4) covariance blocks
     boxes: np.ndarray     # (k, 4) emitted while activated, predicted while lost
     scores: np.ndarray    # (k,)
     lost_age: np.ndarray  # (k,) frames since lost; 0 while activated

@@ -81,6 +81,36 @@ def test_robustness_takes_no_fidelity(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [["--det"], ["--denoiser", "snap", "--gt"]],
+                         ids=["det", "gt_snap"])
+def test_snap_track_takes_no_fidelity(tmp_path, capsys, source):
+    # The snap denoiser never reads a fidelity: the flag changed no result
+    # byte, yet the manifest recorded it.
+    scene_dir = _simulate(tmp_path)
+    out = tmp_path / "r.txt"
+    argv = ["track", *source, str(scene_dir / "gt.txt"), "--out", str(out),
+            "--n-test", "16", "--seed", "1"]
+    assert main(argv + ["--fidelity", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--fidelity" in err
+    assert list(tmp_path.iterdir()) == [scene_dir]
+    assert main(argv) == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["extra"] == {"denoiser": "snap", "image_size": [1920, 1080]}
+
+
+def test_oracle_track_needs_gt_before_reading(tmp_path, capsys):
+    # The usage error came only after the detection file was read, so a
+    # bad file hid it behind a data error.
+    det = tmp_path / "d.txt"
+    det.write_text("1,-1,10,10,20,20,1.5,-1,-1,-1\n")
+    assert main(["track", "--det", str(det), "--denoiser", "oracle", "--out",
+                 str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--gt" in err
+    assert list(tmp_path.iterdir()) == [det]
+
+
 @pytest.mark.parametrize("command", ["sweep", "robustness"])
 def test_n_seeds_below_one_is_usage_error(tmp_path, capsys, command):
     # Zero seeds exited 0 with a CSV row of nan means.
@@ -128,13 +158,13 @@ def test_spaced_grid_lists_write_the_same_csv(tmp_path):
 
 @pytest.mark.parametrize("flags, code, err", [
     (["--motion", "nonlinear", "--crossover-rate", "1", "--objects", "3"], 0, ""),
-    (["--motion", "crowded", "--density", "0"], 2, "density"),
-    (["--motion", "nonlinear", "--crossover-rate", "1.5"], 2, "crossover_rate"),
+    (["--motion", "crowded", "--density", "0"], 1, "--density"),
+    (["--motion", "nonlinear", "--crossover-rate", "1.5"], 1, "--crossover-rate"),
     (["--objects", "-1"], 1, "--objects"),
     (["--objects", "0", "--frames", "3"], 1, "--objects"),
-    (["--motion", "nonlinear", "--turn-rate", "nan"], 2, "turn_rate"),
-    (["--speed-min", "5", "--speed-max", "-2"], 2, "speed"),
-    (["--speed-min", "nan"], 2, "speed"),
+    (["--motion", "nonlinear", "--turn-rate", "nan"], 1, "--turn-rate"),
+    (["--speed-min", "5", "--speed-max", "-2"], 1, "--speed-max"),
+    (["--speed-min", "nan"], 1, "--speed-min"),
     (["--frames", "1"], 1, "--frames"),
     (["--image-size", "20x20", "--objects", "3", "--frames", "5"], 2,
      "box_width and aspect"),
@@ -144,7 +174,8 @@ def test_spaced_grid_lists_write_the_same_csv(tmp_path):
 def test_simulate_checks_its_motion_fields(tmp_path, capsys, flags, code, err):
     # Each of these crashed with a traceback, named no field or flag, or
     # wrote a scene that ``track`` rejects (no rows, or nan boxes) or that
-    # spills out of its image.
+    # spills out of its image. A bad flag is a usage error naming the flag;
+    # a box drawn larger than the image is a data error.
     assert main(["simulate", "--out", str(tmp_path), *flags, "--seed", "1"]) == code
     assert err in capsys.readouterr().err
     assert (tmp_path / "gt.txt").exists() == (code == 0)

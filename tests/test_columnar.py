@@ -127,6 +127,38 @@ def test_written_results_read_back_to_the_same_bytes(tmp_path):
         len(result.rows(f).ids) for f in result.frame_numbers())
 
 
+def _one_format(result):
+    """The result file as one ``%`` format over every row's values, rows
+    in (frame, id) order."""
+    values = []
+    for f in sorted(result.frame_numbers()):
+        ids, boxes, scores = result.rows(f)
+        for i in np.argsort(ids, kind="stable").tolist():
+            cx, cy, w, h = boxes[i].tolist()
+            values += [f, ids[i].item(), cx - 0.5 * w, cy - 0.5 * h, w, h,
+                       scores[i].item()]
+    line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,-1,-1,-1\n"
+    return line * (len(values) // 7) % tuple(values)
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1543])
+def test_chunked_results_equal_one_format(tmp_path, n):
+    # The writer formats 512 rows at a time; its bytes are those of one
+    # format over all rows, whatever the row count.
+    rng = np.random.default_rng(n)
+    result = TrackingResult()
+    for start in range(0, n, 37):
+        k = min(37, n - start)
+        result.add(10_000 - start, FrameRows(
+            rng.permutation(np.arange(1, 100))[:k],
+            rng.uniform([0, 0, 1, 1], [1920, 1080, 200, 300], (k, 4)),
+            rng.uniform(0, 1, k)))
+    write_results(result, tmp_path / "r.txt")
+    text = (tmp_path / "r.txt").read_text()
+    assert text.count("\n") == n
+    assert text == _one_format(result)
+
+
 def test_result_id_listed_twice_in_a_frame_rejected(tmp_path):
     # Both rows would count toward the id's trajectory and lift IDF1 above 1.
     path = tmp_path / "r.txt"

@@ -24,6 +24,7 @@ from pairtrack.denoiser import (
     DetectionSnapDenoiser,
     FrameContext,
     OracleDenoiser,
+    id_set,
 )
 from pairtrack.diffusion import (
     PaddingStrategy,
@@ -176,6 +177,21 @@ class TestOracleDenoiser:
         ctx = self.ctx()
         ddim_refine(props, 500, 4, OracleDenoiser(0.9), ctx)
         assert len(built) == 1 and built[0] is ctx
+
+
+@pytest.mark.parametrize("prev, cur", [
+    ([], []), ([7, 2, 5], []), ([], [4, -1]), ([1, 3, 5, 3], [5, 4, 3]),
+    ([2, 1], [9, 8, 9]),
+], ids=["empty", "prev_only", "cur_only", "overlapping", "disjoint"])
+def test_id_set_equals_numpy_sets(prev, cur):
+    # The oracle's targets take the union of two frames' ids; ``evaluate``
+    # the distinct ids of every frame.
+    prev, cur = np.array(prev, dtype=np.int64), np.array(cur, dtype=np.int64)
+    for got, want in ((id_set(prev, cur), np.union1d(prev, cur)),
+                      (id_set(prev, cur, prev), np.unique(np.r_[prev, cur, prev])),
+                      (id_set(cur), np.unique(cur))):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 def _ctx_from_rows(gt_rows, conditional=False):

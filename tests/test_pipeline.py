@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairtrack
 from pairtrack import pipeline
 from pairtrack.denoiser import (
     CandidateBatch,
@@ -361,3 +368,33 @@ class TestRunSequence:
         ids_before = set(res.rows(5).ids.tolist())
         ids_after = set(res.rows(10).ids.tolist())
         assert ids_before == ids_after
+
+
+def test_tracking_path_leaves_numpy_ma_unloaded(tmp_path):
+    # NumPy's ``unique`` and ``union1d`` import ``numpy.ma``, over a megabyte
+    # of memory, on first call. Tracking, writing and scoring a sequence
+    # must not; modules that the imports load are left out, so the test
+    # holds for a NumPy that imports ``numpy.ma`` eagerly.
+    code = textwrap.dedent(f"""
+        import sys
+        import pairtrack as pt
+        import pairtrack.harness.io
+        before = set(sys.modules)
+        scene = pt.generate(pt.SceneSpec(
+            n_objects=6, duration=8, motion=pt.CrowdedMotion(0.35),
+            occlusion_rate=0.5, seed=4))
+        result = pt.run_sequence(pt.PipelineConfig(n_test=64),
+                                 pt.OracleDenoiser(0.9), scene=scene, seed=1)
+        pairtrack.harness.io.write_results(result, {str(tmp_path / "r.txt")!r})
+        pt.evaluate(scene, result)
+        print(*sorted(set(sys.modules) - before))
+    """)
+    src = str(Path(pairtrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert (tmp_path / "r.txt").stat().st_size > 0
+    assert not [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")]

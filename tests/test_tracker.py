@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
 from pairtrack.geometry import BBox, iou_matrix
 from pairtrack.tracker import (
-    MOTION_MAT,
     GreedyIoUTracker,
     Tracker,
     TrackingResult,
@@ -60,16 +59,12 @@ class TestKalman:
         assert mean[0, 0] == pytest.approx(105.0)
         assert mean[0, 1] == pytest.approx(200.0)
 
-    def test_double_step_matrix_identity(self):
-        double = MOTION_MAT @ MOTION_MAT
-        interval2 = np.eye(8)
-        for i in range(4):
-            interval2[i, 4 + i] = 2.0
-        assert np.allclose(double, interval2)
-        mean, _ = kalman_initiate(boxes((10.0, 20.0, 1.0, 30.0)))
+    def test_two_predicts_move_center_by_twice_velocity(self):
+        mean, cov = kalman_initiate(boxes((10.0, 20.0, 1.0, 30.0)))
         mean[0, 4:6] = [3.0, -2.0]
-        stepped = MOTION_MAT @ (MOTION_MAT @ mean[0])
-        assert np.allclose(stepped, interval2 @ mean[0])
+        stepped, _ = kalman_predict(*kalman_predict(mean, cov))
+        assert stepped[0, :4].tolist() == [16.0, 16.0, 1.0, 30.0]
+        assert np.array_equal(stepped[0, 4:], mean[0, 4:])
 
     def test_update_pulls_toward_measurement(self):
         mean, cov = kalman_initiate(boxes((100.0, 100.0, 1.0, 40.0)))
@@ -123,23 +118,39 @@ class TestStackedKalman:
     @given(stack=_kalman_stacks())
     @settings(max_examples=100, deadline=None)
     def test_rows_equal_per_track_filter(self, stack):
+        # Each block-form row, expanded to its 8x8 covariance, is the full
+        # filter's state bit for bit.
         means, covs, meas = stack
         init_means, init_covs = kalman_initiate(meas)
         pred_means, pred_covs = kalman_predict(means, covs)
         upd_means, upd_covs = kalman_update(means, covs, meas)
         for i in range(len(means)):
+            full = _full_cov(covs[i])
             mean, cov = _per_track_initiate(meas[i])
             assert np.array_equal(init_means[i], mean), i
-            assert np.array_equal(init_covs[i], cov), i
-            mean, cov = _per_track_predict(means[i], covs[i])
+            assert np.array_equal(_full_cov(init_covs[i]), cov), i
+            mean, cov = _per_track_predict(means[i], full)
             assert np.array_equal(pred_means[i], mean), i
-            assert np.array_equal(pred_covs[i], cov), i
-            mean, cov = _per_track_update(means[i], covs[i], meas[i])
+            assert np.array_equal(_full_cov(pred_covs[i]), cov), i
+            mean, cov = _per_track_update(means[i], full, meas[i])
             assert np.array_equal(upd_means[i], mean), i
-            assert np.array_equal(upd_covs[i], cov), i
+            assert np.array_equal(_full_cov(upd_covs[i]), cov), i
 
 
-# The one-track filter the stacked steps replaced, kept as their reference.
+def _full_cov(blocks):
+    """The 8x8 covariance of one track's (4, 4) pp, pv, vp, vv blocks."""
+    cov = np.zeros((8, 8))
+    pos, vel = np.arange(4), np.arange(4, 8)
+    cov[pos, pos], cov[pos, vel], cov[vel, pos], cov[vel, vel] = blocks
+    return cov
+
+
+# The one-track 8x8 filter the block-form steps replaced, kept as their
+# reference with its own motion matrix.
+_MOTION_MAT = np.eye(8)
+_MOTION_MAT[:4, 4:] = np.eye(4)
+
+
 def _per_track_initiate(meas):
     pos, vel = 2 * (1 / 20) * meas[3], 10 * (1 / 160) * meas[3]
     mean = np.zeros(8)
@@ -150,8 +161,8 @@ def _per_track_initiate(meas):
 def _per_track_predict(mean, cov):
     pos, vel = 1 / 20 * mean[3], 1 / 160 * mean[3]
     std = [pos, pos, 1e-2, pos, vel, vel, 1e-5, vel]
-    return MOTION_MAT @ mean, (
-        MOTION_MAT @ cov @ MOTION_MAT.T + np.diag(np.square(std))
+    return _MOTION_MAT @ mean, (
+        _MOTION_MAT @ cov @ _MOTION_MAT.T + np.diag(np.square(std))
     )
 
 
