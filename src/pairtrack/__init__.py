@@ -12,7 +12,7 @@ from .denoiser import (
     OracleDenoiser,
 )
 from .diffusion import PaddingStrategy, PerturbationSchedule
-from .geometry import BBox, giou, nms2d, nms3d
+from .geometry import giou, nms2d, nms3d
 from .metrics import MetricsReport, evaluate
 from .pipeline import PipelineConfig, Variant, run_pair, run_sequence
 from .simulator import (
@@ -28,7 +28,6 @@ from .tracker import Tracker, TrackerConfig, TrackingResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox",
     "giou",
     "nms2d",
     "nms3d",

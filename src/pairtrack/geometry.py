@@ -2,9 +2,7 @@
 
 Boxes are center-form rows (cx, cy, w, h); corners are computed on demand.
 A paired box, the same object's boxes in two adjacent frames, is one
-8-wide row: the previous-frame box, then the current-frame one. ``BBox``
-is only the record of one row of a result's object view
-(``TrackingResult.frames``).
+8-wide row: the previous-frame box, then the current-frame one.
 
 Two vectorized kernels share one pass over the rows' 4-wide members,
 which computes corners and areas once per side and broadcasts only the
@@ -34,13 +32,11 @@ union is empty, and GIoU is 0 where the summed enclosure is <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "BBox",
     "giou",
     "nms2d",
     "nms3d",
@@ -48,16 +44,6 @@ __all__ = [
     "overlap",
     "overlap_ceiling",
 ]
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box with center (cx, cy), width w and height h, in pixels."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
 
 
 # Ranked rows settled per suppression step: enough that few steps are

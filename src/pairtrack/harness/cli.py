@@ -28,7 +28,7 @@ from ..simulator import (
     SceneSpec,
     generate,
 )
-from .config import load_config_file, resolve_run_config
+from .config import check_value, load_config_file, resolve_run_config
 from .experiments import ablate, detection_stream, robustness, sweep, write_csv
 from .io import (
     MotFormatError,
@@ -206,6 +206,27 @@ def _resolve_image_size(args) -> tuple[int, int]:
     return _DEFAULT_IMAGE_SIZE
 
 
+# The numeric run flags, each with the config section and key it sets.
+_RANGED_FLAGS = (
+    ("--n-test", "pipeline", "n_test"),
+    ("--steps", "pipeline", "steps"),
+    ("--proportion", "pipeline", "proportion"),
+    ("--fidelity", "oracle", "fidelity"),
+)
+
+
+def _check_ranged_flags(args) -> None:
+    """A value its config rejects is a usage error naming the flag."""
+    for flag, section, key in _RANGED_FLAGS:
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        try:
+            check_value(section, key, value)
+        except ValueError as exc:
+            raise UsageError(f"bad {flag} {value!r}: {exc}") from None
+
+
 def _cmd_simulate(args) -> int:
     if args.objects < 1:
         raise UsageError(f"--objects must be >= 1, got {args.objects}")
@@ -284,6 +305,7 @@ def _cmd_track(args) -> int:
     if denoiser_kind == "snap" and args.fidelity is not None:
         raise UsageError("--fidelity sets the oracle denoiser; the snap "
                          "denoiser takes none")
+    _check_ranged_flags(args)
     image_size = _resolve_image_size(args)
     seed = _seed(args)
     cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
@@ -361,6 +383,7 @@ def _unit_alpha(alpha: float) -> None:
 
 
 def _cmd_experiment(args) -> int:
+    _check_ranged_flags(args)
     seed = _seed(args)
     cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))

@@ -4,8 +4,8 @@ Resolution order for every knob: CLI flag > config-file key > built-in
 default. Files are INI-style with one section per component config, whose
 fields are the only keys, and an ``[oracle]`` section whose one key is
 ``fidelity``; any other section or key, a value its field's type cannot
-take, or a file ``configparser`` cannot read is a ``ValueError`` naming the
-file rather than silently ignored::
+take or its config rejects, or a file ``configparser`` cannot read is a
+``ValueError`` naming the file rather than silently ignored::
 
     [pipeline]
     n_test = 500
@@ -31,10 +31,11 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, get_type_hints
 
+from ..denoiser import OracleDenoiser
 from ..pipeline import PipelineConfig
 from ..tracker import TrackerConfig
 
-__all__ = ["load_config_file", "resolve_run_config"]
+__all__ = ["check_value", "load_config_file", "resolve_run_config"]
 
 
 def _fields(cls) -> dict[str, Any]:
@@ -72,12 +73,25 @@ def load_config_file(path: str | Path | None) -> dict[str, dict[str, Any]]:
             if key not in _SCHEMA[section]:
                 raise ValueError(f"{path}: [{section}] unknown key {key!r}")
             try:
-                values[section][key] = _coerce(_SCHEMA[section][key], text)
+                value = _coerce(_SCHEMA[section][key], text)
+                check_value(section, key, value)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: [{section}] {key} = {text!r}: {exc}"
                 ) from exc
+            values[section][key] = value
     return values
+
+
+def check_value(section: str, key: str, value) -> None:
+    """Raise the ``ValueError`` of the section's config when it rejects
+    ``value`` for ``key``."""
+    if section == "oracle":
+        OracleDenoiser(value)
+    elif section == "pipeline":
+        PipelineConfig(**{key: value})
+    else:
+        TrackerConfig(**{key: value})
 
 
 def _coerce(kind: Any, raw: str):

@@ -119,7 +119,10 @@ def detection_stream(
 ) -> DetectionStream:
     """Each frame's visible ground-truth boxes as detections of confidence
     1, blended toward noise by ``perturb_boxes``. Alpha 0 draws nothing, so
-    it needs no ``rng`` and gives the boxes unchanged."""
+    it needs no ``rng`` and gives the boxes unchanged; a larger alpha
+    without one is a ``ValueError``."""
+    if alpha > 0.0 and rng is None:
+        raise ValueError(f"alpha {alpha} needs an rng to draw the noise from")
     stream = {}
     for frame in range(1, scene.n_frames + 1):
         boxes = perturb_boxes(scene.visible_boxes(frame), alpha, rng, scene.image_size)

@@ -242,12 +242,21 @@ def parse_seqinfo(path: str | Path) -> tuple[tuple[int, int], int]:
     if not cp.has_section("Sequence"):
         raise MotFormatError(f"{path}: no [Sequence] section")
     sec = cp["Sequence"]
-    missing = [k for k in ("imWidth", "imHeight", "seqLength") if k not in sec]
+    keys = ("imWidth", "imHeight", "seqLength")
+    missing = [k for k in keys if k not in sec]
     if missing:
         raise MotFormatError(f"{path}: [Sequence] lacks {', '.join(missing)}")
-    size = (int(sec["imWidth"]), int(sec["imHeight"]))
-    if min(size) <= 0:
+    values = []
+    for key in keys:
+        try:
+            values.append(int(sec[key]))
+        except ValueError:
+            raise MotFormatError(
+                f"{path}: [Sequence] {key} must be an integer, got {sec[key]!r}"
+            ) from None
+    width, height, length = values
+    if min(width, height) <= 0:
         raise MotFormatError(
-            f"{path}: imWidth and imHeight must be > 0, got {size[0]}x{size[1]}"
+            f"{path}: imWidth and imHeight must be > 0, got {width}x{height}"
         )
-    return size, int(sec["seqLength"])
+    return (width, height), length

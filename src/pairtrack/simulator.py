@@ -67,7 +67,7 @@ class SceneSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GtFrame:
     """One frame's ground truth: ids (k,) int64 in ascending order, each
     listed once, center-form boxes (k, 4) float64 and visibility (k,) bool.

@@ -22,7 +22,7 @@ runs on stacks of rows, as ByteTrack's ``multi_predict`` does: each step
 predicts every track at once and updates every matched track at once,
 with elementwise arithmetic and no matrix products or solves. A step emits
 its result rows as arrays (``FrameRows``), and ``TrackingResult`` keeps
-them per frame; ``prior_boxes`` hands on a slice of the table.
+one such table per frame; ``prior_boxes`` hands on a slice of the table.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .denoiser import CandidateBatch, ProposalOrigin
-from .geometry import BBox, iou_matrix
+from .geometry import iou_matrix
 from .matching import linear_sum_assignment
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "TrackingResult",
     "FrameRows",
     "ResultRow",
+    "BBox",
     "kalman_initiate",
     "kalman_predict",
     "kalman_update",
@@ -210,7 +211,18 @@ class FrameRows(NamedTuple):
 _NO_ROWS = FrameRows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), np.zeros(0))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class BBox:
+    """Axis-aligned box with center (cx, cy), width w and height h, in
+    pixels: the box of one ``ResultRow``."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+
+@dataclass(slots=True)
 class ResultRow:
     """One result row as an object, for the ``TrackingResult.frames`` view."""
 
@@ -220,21 +232,26 @@ class ResultRow:
 
 
 class TrackingResult:
-    """Per-frame identity-labeled output rows, kept as arrays.
+    """Per-frame identity-labeled output rows, kept as one ``FrameRows``
+    table per frame.
 
-    A frame's rows are the rows added for it, in the order they were added
-    (the tracker emits each id at most once per frame). Frames appear in
-    the order of their first non-empty ``add``.
+    ``add`` concatenates a frame's new rows onto its table, so a frame's
+    rows are the rows added for it, in the order they were added (the
+    tracker emits each id at most once per frame). Frames appear in the
+    order of their first non-empty ``add``. ``rows`` only looks a table up.
     """
 
     def __init__(self):
-        self._rows: dict[int, list[FrameRows]] = {}
+        self._rows: dict[int, FrameRows] = {}
         self._view: dict[int, list[ResultRow]] | None = None
 
     def add(self, frame: int, rows: FrameRows) -> None:
         """Append ``rows`` to the frame's rows; an empty set adds nothing."""
         if len(rows.ids):
-            self._rows.setdefault(frame, []).append(rows)
+            held = self._rows.get(frame)
+            if held is not None:
+                rows = FrameRows(*map(np.concatenate, zip(held, rows)))
+            self._rows[frame] = rows
             self._view = None
 
     def frame_numbers(self):
@@ -242,13 +259,8 @@ class TrackingResult:
         return self._rows.keys()
 
     def rows(self, frame: int) -> FrameRows:
-        """All rows of the frame as one set of arrays (empty when none)."""
-        parts = self._rows.get(frame)
-        if parts is None:
-            return _NO_ROWS
-        if len(parts) > 1:
-            parts[:] = [FrameRows(*map(np.concatenate, zip(*parts)))]
-        return parts[0]
+        """The frame's table (empty when it has no rows)."""
+        return self._rows.get(frame, _NO_ROWS)
 
     @property
     def frames(self) -> dict[int, list[ResultRow]]:
@@ -256,7 +268,7 @@ class TrackingResult:
         read rows one at a time. Built on first read and kept until the
         next ``add``; edits to it do not reach the arrays."""
         if self._view is None:
-            self._view = {f: _objects(self.rows(f)) for f in self._rows}
+            self._view = {f: _objects(rows) for f, rows in self._rows.items()}
         return self._view
 
 

@@ -17,6 +17,7 @@ from pairtrack.harness.io import (
     MotFormatError,
     detections_from_rows,
     parse_motchallenge,
+    parse_seqinfo,
     scene_from_gt,
 )
 from pairtrack.pipeline import PipelineConfig, Variant
@@ -339,6 +340,28 @@ def test_seqinfo_without_sequence_section_is_data_error(tmp_path, capsys):
     assert not result.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("imWidth", "abc"), ("imHeight", "100.5"), ("seqLength", "five"),
+])
+def test_non_integer_seqinfo_value_names_file_and_key(tmp_path, capsys, key,
+                                                      value):
+    # A bare int() failure named neither the file nor the key.
+    scene_dir = _simulate(tmp_path)
+    fields = {"imWidth": "1920", "imHeight": "1080", "seqLength": "5", key: value}
+    seqinfo = tmp_path / "seqinfo.ini"
+    seqinfo.write_text("[Sequence]\n" + "".join(
+        f"{k}={v}\n" for k, v in fields.items()))
+    result = tmp_path / "result.txt"
+    assert main(["track", "--gt", str(scene_dir / "gt.txt"),
+                 "--seqinfo", str(seqinfo), "--out", str(result)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {seqinfo}: [Sequence] {key}" in err
+    assert repr(value) in err
+    assert not result.exists()
+    with pytest.raises(MotFormatError, match=key):
+        parse_seqinfo(seqinfo)
+
+
 def _track_det_rows(tmp_path, rows):
     det = tmp_path / "d.txt"
     det.write_text("".join(r + "\n" for r in rows))
@@ -455,12 +478,49 @@ def test_out_of_range_config_value_names_key(tmp_path, capsys):
                      str(config), "--out", str(result)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "data error" in err and key in err
+        assert "data error" in err and str(config) in err
+        assert f"[{section}] {key} = '{value}'" in err
         assert not result.exists()
+    # The same value as a flag is a usage error naming the flag.
     assert main(["track", "--gt", str(scene_dir / "gt.txt"), "--out",
-                 str(result), "--n-test", "0"]) == 2
-    assert "n_test" in capsys.readouterr().err
+                 str(result), "--n-test", "0"]) == 1
+    assert "usage error: bad --n-test 0: n_test" in capsys.readouterr().err
     assert not result.exists()
+
+
+def test_out_of_range_oracle_fidelity_key_names_file(tmp_path, capsys):
+    scene_dir = _simulate(tmp_path)
+    config = tmp_path / "c.ini"
+    config.write_text("[oracle]\nfidelity = 2\n")
+    out = tmp_path / "out.csv"
+    assert main(["ablate", "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{config}: [oracle] fidelity = '2'" in err
+    assert not out.exists()
+
+
+_RANGED = [("--n-test", "0", "0"), ("--steps", "0", "0"),
+           ("--proportion", "1.5", "1.5"), ("--proportion", "nan", "nan"),
+           ("--fidelity", "2", "2.0")]
+
+
+@pytest.mark.parametrize("command, flag, value, shown", [
+    pytest.param(command, *case, id=f"{command}{case[0]}-{case[1]}")
+    for command in ("track", "ablate", "sweep", "robustness")
+    for case in _RANGED if (command, case[0]) != ("robustness", "--fidelity")
+])
+def test_out_of_range_pipeline_flag_is_usage_error(tmp_path, capsys, command,
+                                                   flag, value, shown):
+    # These exited 2 naming the field (n_test, steps, proportion), or, for
+    # --fidelity, neither the flag nor the value. Robustness takes no
+    # --fidelity.
+    scene_dir = _simulate(tmp_path)
+    out = tmp_path / ("r.txt" if command == "track" else "out.csv")
+    assert main([command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 flag, value]) == 1
+    assert f"usage error: bad {flag} {shown}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [scene_dir]
 
 
 def test_config_range_bounds_are_inclusive():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import pairtrack as pt
-from pairtrack.geometry import BBox
 from pairtrack.harness.io import (
     MotFormatError,
     parse_results,
@@ -17,7 +16,7 @@ from pairtrack.harness.io import (
     write_results,
 )
 from pairtrack.simulator import GtFrame
-from pairtrack.tracker import FrameRows, ResultRow, TrackingResult
+from pairtrack.tracker import BBox, FrameRows, ResultRow, TrackingResult
 
 
 def _scene():
@@ -99,14 +98,48 @@ def test_view_cached_until_next_add():
                             np.array([0.5])))
     view = result.frames
     assert result.frames is view
-    # Edits to the view stay in the view.
+    # Edits to the view stay in the view, and reading the arrays keeps it.
     view[1].append(view[1][0])
     assert result.frames[1] == [ResultRow(3, BBox(1.0, 2, 3, 4), 0.5)] * 2
     assert result.rows(1).ids.tolist() == [3]
+    assert result.frames is view
     result.add(1, FrameRows(np.array([1]), np.array([[5.0, 6, 7, 8]]),
                             np.array([0.25])))
     assert result.frames is not view
     assert [r.track_id for r in result.frames[1]] == [3, 1]
+    # An add after a read appends in add order.
+    ids, boxes, scores = result.rows(1)
+    assert ids.tolist() == [3, 1] and scores.tolist() == [0.5, 0.25]
+    assert boxes.tolist() == [[1.0, 2, 3, 4], [5.0, 6, 7, 8]]
+
+
+def test_rows_reads_without_side_effects():
+    result = TrackingResult()
+    for tid in (3, 1, 2):
+        result.add(1, FrameRows(np.array([tid]), np.full((1, 4), float(tid)),
+                                np.array([tid / 4])))
+    # Each add joins the frame's one table.
+    assert all(type(rows) is FrameRows for rows in result._rows.values())
+    stored = result._rows[1]
+    first, second = result.rows(1), result.rows(1)
+    assert first is second is stored is result._rows[1]
+    assert first.ids.tolist() == [3, 1, 2]
+    assert first.boxes[:, 0].tolist() == [3.0, 1.0, 2.0]
+    # A frame with no rows reads empty and is not stored.
+    assert len(result.rows(2).ids) == 0
+    assert list(result.frame_numbers()) == [1]
+
+
+def test_records_have_slots():
+    scene = _scene()
+    row = _tracked(scene).frames[2][0]
+    for record in (scene.frames[1], row, row.box):
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
+    # Slots keep the frame's array equality.
+    a = scene.frames[1]
+    assert a == GtFrame(a.ids.copy(), a.boxes.copy(), a.visible.copy())
+    assert a != GtFrame(a.ids, a.boxes + 1.0, a.visible)
 
 
 def test_empty_rows_add_no_frame():

@@ -33,6 +33,15 @@ def test_array_giou_exported():
         assert not hasattr(pairtrack.geometry, name)
 
 
+def test_box_record_left_to_the_result_view():
+    # ``BBox`` is only the box of a ``TrackingResult.frames`` row.
+    assert "BBox" not in pairtrack.__all__
+    assert not hasattr(pairtrack, "BBox")
+    assert "BBox" not in pairtrack.geometry.__all__
+    assert not hasattr(pairtrack.geometry, "BBox")
+    assert "BBox" in pairtrack.tracker.__all__
+
+
 def test_signal_space_owned_by_diffusion():
     # Denoisers see pixels; only the DDIM loop's module maps to and from
     # the signal space.

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from pairtrack.denoiser import _CEILING_MARGIN, BASIN_FLOOR
 from pairtrack.geometry import (
-    BBox,
     giou,
     iou_matrix,
     nms2d,
@@ -23,6 +22,7 @@ from pairtrack.geometry import (
     overlap,
     overlap_ceiling,
 )
+from pairtrack.tracker import BBox
 
 CELL = 0.125
 

@@ -186,6 +186,16 @@ def test_robustness_feeds_one_stream_to_both_trackers(monkeypatch):
         assert all(np.array_equal(stream[f], want[f]) for f in want)
 
 
+def test_noisy_detection_stream_needs_rng():
+    scene = _linear_scene()
+    with pytest.raises(ValueError, match="rng"):
+        detection_stream(scene, 0.1)
+    # Alpha 0 draws nothing and gives the visible boxes.
+    clean = detection_stream(scene, 0.0)
+    assert all(np.array_equal(clean[f][:, :4], scene.visible_boxes(f))
+               for f in range(1, scene.n_frames + 1))
+
+
 def test_ablate_rows_pinned():
     # n_test=50, fidelity 0.9, run seed 1.
     rows = ablate(

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairtrack.denoiser import CandidateBatch, ProposalOrigin
-from pairtrack.geometry import BBox, iou_matrix
+from pairtrack.geometry import iou_matrix
 from pairtrack.tracker import (
+    BBox,
     GreedyIoUTracker,
     Tracker,
     TrackingResult,
