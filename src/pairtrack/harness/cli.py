@@ -109,14 +109,19 @@ def _add_common_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
+def _add_image_size_flags(p: argparse.ArgumentParser) -> None:
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--seqinfo", help="seqinfo.ini with image size")
+    size.add_argument("--image-size", help="WxH when no seqinfo is given")
+
+
 def _add_experiment(sub, name: str, help: str) -> argparse.ArgumentParser:
     """An experiment subcommand with the flags every experiment takes; the
     caller adds its grid."""
     p = sub.add_parser(name, help=help)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True, help="CSV output")
-    p.add_argument("--seqinfo")
-    p.add_argument("--image-size")
+    _add_image_size_flags(p)
     _add_common_pipeline_flags(p)
     return p
 
@@ -145,8 +150,7 @@ def _build_parser() -> _Parser:
     src = trk.add_mutually_exclusive_group(required=True)
     src.add_argument("--gt", help="ground-truth file (oracle denoiser)")
     src.add_argument("--det", help="detection file (snap denoiser)")
-    trk.add_argument("--seqinfo", help="seqinfo.ini with image size")
-    trk.add_argument("--image-size", help="WxH when no seqinfo is given")
+    _add_image_size_flags(trk)
     trk.add_argument("--out", required=True, help="result file")
     trk.add_argument(
         "--denoiser", choices=["oracle", "snap"], default=None,
@@ -206,25 +210,35 @@ def _resolve_image_size(args) -> tuple[int, int]:
     return _DEFAULT_IMAGE_SIZE
 
 
-# The numeric run flags, each with the config section and key it sets.
-_RANGED_FLAGS = (
-    ("--n-test", "pipeline", "n_test"),
-    ("--steps", "pipeline", "steps"),
-    ("--proportion", "pipeline", "proportion"),
-    ("--fidelity", "oracle", "fidelity"),
-)
-
-
-def _check_ranged_flags(args) -> None:
-    """A value its config rejects is a usage error naming the flag."""
-    for flag, section, key in _RANGED_FLAGS:
-        value = getattr(args, key, None)
+def _resolve_run(args, kind: str):
+    """A run's seed, config, ``kind`` of denoiser ("oracle" or "snap") and
+    the denoiser's manifest record, all checked before the sequence is
+    read. The snap denoiser takes no fidelity, from a flag or a file."""
+    for key, value in vars(args).items():
         if value is None:
             continue
         try:
-            check_value(section, key, value)
+            check_value(key, value)
         except ValueError as exc:
+            flag = "--" + key.replace("_", "-")
             raise UsageError(f"bad {flag} {value!r}: {exc}") from None
+    if kind == "oracle" and not args.gt:
+        raise UsageError("the oracle denoiser needs --gt")
+    if kind == "snap" and getattr(args, "fidelity", None) is not None:
+        raise UsageError("--fidelity sets the oracle denoiser; the snap "
+                         "denoiser takes none")
+    seed = _seed(args)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"--out {args.out}: no directory {out_dir}")
+    file_values = load_config_file(args.config)
+    if kind == "snap" and "fidelity" in file_values.get("oracle", {}):
+        raise ValueError(f"{args.config}: [oracle] fidelity sets the oracle "
+                         "denoiser; the snap denoiser takes none")
+    cfg, fidelity = resolve_run_config(file_values, **vars(args))
+    if kind == "snap":
+        return seed, cfg, DetectionSnapDenoiser(), {"denoiser": kind}
+    return seed, cfg, OracleDenoiser(fidelity), {"denoiser": kind, "fidelity": fidelity}
 
 
 def _cmd_simulate(args) -> int:
@@ -299,31 +313,14 @@ def _read_mot(path, convert, *args):
 
 
 def _cmd_track(args) -> int:
-    denoiser_kind = args.denoiser or ("oracle" if args.gt else "snap")
-    if denoiser_kind == "oracle" and not args.gt:
-        raise UsageError("the oracle denoiser needs --gt")
-    if denoiser_kind == "snap" and args.fidelity is not None:
-        raise UsageError("--fidelity sets the oracle denoiser; the snap "
-                         "denoiser takes none")
-    _check_ranged_flags(args)
+    kind = args.denoiser or ("oracle" if args.gt else "snap")
+    seed, cfg, denoiser, record = _resolve_run(args, kind)
     image_size = _resolve_image_size(args)
-    seed = _seed(args)
-    cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
-
-    scene = None
-    detections = None
     if args.gt:
         scene = _read_mot(args.gt, scene_from_gt, image_size)
+        detections = detection_stream(scene) if kind == "snap" else None
     else:
-        detections = _read_mot(args.det, detections_from_rows)
-    extra = {"denoiser": denoiser_kind, "image_size": list(image_size)}
-    if denoiser_kind == "oracle":
-        denoiser = OracleDenoiser(fidelity)
-        extra["fidelity"] = fidelity
-    else:
-        denoiser = DetectionSnapDenoiser()
-        if detections is None:
-            detections = detection_stream(scene)
+        scene, detections = None, _read_mot(args.det, detections_from_rows)
 
     result = run_sequence(
         cfg, denoiser, scene=scene, detections=detections,
@@ -335,7 +332,7 @@ def _cmd_track(args) -> int:
         dataclasses.asdict(cfg),
         inputs={"gt": args.gt or "", "det": args.det or ""},
         outputs={"result": args.out},
-        extra=extra,
+        extra={**record, "image_size": list(image_size)},
     )
     print(f"wrote {args.out}")
     return 0
@@ -383,9 +380,8 @@ def _unit_alpha(alpha: float) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    _check_ranged_flags(args)
-    seed = _seed(args)
-    cfg, fidelity = resolve_run_config(load_config_file(args.config), **vars(args))
+    kind = "snap" if args.command == "robustness" else "oracle"
+    seed, cfg, denoiser, record = _resolve_run(args, kind)
     scene = _read_mot(args.gt, scene_from_gt, _resolve_image_size(args))
 
     def field(name):  # raises ValueError where PipelineConfig rejects the value
@@ -393,7 +389,6 @@ def _cmd_experiment(args) -> int:
 
     if args.command == "ablate":
         run, grid = ablate, {
-            "fidelity": fidelity,
             "proportions": _parse_list(args, "--proportions", float,
                                        field("proportion")),
             "paddings": _parse_list(args, "--paddings", PaddingStrategy),
@@ -402,7 +397,6 @@ def _cmd_experiment(args) -> int:
         }
     elif args.command == "sweep":
         run, grid = sweep, {
-            "fidelity": fidelity,
             "box_counts": _parse_list(args, "--boxes", int, field("n_test")),
             "step_counts": _parse_list(args, "--step-counts", int, field("steps")),
             "seeds": _seeds(seed, args.n_seeds),
@@ -411,17 +405,14 @@ def _cmd_experiment(args) -> int:
         run, grid = robustness, {"alphas": _parse_list(args, "--alphas", float,
                                                        _unit_alpha),
                                  "seeds": _seeds(seed, args.n_seeds)}
-    rows = run(scene, cfg, **grid)
+    rows = run(scene, cfg, denoiser, **grid)
     write_csv(rows, args.out)
-    extra = {"argv": args.argv}
-    if "fidelity" in grid:
-        extra["fidelity"] = fidelity
     _write_manifest(
         Path(args.out).with_suffix(".manifest.json"), args.command, seed,
         dataclasses.asdict(cfg),
         inputs={"gt": args.gt},
         outputs={"csv": args.out},
-        extra=extra,
+        extra={"argv": args.argv, **record},
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -74,7 +74,7 @@ def load_config_file(path: str | Path | None) -> dict[str, dict[str, Any]]:
                 raise ValueError(f"{path}: [{section}] unknown key {key!r}")
             try:
                 value = _coerce(_SCHEMA[section][key], text)
-                check_value(section, key, value)
+                check_value(key, value)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: [{section}] {key} = {text!r}: {exc}"
@@ -83,14 +83,14 @@ def load_config_file(path: str | Path | None) -> dict[str, dict[str, Any]]:
     return values
 
 
-def check_value(section: str, key: str, value) -> None:
-    """Raise the ``ValueError`` of the section's config when it rejects
-    ``value`` for ``key``."""
-    if section == "oracle":
+def check_value(key: str, value) -> None:
+    """Raise the ``ValueError`` of the config whose section holds ``key``
+    when it rejects ``value``; a key that no section holds is left alone."""
+    if key in _SCHEMA["oracle"]:
         OracleDenoiser(value)
-    elif section == "pipeline":
+    elif key in _SCHEMA["pipeline"]:
         PipelineConfig(**{key: value})
-    else:
+    elif key in _SCHEMA["tracker"]:
         TrackerConfig(**{key: value})
 
 

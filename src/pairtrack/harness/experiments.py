@@ -11,12 +11,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..denoiser import DetectionSnapDenoiser, OracleDenoiser
+from ..denoiser import Denoiser
 from ..diffusion import PaddingStrategy, PerturbationSchedule
 from ..metrics import evaluate
 from ..pipeline import DetectionStream, PipelineConfig, run_sequence
 from ..simulator import SceneGroundTruth, perturb_boxes
-from ..tracker import GreedyIoUTracker, TrackingResult
+from ..tracker import GreedyIoUTracker, TrackerConfig, TrackingResult
 
 __all__ = ["ablate", "sweep", "robustness", "greedy_track", "detection_stream",
            "write_csv"]
@@ -33,12 +33,12 @@ def write_csv(rows: Sequence[dict], path: str | Path) -> None:
         writer.writerows(rows)
 
 
-def _run_once(
-    scene: SceneGroundTruth, cfg: PipelineConfig, fidelity: float, seed: int
-):
-    denoiser = OracleDenoiser(fidelity)
+def _run_once(scene: SceneGroundTruth, cfg: PipelineConfig, denoiser: Denoiser,
+              seed: int, stream: DetectionStream | None = None):
+    """The report and the seconds per frame pair of one tracked ``scene``,
+    its priors taken from ``stream`` when one is given."""
     started = time.perf_counter()
-    result = run_sequence(cfg, denoiser, scene=scene, seed=seed)
+    result = run_sequence(cfg, denoiser, scene=scene, detections=stream, seed=seed)
     elapsed = time.perf_counter() - started
     report = evaluate(scene, result)
     latency = elapsed / max(scene.n_frames - 1, 1)
@@ -48,7 +48,7 @@ def _run_once(
 def ablate(
     scene: SceneGroundTruth,
     base_cfg: PipelineConfig,
-    fidelity: float,
+    denoiser: Denoiser,
     proportions: Iterable[float],
     paddings: Iterable[PaddingStrategy],
     perturbations: Iterable[PerturbationSchedule],
@@ -66,7 +66,7 @@ def ablate(
                     padding=padding,
                     perturbation=perturbation,
                 )
-                report, _ = _run_once(scene, cfg, fidelity, seed)
+                report, _ = _run_once(scene, cfg, denoiser, seed)
                 rows.append(
                     {
                         "proportion": proportion,
@@ -85,7 +85,7 @@ def ablate(
 def sweep(
     scene: SceneGroundTruth,
     base_cfg: PipelineConfig,
-    fidelity: float,
+    denoiser: Denoiser,
     box_counts: Iterable[int],
     step_counts: Iterable[int],
     seeds: Iterable[int],
@@ -97,7 +97,7 @@ def sweep(
             cfg = replace(base_cfg, n_test=n_test, steps=steps)
             motas, latencies = [], []
             for seed in seeds:
-                report, latency = _run_once(scene, cfg, fidelity, seed)
+                report, latency = _run_once(scene, cfg, denoiser, seed)
                 motas.append(report.mota)
                 latencies.append(latency)
             rows.append(
@@ -131,12 +131,10 @@ def detection_stream(
 
 
 def greedy_track(
-    detections: DetectionStream,
-    n_frames: int,
-    iou_threshold: float = 0.3,
+    detections: DetectionStream, n_frames: int, cfg: TrackerConfig
 ) -> TrackingResult:
     """Run the bundled greedy-IoU reference tracker over a detection stream."""
-    tracker = GreedyIoUTracker(iou_threshold=iou_threshold)
+    tracker = GreedyIoUTracker(cfg)
     result = TrackingResult()
     for frame in range(1, n_frames + 1):
         boxes = detections.get(frame, np.zeros((0, 5)))
@@ -147,11 +145,12 @@ def greedy_track(
 def robustness(
     scene: SceneGroundTruth,
     base_cfg: PipelineConfig,
+    denoiser: Denoiser,
     alphas: Iterable[float],
     seeds: Iterable[int],
 ) -> list[dict]:
-    """MOTA versus detection noise for the diffusion pipeline, through the
-    snap denoiser, and for the greedy-IoU reference. Both trackers get the
+    """MOTA versus detection noise for the diffusion pipeline and for the
+    greedy-IoU reference, under one tracker config. Both trackers get the
     same detection stream, built once per (seed, alpha)."""
     rows = []
     seeds = list(seeds)
@@ -159,12 +158,9 @@ def robustness(
         diff_motas, greedy_motas = [], []
         for seed in seeds:
             stream = detection_stream(scene, alpha, np.random.default_rng([seed, 2]))
-            diffusion = run_sequence(
-                base_cfg, DetectionSnapDenoiser(), detections=stream,
-                image_size=scene.image_size, seed=seed,
-            )
-            diff_motas.append(evaluate(scene, diffusion).mota)
-            greedy = greedy_track(stream, scene.n_frames)
+            report, _ = _run_once(scene, base_cfg, denoiser, seed, stream)
+            diff_motas.append(report.mota)
+            greedy = greedy_track(stream, scene.n_frames, base_cfg.tracker)
             greedy_motas.append(evaluate(scene, greedy).mota)
         rows.append(
             {

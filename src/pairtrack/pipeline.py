@@ -54,6 +54,10 @@ INITIAL_MOTION = 0.25
 
 
 class Variant(Enum):
+    """The baseline refines once, so ``PipelineConfig`` rejects it with
+    ``steps`` other than 1. It repeats a prior in every slot whatever
+    ``proportion`` says; the field's default, 0.25, keeps it unchecked."""
+
     DIFFUSION = "diffusion"
     BASELINE = "baseline"
 
@@ -74,6 +78,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.proportion <= 1.0:
             raise ValueError(f"proportion must be in [0, 1], got {self.proportion!r}")
+        if self.variant is Variant.BASELINE and self.steps != 1:
+            raise ValueError(
+                f"steps must be 1 with variant baseline, got {self.steps!r}")
 
     def schedule(self) -> np.ndarray:
         """``diffusion.ALPHA_BAR``, the one schedule's table. Nothing in the
@@ -128,9 +135,8 @@ def run_pair(
         ctx = replace(ctx, conditional=True)
     else:
         props = corrupt_proposals(props, alpha, rng)
-    steps = 1 if baseline else cfg.steps
 
-    batch = ddim_refine(props, t, steps, denoiser, ctx)
+    batch = ddim_refine(props, t, cfg.steps, denoiser, ctx)
     kept = _gate_and_suppress(batch, cfg)
     return kept, int(np.count_nonzero(kept.origin == ProposalOrigin.PRIOR))
 

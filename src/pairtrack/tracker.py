@@ -62,7 +62,7 @@ class TrackerConfig:
     ``nms2d_threshold``. ``Tracker.step`` reads ``iou_match_threshold``
     (both association rounds), ``init_score_threshold`` (new tracks; it
     defaults to the detection threshold) and ``max_lost_age`` (retirement
-    of lost tracks).
+    of lost tracks); ``GreedyIoUTracker`` reads the last two as well.
     """
 
     conf_threshold: float = 0.25
@@ -430,15 +430,16 @@ class GreedyIoUTracker:
     Each detection, in descending score order (ties in input order),
     claims the free track with the highest overlap, the later track on
     equal overlap, when that overlap is positive and at or above the
-    threshold: as in ``associate``, disjoint boxes never match. Leftovers
-    become new tracks, which no detection of the same frame can claim. A
-    frame's detections are one (n, 5) array of (cx, cy, w, h, conf) rows.
-    Exists to contrast robustness against the diffusion pipeline.
+    config's ``iou_match_threshold``: as in ``associate``, disjoint boxes
+    never match. Leftovers become new tracks, which no detection of the
+    same frame can claim; a track unclaimed for more than ``max_lost_age``
+    frames is retired. A frame's detections are one (n, 5) array of (cx,
+    cy, w, h, conf) rows. Exists to contrast robustness against the
+    diffusion pipeline, under the same ``TrackerConfig``.
     """
 
-    def __init__(self, iou_threshold: float = 0.3, max_lost_age: int = 30):
-        self.iou_threshold = iou_threshold
-        self.max_lost_age = max_lost_age
+    def __init__(self, cfg: TrackerConfig | None = None):
+        self.cfg = cfg or TrackerConfig()
         self._ids = np.zeros(0, dtype=np.int64)
         self._boxes = np.zeros((0, 4))
         self._age = np.zeros(0, dtype=np.int64)
@@ -454,11 +455,12 @@ class GreedyIoUTracker:
         last = len(self._ids) - 1
         order = np.argsort(-detections[:, 4], kind="stable")
         ids = np.zeros(len(detections), dtype=np.int64)
+        threshold = self.cfg.iou_match_threshold
         for di in order:
             free_fit = np.where(owner < 0, fit[di], -np.inf)
             # Over the reversed row, argmax takes the later of equal overlaps.
             j = last - int(np.argmax(free_fit[::-1])) if last >= 0 else -1
-            if j >= 0 and free_fit[j] >= self.iou_threshold and free_fit[j] > 0.0:
+            if j >= 0 and free_fit[j] >= threshold and free_fit[j] > 0.0:
                 owner[j] = di
                 ids[di] = self._ids[j]
             else:
@@ -472,7 +474,7 @@ class GreedyIoUTracker:
         self._ids = np.concatenate([self._ids, ids[born]])
         self._boxes = np.concatenate([self._boxes, boxes[born]])
         self._age = np.concatenate([self._age, np.zeros(len(born), dtype=np.int64)])
-        keep = self._age <= self.max_lost_age
+        keep = self._age <= self.cfg.max_lost_age
         self._ids, self._boxes, self._age = (
             self._ids[keep], self._boxes[keep], self._age[keep]
         )

@@ -11,6 +11,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from pairtrack.diffusion import PaddingStrategy, PerturbationSchedule
+from pairtrack.harness import cli, experiments
 from pairtrack.harness.cli import _write_manifest, main
 from pairtrack.harness.config import resolve_run_config
 from pairtrack.harness.io import (
@@ -45,16 +46,19 @@ def test_simulate_track_det_eval(tmp_path):
     assert float(row["mota"]) > 0.9
 
 
-@pytest.mark.parametrize("command, grid, header", [
+@pytest.mark.parametrize("command, grid, header, record", [
     ("ablate", ["--proportions", "0,0.5", "--paddings", "repeat,gaussian",
                 "--perturbations", "constant"],
-     "proportion,padding,perturbation,seed,mota,idf1,idsw,frag"),
+     "proportion,padding,perturbation,seed,mota,idf1,idsw,frag",
+     {"denoiser": "oracle", "fidelity": 0.9}),
     ("sweep", ["--boxes", "16,32", "--step-counts", "1,2", "--n-seeds", "1"],
-     "boxes,steps,seeds,mota,latency_per_pair_s"),
+     "boxes,steps,seeds,mota,latency_per_pair_s",
+     {"denoiser": "oracle", "fidelity": 0.9}),
     ("robustness", ["--alphas", "0,0.1,0.2,0.3", "--n-seeds", "1"],
-     "alpha,seeds,diffusion_mota,greedy_mota"),
+     "alpha,seeds,diffusion_mota,greedy_mota", {"denoiser": "snap"}),
 ], ids=["ablate", "sweep", "robustness"])
-def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header):
+def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header,
+                                                 record):
     # Each grid has four cells: one CSV row per cell under the header.
     scene_dir = tmp_path / "scene"
     assert main(["simulate", "--out", str(scene_dir), "--objects", "3",
@@ -71,6 +75,7 @@ def test_experiment_writes_its_grid_and_manifest(tmp_path, command, grid, header
     assert manifest["extra"]["argv"] == argv
     # Robustness runs the snap denoiser, so it has no oracle fidelity.
     assert ("fidelity" in manifest["extra"]) == (command != "robustness")
+    assert manifest["extra"] == {**record, "argv": argv}
 
 
 def test_robustness_takes_no_fidelity(tmp_path, capsys):
@@ -110,6 +115,98 @@ def test_oracle_track_needs_gt_before_reading(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err and "--gt" in err
     assert list(tmp_path.iterdir()) == [det]
+
+
+@pytest.mark.parametrize("argv", [
+    ["track", "--det"], ["track", "--denoiser", "snap", "--gt"],
+    ["robustness", "--gt"],
+], ids=["track_det", "track_gt_snap", "robustness"])
+def test_config_fidelity_is_data_error_on_snap_runs(tmp_path, capsys, argv):
+    # A config file's fidelity was accepted and dropped on every snap run,
+    # while the --fidelity flag was a usage error there.
+    scene_dir = _simulate(tmp_path)
+    config = tmp_path / "c.ini"
+    config.write_text("[oracle]\nfidelity = 0.5\n")
+    assert main([*argv, str(scene_dir / "gt.txt"), "--out", str(tmp_path / "out"),
+                 "--config", str(config), "--n-test", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{config}: [oracle] fidelity" in err
+    assert sorted(tmp_path.iterdir()) == [config, scene_dir]
+
+
+def test_robustness_greedy_arm_reads_the_tracker_config(tmp_path):
+    # The greedy arm kept its own threshold 0.3 and lost age 30, so only
+    # the diffusion column followed the run's [tracker] settings.
+    scene_dir = tmp_path / "scene"
+    assert main(["simulate", "--out", str(scene_dir), "--objects", "6",
+                 "--frames", "15", "--motion", "nonlinear", "--seed", "2"]) == 0
+    config = tmp_path / "c.ini"
+    config.write_text("[tracker]\niou_match_threshold = 0.9\nmax_lost_age = 0\n")
+    rows = {}
+    for name, extra in (("default", []), ("strict", ["--config", str(config)])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["robustness", "--gt", str(scene_dir / "gt.txt"), "--out",
+                     str(out), "--alphas", "0,0.05", "--n-seeds", "1",
+                     "--n-test", "50", *extra]) == 0
+        with open(out) as fh:
+            rows[name] = [(r["diffusion_mota"], r["greedy_mota"])
+                          for r in csv.DictReader(fh)]
+    assert rows == {
+        "default": [("0.977778", "0.977778"), ("-0.444444", "-0.544444")],
+        "strict": [("0.955556", "0.111111"), ("-0.477778", "-0.7")],
+    }
+
+
+def test_baseline_with_more_steps_is_rejected(tmp_path, capsys):
+    # The baseline ran one step whatever --steps said, and recorded the
+    # steps it never ran; a sweep wrote one row per unused step count.
+    scene_dir = _simulate(tmp_path)
+    result = tmp_path / "r.txt"
+    assert main(["track", "--gt", str(scene_dir / "gt.txt"), "--out", str(result),
+                 "--variant", "baseline", "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "steps" in err and "baseline" in err
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--gt", str(scene_dir / "gt.txt"), "--out", str(out),
+                 "--variant", "baseline", "--step-counts", "1,2,4"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: bad --step-counts" in err and "baseline" in err
+    assert list(tmp_path.iterdir()) == [scene_dir]
+
+
+@pytest.mark.parametrize("command", ["track", "ablate", "sweep", "robustness"])
+def test_seqinfo_and_image_size_are_exclusive(tmp_path, capsys, command):
+    # --seqinfo silently won over --image-size.
+    scene_dir = _simulate(tmp_path)
+    assert main([command, "--gt", str(scene_dir / "gt.txt"), "--out",
+                 str(tmp_path / "out"), "--seqinfo", str(scene_dir / "seqinfo.ini"),
+                 "--image-size", "10x10"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--seqinfo" in err and "--image-size" in err
+    assert list(tmp_path.iterdir()) == [scene_dir]
+
+
+@pytest.mark.parametrize("command", ["track", "ablate", "sweep", "robustness"])
+def test_missing_out_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # A missing directory failed only when the result was written, after
+    # the whole sequence or grid had run.
+    scene_dir = _simulate(tmp_path)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("run_sequence called")
+
+    monkeypatch.setattr(cli, "run_sequence", spy)
+    monkeypatch.setattr(experiments, "run_sequence", spy)
+    monkeypatch.setattr(cli, "parse_motchallenge", spy)
+    out = tmp_path / "x" / "y" / "out"
+    assert main([command, "--gt", str(scene_dir / "gt.txt"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"--out {out}" in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [scene_dir]
 
 
 @pytest.mark.parametrize("command", ["sweep", "robustness"])
@@ -249,17 +346,18 @@ def test_manifests_record_each_run(tmp_path):
     assert manifest["outputs"] == {"gt": str(gt),
                                    "seqinfo": str(scene_dir / "seqinfo.ini")}
 
+    # The baseline refines once, so --steps 1 overrides the file's steps.
     config = tmp_path / "c.ini"
     config.write_text("[pipeline]\nsteps = 2\npadding = uniform\n"
                       "[tracker]\nmax_lost_age = 7\n[oracle]\nfidelity = 0.5\n")
     result = tmp_path / "result.txt"
     assert main(["track", "--gt", str(gt), "--config", str(config), "--out",
                  str(result), "--n-test", "32", "--variant", "baseline",
-                 "--seed", "5"]) == 0
+                 "--steps", "1", "--seed", "5"]) == 0
     manifest = _read_manifest(result.with_suffix(".manifest.json"))
     assert manifest["command"] == "track" and manifest["seed"] == 5
     assert manifest["config"] == {
-        "n_test": 32, "steps": 2, "proportion": 0.25, "padding": "uniform",
+        "n_test": 32, "steps": 1, "proportion": 0.25, "padding": "uniform",
         "perturbation": "logarithmic", "variant": "baseline",
         "tracker": {**_DEFAULT_TRACKER, "max_lost_age": 7},
     }
@@ -282,7 +380,8 @@ def test_manifests_record_each_run(tmp_path):
     }
     assert manifest["inputs"] == {"gt": str(gt)}
     assert manifest["outputs"] == {"csv": str(out)}
-    assert manifest["extra"] == {"fidelity": 0.9, "argv": argv}
+    assert manifest["extra"] == {"denoiser": "oracle", "fidelity": 0.9,
+                                 "argv": argv}
 
 
 def test_track_det_reads_sidecar_seqinfo(tmp_path):
@@ -654,7 +753,7 @@ def test_config_round_trip(tmp_path):
     # A manifest's config written back as a config file resolves to the same
     # configs: every field is a key, and every key reads back its type.
     cfg = PipelineConfig(
-        n_test=64, steps=2, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
+        n_test=64, steps=1, proportion=0.5, padding=PaddingStrategy.CAT_UNIFORM,
         perturbation=PerturbationSchedule.LINEAR,
         variant=Variant.BASELINE,
         tracker=TrackerConfig(conf_threshold=0.3, max_lost_age=7),

@@ -143,7 +143,8 @@ def test_robustness_rows_pinned():
     # (seed, alpha); the diffusion arm read 0.973684, 0.973684, 0.973684
     # and 0.964912 while it ran the oracle on perturbed priors instead.
     rows = robustness(_linear_scene(), pt.PipelineConfig(n_test=50),
-                      alphas=[0.0, 0.02, 0.05, 0.5], seeds=[0, 1])
+                      pt.DetectionSnapDenoiser(), alphas=[0.0, 0.02, 0.05, 0.5],
+                      seeds=[0, 1])
     assert rows == [
         {"alpha": 0.0, "seeds": 2, "diffusion_mota": 0.929825, "greedy_mota": 1.0},
         {"alpha": 0.02, "seeds": 2, "diffusion_mota": 0.684211,
@@ -160,18 +161,20 @@ def test_robustness_feeds_one_stream_to_both_trackers(monkeypatch):
     scene = _linear_scene()
     diffusion_calls, greedy_calls = [], []
     real_run, real_greedy = experiments.run_sequence, experiments.greedy_track
+    cfg = pt.PipelineConfig(n_test=20)
 
-    def run_spy(cfg, denoiser, **kwargs):
+    def run_spy(run_cfg, denoiser, **kwargs):
         diffusion_calls.append((denoiser, kwargs))
-        return real_run(cfg, denoiser, **kwargs)
+        return real_run(run_cfg, denoiser, **kwargs)
 
-    def greedy_spy(stream, n_frames):
+    def greedy_spy(stream, n_frames, tracker_cfg):
+        assert tracker_cfg is cfg.tracker
         greedy_calls.append(stream)
-        return real_greedy(stream, n_frames)
+        return real_greedy(stream, n_frames, tracker_cfg)
 
     monkeypatch.setattr(experiments, "run_sequence", run_spy)
     monkeypatch.setattr(experiments, "greedy_track", greedy_spy)
-    robustness(scene, pt.PipelineConfig(n_test=20), alphas=[0.0, 0.05],
+    robustness(scene, cfg, pt.DetectionSnapDenoiser(), alphas=[0.0, 0.05],
                seeds=[0, 1])
     cells = [(alpha, seed) for alpha in (0.0, 0.05) for seed in (0, 1)]
     assert len(diffusion_calls) == len(greedy_calls) == len(cells)
@@ -180,7 +183,7 @@ def test_robustness_feeds_one_stream_to_both_trackers(monkeypatch):
     ):
         assert isinstance(denoiser, pt.DetectionSnapDenoiser)
         assert kwargs["detections"] is stream
-        assert kwargs["seed"] == seed and "scene" not in kwargs
+        assert kwargs["seed"] == seed
         want = detection_stream(scene, alpha, np.random.default_rng([seed, 2]))
         assert stream.keys() == want.keys()
         assert all(np.array_equal(stream[f], want[f]) for f in want)
@@ -199,7 +202,7 @@ def test_noisy_detection_stream_needs_rng():
 def test_ablate_rows_pinned():
     # n_test=50, fidelity 0.9, run seed 1.
     rows = ablate(
-        _linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
+        _linear_scene(), pt.PipelineConfig(n_test=50), pt.OracleDenoiser(0.9),
         proportions=[0.0, 0.5],
         paddings=[pt.PaddingStrategy.REPEAT, pt.PaddingStrategy.CAT_GAUSSIAN],
         perturbations=[pt.PerturbationSchedule.CONSTANT,
@@ -224,8 +227,9 @@ def test_ablate_rows_pinned():
 def test_sweep_rows_pinned():
     # Fidelity 0.9, seeds 0 and 1. The latency column is wall time, so only
     # its presence is checked.
-    rows = sweep(_linear_scene(), pt.PipelineConfig(n_test=50), 0.9,
-                 box_counts=[20, 50], step_counts=[1, 2], seeds=[0, 1])
+    rows = sweep(_linear_scene(), pt.PipelineConfig(n_test=50),
+                 pt.OracleDenoiser(0.9), box_counts=[20, 50], step_counts=[1, 2],
+                 seeds=[0, 1])
     assert [list(r) for r in rows] == [
         ["boxes", "steps", "seeds", "mota", "latency_per_pair_s"]
     ] * 4

@@ -201,6 +201,12 @@ class TestRunPair:
         )
         assert seen["conditional"] is False
 
+    def test_baseline_takes_one_step(self):
+        # The baseline refined once whatever ``steps`` said.
+        with pytest.raises(ValueError, match="steps must be 1 with variant baseline"):
+            PipelineConfig(steps=2, variant=Variant.BASELINE)
+        PipelineConfig(steps=1, variant=Variant.BASELINE)
+
 
 # Lattice boxes (corners on the 1/4 grid, sizes 0 to 1.5) in a small area:
 # overlaps are frequent, some boxes have zero size, and ratios repeat. Left

@@ -13,6 +13,7 @@ from pairtrack.tracker import (
     BBox,
     GreedyIoUTracker,
     Tracker,
+    TrackerConfig,
     TrackingResult,
     associate,
     kalman_initiate,
@@ -561,7 +562,7 @@ class TestGreedyReference:
         assert ids == {1, 2}
 
     def test_new_id_after_jump(self):
-        g = GreedyIoUTracker(max_lost_age=0)
+        g = GreedyIoUTracker(TrackerConfig(max_lost_age=0))
         first = g.update(1, np.array([[100.0, 100, 20, 20, 0.9]]))
         g.update(2, np.zeros((0, 5)))
         second = g.update(3, np.array([[100.0, 100, 20, 20, 0.9]]))
@@ -588,15 +589,16 @@ class TestGreedyReference:
         first = np.array([[10.0, 10, 20, 20, 0.9]])
         second = np.array([[10.0, 7, 20, 14, 0.9]])
         assert iou_matrix(first[:, :4], second[:, :4])[0, 0] == 0.7
-        at = GreedyIoUTracker(iou_threshold=0.7)
-        above = GreedyIoUTracker(iou_threshold=float(np.nextafter(0.7, 1.0)))
+        at = GreedyIoUTracker(TrackerConfig(iou_match_threshold=0.7))
+        above = GreedyIoUTracker(
+            TrackerConfig(iou_match_threshold=float(np.nextafter(0.7, 1.0))))
         for g in (at, above):
             g.update(1, first)
         assert at.update(2, second).ids.tolist() == [1]
         assert above.update(2, second).ids.tolist() == [2]
 
     def test_zero_threshold_never_claims_a_disjoint_track(self):
-        g = GreedyIoUTracker(iou_threshold=0.0)
+        g = GreedyIoUTracker(TrackerConfig(iou_match_threshold=0.0))
         assert g.update(1, np.array([[20.0, 20, 10, 10, 0.9]])).ids.tolist() == [1]
         assert g.update(2, np.array([[80.0, 80, 10, 10, 0.9]])).ids.tolist() == [2]
 
