@@ -196,7 +196,7 @@ def test_missing_out_directory_fails_before_any_work(tmp_path, capsys, monkeypat
 
     def spy(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("run_sequence called")
+        raise AssertionError("work started before the --out check")
 
     monkeypatch.setattr(cli, "run_sequence", spy)
     monkeypatch.setattr(experiments, "run_sequence", spy)
